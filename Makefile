@@ -10,8 +10,11 @@ all: lint test build
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (faulthound/bench) importing internal/...;
+# the root ./... pattern neither builds nor tests it.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

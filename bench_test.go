@@ -37,6 +37,17 @@ func benchOptions() harness.Options {
 	return o
 }
 
+// bzip2Campaigns runs bzip2's fault campaigns through the campaign
+// engine: the baseline cell first, then one cell per scheme.
+func bzip2Campaigns(b *testing.B, o harness.Options, schemes ...harness.Scheme) []*fault.Campaign {
+	b.Helper()
+	out, err := o.RunCampaign(o.CampaignSpec([]string{"bzip2"}, schemes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out.Campaigns
+}
+
 func BenchmarkTable1Workloads(b *testing.B) {
 	// Table 1: every benchmark kernel builds and runs.
 	for i := 0; i < b.N; i++ {
@@ -90,11 +101,7 @@ func BenchmarkFig7FaultCharacterization(b *testing.B) {
 	o.Benchmarks = []string{"bzip2", "gamess"}
 	var maskedPct float64
 	for i := 0; i < b.N; i++ {
-		bm, _ := workload.Get("bzip2")
-		camp, err := fault.Run(o.MakeCore(bm, harness.Baseline), o.Fault)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := bzip2Campaigns(b, o)[0]
 		m, _, _ := camp.Classification()
 		maskedPct = 100 * float64(m) / float64(len(camp.Results))
 	}
@@ -103,17 +110,10 @@ func BenchmarkFig7FaultCharacterization(b *testing.B) {
 
 func BenchmarkFig8aCoverage(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		base, err := fault.Run(o.MakeCore(bm, harness.Baseline), o.Fault)
-		if err != nil {
-			b.Fatal(err)
-		}
-		det, err := fault.Run(o.MakeCore(bm, harness.FaultHound), o.Fault)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camps := bzip2Campaigns(b, o, harness.FaultHound)
+		base, det := camps[0], camps[1]
 		cov = fault.PairCoverage(base, det).Coverage() * 100
 	}
 	b.ReportMetric(cov, "coverage%")
@@ -174,17 +174,10 @@ func BenchmarkFig10Energy(b *testing.B) {
 
 func BenchmarkFig11Breakdown(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
 	var noTrig float64
 	for i := 0; i < b.N; i++ {
-		base, err := fault.Run(o.MakeCore(bm, harness.Baseline), o.Fault)
-		if err != nil {
-			b.Fatal(err)
-		}
-		det, err := fault.Run(o.MakeCore(bm, harness.FaultHound), o.Fault)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camps := bzip2Campaigns(b, o, harness.FaultHound)
+		base, det := camps[0], camps[1]
 		rep := fault.PairCoverage(base, det)
 		noTrig = rep.BinFraction(fault.NoTrigger) * 100
 	}

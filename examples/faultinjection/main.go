@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -53,13 +54,29 @@ func main() {
 	cfg := fault.DefaultConfig()
 	cfg.Injections = injections
 
+	// One fault.Worker runs every injection of every campaign: prepare
+	// the golden run, then run each pre-drawn descriptor on it.
+	w := fault.NewWorker(nil)
+	run := func(mk func() *pipeline.Core) *fault.Campaign {
+		p, err := fault.Prepare(mk, cfg)
+		if err != nil {
+			panic(err)
+		}
+		camp := &fault.Campaign{Config: cfg}
+		for _, inj := range p.Injections() {
+			res, err := p.RunOne(context.Background(), inj, w)
+			if err != nil {
+				panic(err)
+			}
+			camp.Results = append(camp.Results, res)
+		}
+		return camp
+	}
+
 	fmt.Printf("injecting %d single-bit faults into %s (regfile/LSQ/rename table)\n\n",
 		injections, bm.Name)
 
-	base, err := fault.Run(mk(nil), cfg)
-	if err != nil {
-		panic(err)
-	}
+	base := run(mk(nil))
 	masked, noisy, sdc := base.Classification()
 	fmt.Printf("unprotected: %5.1f%% masked, %5.1f%% noisy, %5.1f%% SDC\n",
 		pct(masked, injections), pct(noisy, injections), pct(sdc, injections))
@@ -76,11 +93,7 @@ func main() {
 	}
 	fmt.Printf("%-20s %s\n", "scheme", "SDC coverage")
 	for _, s := range schemes {
-		det, err := fault.Run(mk(s.det), cfg)
-		if err != nil {
-			panic(err)
-		}
-		rep := fault.PairCoverage(base, det)
+		rep := fault.PairCoverage(base, run(mk(s.det)))
 		fmt.Printf("%-20s %5.1f%%  (%d/%d)\n", s.name, rep.Coverage()*100,
 			rep.CoveredCount, rep.SDCBase)
 	}

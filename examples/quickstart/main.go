@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"faulthound/internal/core"
@@ -66,20 +67,32 @@ func main() {
 	cfg.Injections = 400
 	cfg.WarmupCycles = 5000
 
-	base, err := fault.Run(func() *pipeline.Core {
+	// Each campaign prepares the golden run once, then runs every
+	// pre-drawn fault descriptor on one reusable fault.Worker.
+	w := fault.NewWorker(nil)
+	run := func(mk func() *pipeline.Core) *fault.Campaign {
+		p, err := fault.Prepare(mk, cfg)
+		if err != nil {
+			panic(err)
+		}
+		camp := &fault.Campaign{Config: cfg}
+		for _, inj := range p.Injections() {
+			res, err := p.RunOne(context.Background(), inj, w)
+			if err != nil {
+				panic(err)
+			}
+			camp.Results = append(camp.Results, res)
+		}
+		return camp
+	}
+	base := run(func() *pipeline.Core {
 		c, e := pipeline.New(pipeline.DefaultConfig(1), []*prog.Program{program}, nil)
 		if e != nil {
 			panic(e)
 		}
 		return c
-	}, cfg)
-	if err != nil {
-		panic(err)
-	}
-	det, err := fault.Run(mk, cfg)
-	if err != nil {
-		panic(err)
-	}
+	})
+	det := run(mk)
 	masked, noisy, sdc := base.Classification()
 	fmt.Printf("\ninjected %d faults (no protection): %d masked, %d noisy, %d SDC\n",
 		cfg.Injections, masked, noisy, sdc)

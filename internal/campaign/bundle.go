@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,6 +51,8 @@ func ResultsCSV(out *Outcome) string {
 			baseline[c.Bench] = out.Campaigns[i]
 		}
 	}
+	w := csv.NewWriter(&sb)
+	var rec []string
 	for ci, c := range out.Cells {
 		base := baseline[c.Bench]
 		for i, r := range out.Campaigns[ci].Results {
@@ -59,13 +62,19 @@ func ResultsCSV(out *Outcome) string {
 					bin = b.String()
 				}
 			}
-			fmt.Fprintf(&sb, "%s,%s,%d,%s,%d,%d,%t,%s,%t,%t,%d,%d,%d,%d,%d,%s\n",
-				c.Bench, c.Scheme, i,
+			// encoding/csv quotes only fields that need it: parameterized
+			// specs ("faulthound?tcam=16,delay=6") contain commas.
+			rec = rec[:0]
+			for _, v := range []any{c.Bench, c.Scheme, i,
 				r.Injection.Structure, r.Injection.Bit, r.Injection.CycleOffset, r.Injection.InFlight,
 				r.Outcome, r.Hung, r.Detected,
-				r.Triggers, r.Suppressed, r.Replays, r.Rollbacks, r.Singletons, bin)
+				r.Triggers, r.Suppressed, r.Replays, r.Rollbacks, r.Singletons, bin} {
+				rec = append(rec, fmt.Sprint(v))
+			}
+			w.Write(rec)
 		}
 	}
+	w.Flush()
 	return sb.String()
 }
 

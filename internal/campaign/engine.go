@@ -67,9 +67,10 @@ type Engine struct {
 	// Obs receives injection-lifecycle events: a "prepare" span around
 	// each cell's golden phase, an "injection" span around every faulty
 	// run (End carries the outcome, or "cancelled" on abort), and the
-	// per-run instants emitted by fault.RunOneObs ("inject", detector
-	// actions, "detect"). Events are stamped with the worker index as
-	// their track. Nil disables instrumentation entirely.
+	// per-run instants fault.(*Prepared).RunOne emits through each
+	// worker's fault.Worker ("inject", detector actions, "detect").
+	// Events are stamped with the worker index as their track. Nil
+	// disables instrumentation entirely.
 	Obs obs.Sink
 }
 
@@ -336,23 +337,22 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 		go func(w int) {
 			defer wg.Done()
 			wsink := obs.WithTrack(e.Obs, w)
-			// One snapshot arena per worker: successive injections
-			// rebuild the faulty core in the arena instead of deep-cloning
-			// the golden state. Results and journal output are
-			// bit-identical; the arena survives cell switches (mismatched
-			// golden state just falls back to fresh allocation once).
-			arena := pipeline.NewSnapshotArena()
+			// One fault.Worker per goroutine: successive injections
+			// rebuild the faulty core in its arena, which survives cell
+			// switches (mismatched golden state just falls back to fresh
+			// allocation once).
+			fw := fault.NewWorker(wsink)
 			for t := range taskCh {
 				st := prepare(t.cell, wsink)
 				if st.err != nil {
 					fail(st.err)
 					return
 				}
-				// RunOneObsArena polls runCtx inside the faulty run, so a
-				// drain (SIGTERM) aborts promptly even mid-injection;
-				// the partial injection is simply not journaled.
+				// RunOne polls runCtx inside the faulty run, so a drain
+				// (SIGTERM) aborts promptly even mid-injection; the
+				// partial injection is simply not journaled.
 				began := obs.Begin(wsink, "injection", cells[t.cell].String())
-				res, rerr := st.prepared.RunOneObsArena(runCtx, injs[t.inj], wsink, arena)
+				res, rerr := st.prepared.RunOne(runCtx, injs[t.inj], fw)
 				if rerr != nil {
 					obs.End(wsink, "injection", began, "cancelled")
 					return

@@ -13,7 +13,6 @@ import (
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
-	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 )
 
@@ -86,7 +85,8 @@ func (w *Worker) Handler() http.Handler {
 // The response is written incrementally: one JSON line per prep/result,
 // "ping" keepalives while the golden preparation runs, and a final
 // "done" (or "error") line. The client disconnecting cancels the shard
-// via the request context (fault.RunOneArena polls it mid-injection).
+// via the request context (fault.(*Prepared).RunOne polls it
+// mid-injection).
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
@@ -172,9 +172,9 @@ wait:
 	// keeping one goroutine per lease keeps the stream ordered and the
 	// progress granularity exact.
 	injs := prep.p.Injections()
-	arena := pipeline.NewSnapshotArena()
+	fw := fault.NewWorker(nil)
 	for i := req.From; i < req.To; i++ {
-		res, err := prep.p.RunOneArena(r.Context(), injs[i], arena)
+		res, err := prep.p.RunOne(r.Context(), injs[i], fw)
 		if err != nil {
 			// Client gone or shutting down; nothing useful to send.
 			return

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"fmt"
 
 	"faulthound/internal/core"
@@ -40,14 +41,26 @@ func Example() {
 	cfg := fault.DefaultConfig()
 	cfg.Injections = 200
 
-	base, err := fault.Run(mk(false), cfg)
-	if err != nil {
-		panic(err)
+	// Prepare each golden run once, then run every pre-drawn descriptor
+	// on one reusable Worker.
+	w := fault.NewWorker(nil)
+	run := func(mk func() *pipeline.Core) *fault.Campaign {
+		p, err := fault.Prepare(mk, cfg)
+		if err != nil {
+			panic(err)
+		}
+		camp := &fault.Campaign{Config: cfg}
+		for _, inj := range p.Injections() {
+			res, err := p.RunOne(context.Background(), inj, w)
+			if err != nil {
+				panic(err)
+			}
+			camp.Results = append(camp.Results, res)
+		}
+		return camp
 	}
-	det, err := fault.Run(mk(true), cfg)
-	if err != nil {
-		panic(err)
-	}
+	base := run(mk(false))
+	det := run(mk(true))
 
 	masked, noisy, sdc := base.Classification()
 	rep := fault.PairCoverage(base, det)

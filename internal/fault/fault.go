@@ -241,7 +241,8 @@ func (c *Campaign) Classification() (masked, noisy, sdc int) {
 // golden-checkpoint ring and reconvergence digests. Every field except
 // the atomic perf counters is read-only after Prepare returns, so any
 // number of goroutines may call RunOne concurrently — each injection
-// clones the shared golden core and mutates only its own clone.
+// snapshots the shared golden core into its Worker's arena and mutates
+// only that snapshot.
 type Prepared struct {
 	cfg    Config
 	injs   []Injection
@@ -433,15 +434,30 @@ func (p *Prepared) Injections() []Injection { return p.injs }
 // traced window.
 func (p *Prepared) FPRate() float64 { return p.fpRate }
 
-// NewArena returns a snapshot arena for this campaign's golden core.
-// An arena makes successive runs on the same goroutine nearly
-// allocation-free: the faulty core's containers, detector tables, and
+// Worker is one goroutine's reusable injection state: the snapshot
+// arena every faulty core it runs is rebuilt in, and the sink its runs
+// report lifecycle events to. The arena makes successive runs nearly
+// allocation-free — the faulty core's containers, detector tables, and
 // cache tags are rebuilt in place, and its memory is a copy-on-write
-// overlay over the immutable golden image instead of an eager copy.
-// Each arena serves one goroutine at a time; give every worker its
-// own.
-func (p *Prepared) NewArena() *pipeline.SnapshotArena {
-	return pipeline.NewSnapshotArena()
+// overlay over the immutable golden image — and it survives switches
+// between Prepared campaigns. A Worker serves one goroutine at a time;
+// give every goroutine its own.
+type Worker struct {
+	arena *pipeline.SnapshotArena
+	sink  obs.Sink
+}
+
+// NewWorker returns a Worker whose runs emit injection-lifecycle
+// events to sink: an "inject" instant at the flip (Cycle = injection
+// cycle, Arg = the structure), a "fork" instant when the run forked
+// from a golden checkpoint, an instant per detector action in the
+// window ("replay", "rollback", "singleton"), a "detect" instant at the
+// first such action (Arg = the action kind), from which sinks derive
+// detection latency in cycles, and an "early-exit" instant on
+// reconvergence. A nil sink disables them; the disabled path costs one
+// pointer test.
+func NewWorker(sink obs.Sink) *Worker {
+	return &Worker{arena: pipeline.NewSnapshotArena(), sink: sink}
 }
 
 // Perf aggregates the replay-acceleration effect over every run so far
@@ -497,79 +513,19 @@ func (p *Prepared) Perf() Perf {
 	}
 }
 
-// RunOne executes one injection: it clones the shared golden core,
-// advances to the injection cycle, flips the bit, runs the window, and
-// classifies. Safe to call from multiple goroutines.
-func (p *Prepared) RunOne(inj Injection) Result {
-	res, _ := p.runOne(nil, inj, nil, nil)
-	return res
-}
-
-// RunOneCtx is RunOne with prompt cancellation: the faulty run polls
-// ctx every cancelPollSteps simulated cycles and aborts mid-injection
-// with ctx.Err() instead of running out the window (or the hang
-// watchdog) first. An uncancelled call returns exactly RunOne's result
-// — the poll is pure control flow.
-func (p *Prepared) RunOneCtx(ctx context.Context, inj Injection) (Result, error) {
-	return p.runOne(ctx, inj, nil, nil)
-}
-
-// RunOneObs is RunOneCtx with injection-lifecycle observability: when
-// sink is non-nil the faulty run emits structured events — an
-// "inject" instant at the flip (Cycle = injection cycle, Arg = the
-// structure), an instant per detector action in the window ("replay",
-// "rollback", "singleton"), and a "detect" instant at the first such
-// action (Arg = the action kind), from which sinks derive detection
-// latency in cycles. A nil sink is exactly RunOneCtx — the disabled
-// path costs one pointer test.
-func (p *Prepared) RunOneObs(ctx context.Context, inj Injection, sink obs.Sink) (Result, error) {
-	return p.runOne(ctx, inj, sink, nil)
-}
-
-// RunOneArena is RunOneCtx drawing the faulty core from arena instead
-// of a fresh deep clone. Results are bit-identical; only the
-// allocation profile changes. The arena must not be shared with a
-// concurrent call — one arena per goroutine. A nil arena falls back to
-// a deep clone.
-func (p *Prepared) RunOneArena(ctx context.Context, inj Injection, arena *pipeline.SnapshotArena) (Result, error) {
-	return p.runOne(ctx, inj, nil, arena)
-}
-
-// RunOneObsArena is RunOneObs drawing the faulty core from arena; see
-// RunOneArena for the sharing rule.
-func (p *Prepared) RunOneObsArena(ctx context.Context, inj Injection, sink obs.Sink, arena *pipeline.SnapshotArena) (Result, error) {
-	return p.runOne(ctx, inj, sink, arena)
-}
-
-// Run executes a campaign serially: mk must build a fresh,
-// deterministic core (program + detector); the same mk with the same
-// cfg yields identical results. RunParallel produces bit-identical
-// results on any worker count.
-func Run(mk func() *pipeline.Core, cfg Config) (*Campaign, error) {
-	p, err := Prepare(mk, cfg)
-	if err != nil {
-		return nil, err
-	}
-	camp := &Campaign{Config: cfg, Results: make([]Result, 0, len(p.injs))}
-	for _, inj := range p.injs {
-		camp.Results = append(camp.Results, p.RunOne(inj))
-	}
-	return camp, nil
-}
-
 // cancelPollSteps is how many simulated cycles a faulty run advances
-// between context polls in runOne. Small enough that cancellation
+// between context polls in RunOne. Small enough that cancellation
 // lands well inside one injection (a hung run is MaxCyclesPerRun
 // cycles), large enough that the poll is free.
 const cancelPollSteps = 512
 
-// pollCancel is the shared cancellation poll of runOne's fast-forward
+// pollCancel is the shared cancellation poll of RunOne's fast-forward
 // and window loops: every cancelPollSteps iterations it surfaces ctx's
 // error so a run aborts mid-injection instead of running out the
-// window. A nil ctx disables polling; an uncancelled run is untouched
-// — the poll is pure control flow.
+// window. An uncancelled run is untouched — the poll is pure control
+// flow.
 func pollCancel(ctx context.Context, i uint64) error {
-	if ctx != nil && i%cancelPollSteps == 0 {
+	if i%cancelPollSteps == 0 {
 		return ctx.Err()
 	}
 	return nil
@@ -599,17 +555,21 @@ func (t *actionTracer) Trace(ev pipeline.TraceEvent) {
 	}
 }
 
-// runOne forks a faulty core off the golden trace (from the nearest
-// checkpoint at or before the injection cycle when forking is on),
-// advances to the injection cycle, flips the bit, runs the window, and
-// classifies — exiting the window early when the faulty state provably
-// reconverges with the recorded golden trace. Every Prepared field it
-// reads is immutable; the fork is this call's private mutable state. A
-// nil ctx disables cancellation; a nil sink disables lifecycle events;
-// a non-nil arena reuses its storage for the faulty core (Snapshot
-// falls back to a deep clone when nil).
-func (p *Prepared) runOne(ctx context.Context, inj Injection, sink obs.Sink, arena *pipeline.SnapshotArena) (Result, error) {
-	cfg := p.cfg
+// RunOne executes one injection on w: it forks a faulty core off the
+// golden trace into w's arena (from the nearest checkpoint at or before
+// the injection cycle when forking is on), advances to the injection
+// cycle, flips the bit, runs the window, and classifies — exiting the
+// window early when the faulty state provably reconverges with the
+// recorded golden trace. Every Prepared field it reads is immutable and
+// the fork is w's private state, so any number of goroutines may call
+// RunOne on one Prepared concurrently, each with its own Worker.
+//
+// The run polls ctx every cancelPollSteps simulated cycles and aborts
+// mid-injection with ctx.Err() instead of running out the window (or
+// the hang watchdog) first; an uncancelled run's result does not depend
+// on ctx, w, or w's history.
+func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result, error) {
+	cfg, sink := p.cfg, w.sink
 
 	// Fork from the nearest golden checkpoint at or before the
 	// injection cycle: the fast-forward shrinks from O(CycleOffset) to
@@ -627,7 +587,7 @@ func (p *Prepared) runOne(ctx context.Context, inj Injection, sink obs.Sink, are
 			forkOff = j * n
 		}
 	}
-	f := origin.Snapshot(arena)
+	f := origin.Snapshot(w.arena)
 	for i, ff := uint64(0), inj.CycleOffset-forkOff; i < ff; i++ {
 		if err := pollCancel(ctx, i); err != nil {
 			return Result{}, err

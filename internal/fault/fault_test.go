@@ -47,6 +47,37 @@ func smallConfig() Config {
 	return cfg
 }
 
+// runAll runs every injection of p in descriptor order. With reuse,
+// one Worker serves them all, as in a campaign worker; without, each
+// injection gets a fresh Worker — the reference the reuse and
+// concurrency tests compare against.
+func runAll(t *testing.T, p *Prepared, reuse bool) []Result {
+	t.Helper()
+	w := NewWorker(nil)
+	out := make([]Result, len(p.Injections()))
+	for i, inj := range p.Injections() {
+		if !reuse {
+			w = NewWorker(nil)
+		}
+		res, err := p.RunOne(context.Background(), inj, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// runCampaign prepares a campaign and runs it on one Worker.
+func runCampaign(t *testing.T, mk func() *pipeline.Core, cfg Config) *Campaign {
+	t.Helper()
+	p, err := Prepare(mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Campaign{Config: cfg, Results: runAll(t, p, true)}
+}
+
 func TestDrawInjectionsDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	a := DrawInjections(cfg)
@@ -82,10 +113,7 @@ func TestDrawInjectionsProportions(t *testing.T) {
 }
 
 func TestCampaignClassification(t *testing.T) {
-	camp, err := Run(mkCore(t, "bzip2", nil), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := runCampaign(t, mkCore(t, "bzip2", nil), smallConfig())
 	masked, noisy, sdc := camp.Classification()
 	total := masked + noisy + sdc
 	if total != len(camp.Results) || total != smallConfig().Injections {
@@ -104,14 +132,8 @@ func TestCampaignClassification(t *testing.T) {
 
 func TestCampaignDeterminism(t *testing.T) {
 	mk := mkCore(t, "bzip2", nil)
-	a, err := Run(mk, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mk, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runCampaign(t, mk, smallConfig())
+	b := runCampaign(t, mk, smallConfig())
 	for i := range a.Results {
 		if a.Results[i] != b.Results[i] {
 			t.Fatalf("result %d differs between identical campaigns", i)
@@ -122,15 +144,9 @@ func TestCampaignDeterminism(t *testing.T) {
 func TestCoveragePairing(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Injections = 120
-	base, err := Run(mkCore(t, "bzip2", nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runCampaign(t, mkCore(t, "bzip2", nil), cfg)
 	fhCfg := core.DefaultConfig()
-	det, err := Run(mkCore(t, "bzip2", &fhCfg), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := runCampaign(t, mkCore(t, "bzip2", &fhCfg), cfg)
 	rep := PairCoverage(base, det)
 	if rep.SDCBase == 0 {
 		t.Skip("no SDC faults in this small campaign")
@@ -159,15 +175,9 @@ func TestFaultHoundCoversSomething(t *testing.T) {
 	// measures).
 	cfg := DefaultConfig()
 	cfg.Injections = 600
-	base, err := Run(mkCore(t, "bzip2", nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runCampaign(t, mkCore(t, "bzip2", nil), cfg)
 	fhCfg := core.DefaultConfig()
-	det, err := Run(mkCore(t, "bzip2", &fhCfg), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := runCampaign(t, mkCore(t, "bzip2", &fhCfg), cfg)
 	rep := PairCoverage(base, det)
 	if rep.SDCBase < 12 {
 		t.Skip("too few SDC faults to judge coverage")
@@ -192,10 +202,11 @@ func TestStructureAndOutcomeStrings(t *testing.T) {
 	}
 }
 
-// TestRunOneObsLifecycle checks the instrumented run path: the result
-// matches the plain RunOne of the same injection (a nil sink and a live
-// sink must not diverge), and the sink sees the "inject" instant with
-// the injection's cycle and structure. When the run is detected, the
+// TestRunOneObsLifecycle checks the instrumented run path: a reused
+// Worker with a live sink reproduces the results of a fresh, uninstru-
+// mented Worker per injection (a nil sink and a live sink must not
+// diverge), and the sink sees each run's "inject" instant with the
+// injection's cycle and structure. When the run is detected, the
 // one-time "detect" instant must carry the cycle of the first detector
 // action.
 func TestRunOneObsLifecycle(t *testing.T) {
@@ -206,18 +217,20 @@ func TestRunOneObsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := runAll(t, p, false)
+	var c obs.Collector
+	w := NewWorker(&c)
 	sawDetect := false
-	for _, inj := range p.Injections() {
-		want := p.RunOne(inj)
-		var c obs.Collector
-		got, err := p.RunOneObs(context.Background(), inj, &c)
+	for i, inj := range p.Injections() {
+		seen := len(c.Events())
+		got, err := p.RunOne(context.Background(), inj, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("instrumented run diverged: got %+v, want %+v", got, want)
+		if got != want[i] {
+			t.Fatalf("instrumented run diverged: got %+v, want %+v", got, want[i])
 		}
-		evs := c.Events()
+		evs := c.Events()[seen:]
 		if len(evs) == 0 || evs[0].Name != "inject" || evs[0].Kind != obs.KindInstant {
 			t.Fatalf("first event = %+v, want inject instant", evs)
 		}

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"testing"
 
 	"faulthound/internal/core"
@@ -38,10 +37,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]Result, len(ref.Injections()))
-			for i, inj := range ref.Injections() {
-				want[i] = ref.RunOne(inj)
-			}
+			want := runAll(t, ref, false)
 
 			for _, ckpt := range []uint64{0, 64, 256, 1024} {
 				for _, early := range []bool{false, true} {
@@ -55,12 +51,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					arena := p.NewArena()
-					for i, inj := range p.Injections() {
-						got, err := p.RunOneArena(context.Background(), inj, arena)
-						if err != nil {
-							t.Fatal(err)
-						}
+					for i, got := range runAll(t, p, true) {
 						if got != want[i] {
 							t.Fatalf("ckpt=%d early=%v injection %d: got %+v, want %+v",
 								ckpt, early, i, got, want[i])
@@ -83,33 +74,27 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 }
 
 // TestForkingArenaParallel drives the checkpoint-forked, early-exiting
-// path through the worker pool (one snapshot arena per goroutine,
-// consecutive forks rebasing the arena across different checkpoint
-// origins) and asserts bit-identity with the serial legacy run. The CI
-// race job runs this under -race, pinning that checkpoint cores and
-// golden digests are safely shared read-only.
+// path from 4 goroutines, each with its own Worker (consecutive forks
+// rebasing the worker's arena across different checkpoint origins),
+// and asserts bit-identity with the serial legacy run. The CI race job
+// runs this under -race, pinning that checkpoint cores and golden
+// digests are safely shared read-only.
 func TestForkingArenaParallel(t *testing.T) {
 	fh := core.DefaultConfig()
 	mk := mkCore(t, "ocean", &fh)
 
-	ref, err := Run(mk, legacyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runCampaign(t, mk, legacyConfig()).Results
 
 	cfg := legacyConfig()
 	cfg.CheckpointCycles = 64
 	cfg.EarlyExit = true
-	camp, err := RunParallel(context.Background(), mk, cfg, 4, nil)
+	p, err := Prepare(mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(camp.Results) != len(ref.Results) {
-		t.Fatalf("got %d results, want %d", len(camp.Results), len(ref.Results))
-	}
-	for i := range ref.Results {
-		if camp.Results[i] != ref.Results[i] {
-			t.Fatalf("injection %d: got %+v, want %+v", i, camp.Results[i], ref.Results[i])
+	for i, got := range runConcurrent(t, p, 4) {
+		if got != want[i] {
+			t.Fatalf("injection %d: got %+v, want %+v", i, got, want[i])
 		}
 	}
 }

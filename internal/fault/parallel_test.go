@@ -9,82 +9,49 @@ import (
 	"faulthound/internal/core"
 )
 
-// TestRunParallelMatchesSerial proves the worker pool is a pure
-// scheduling change: for any worker count the results are bit-identical
-// to the serial runner's.
-func TestRunParallelMatchesSerial(t *testing.T) {
-	mk := mkCore(t, "bzip2", nil)
-	cfg := smallConfig()
-	serial, err := Run(mk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		par, err := RunParallel(context.Background(), mk, cfg, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.Results) != len(serial.Results) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(par.Results), len(serial.Results))
-		}
-		for i := range serial.Results {
-			if par.Results[i] != serial.Results[i] {
-				t.Fatalf("workers=%d: result %d differs from serial run", workers, i)
-			}
-		}
-	}
-}
-
 // TestPreparedSharedState proves the Prepare/RunOne split's contract:
 // after preparation, the golden core, hash trace, and detector
-// background are read-only, so goroutines sharing one Prepared must
-// not race (run with -race) and must reproduce the serial results.
+// background are read-only, so goroutines sharing one Prepared, each
+// with its own Worker, must not race (run with -race) and must
+// reproduce the serial results.
 func TestPreparedSharedState(t *testing.T) {
-	mk := mkCore(t, "bzip2", nil)
-	cfg := smallConfig()
-	p, err := Prepare(mk, cfg)
+	p, err := Prepare(mkCore(t, "bzip2", nil), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	injs := p.Injections()
-	want := make([]Result, len(injs))
-	for i, inj := range injs {
-		want[i] = p.RunOne(inj)
-	}
-
-	const workers = 8
-	got := make([]Result, len(injs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(injs); i += workers {
-				got[i] = p.RunOne(injs[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range want {
-		if got[i] != want[i] {
+	want := runAll(t, p, false)
+	for i, got := range runConcurrent(t, p, 8) {
+		if got != want[i] {
 			t.Fatalf("concurrent result %d differs from serial", i)
 		}
 	}
 }
 
-// TestRunAllCancel checks that a cancelled context aborts the pool with
-// ctx.Err instead of hanging or returning partial results as success.
-func TestRunAllCancel(t *testing.T) {
-	mk := mkCore(t, "bzip2", nil)
-	p, err := Prepare(mk, smallConfig())
-	if err != nil {
-		t.Fatal(err)
+// runConcurrent runs every injection of p from the given number of
+// goroutines, each with its own Worker, striding over the descriptors.
+func runConcurrent(t *testing.T, p *Prepared, goroutines int) []Result {
+	t.Helper()
+	injs := p.Injections()
+	out := make([]Result, len(injs))
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w := NewWorker(nil)
+			for i := g; i < len(injs) && errs[g] == nil; i += goroutines {
+				out[i], errs[g] = p.RunOne(context.Background(), injs[i], w)
+			}
+		}(g)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.RunAll(ctx, 2, nil); err != context.Canceled {
-		t.Fatalf("RunAll on cancelled ctx = %v, want context.Canceled", err)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	return out
 }
 
 // TestRunOneCtxPromptCancel checks that cancellation lands inside a
@@ -101,7 +68,7 @@ func TestRunOneCtxPromptCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.RunOneCtx(ctx, long)
+		_, err := p.RunOne(ctx, long, NewWorker(nil))
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the run get deep into the injection
@@ -109,28 +76,10 @@ func TestRunOneCtxPromptCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != context.Canceled {
-			t.Fatalf("RunOneCtx = %v, want context.Canceled", err)
+			t.Fatalf("RunOne = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunOneCtx did not return promptly after cancel")
-	}
-}
-
-// TestRunOneCtxMatchesRunOne: the cancellation poll is pure control
-// flow — an uncancelled RunOneCtx returns exactly RunOne's result.
-func TestRunOneCtxMatchesRunOne(t *testing.T) {
-	p, err := Prepare(mkCore(t, "bzip2", nil), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range p.Injections()[:8] {
-		got, err := p.RunOneCtx(context.Background(), inj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := p.RunOne(inj); got != want {
-			t.Fatalf("RunOneCtx = %+v, want %+v", got, want)
-		}
+		t.Fatal("RunOne did not return promptly after cancel")
 	}
 }
 
@@ -147,34 +96,33 @@ func TestPreparedFPRate(t *testing.T) {
 	}
 }
 
-// TestRunOneArenaMatchesRunOne proves the snapshot arena is a pure
-// allocation-profile change: a reused arena must reproduce the
-// deep-clone results bit-for-bit across many injections, including a
-// detector-equipped campaign (exercising the in-place detector clone).
+// TestRunOneArenaMatchesRunOne proves Worker reuse is a pure
+// allocation-profile change: one Worker whose arena is rebuilt in place
+// run after run must reproduce a fresh Worker's results bit-for-bit,
+// including on a detector-equipped campaign (exercising the in-place
+// detector clone).
 func TestRunOneArenaMatchesRunOne(t *testing.T) {
 	fh := core.DefaultConfig()
 	for _, det := range []*core.Config{nil, &fh} {
-		p, err := Prepare(mkCore(t, "bzip2", det), smallConfig())
+		cfg := smallConfig()
+		cfg.Injections = 24
+		p, err := Prepare(mkCore(t, "bzip2", det), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arena := p.NewArena()
-		for i, inj := range p.Injections()[:24] {
-			got, err := p.RunOneArena(context.Background(), inj, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := p.RunOne(inj); got != want {
-				t.Fatalf("det=%v inj %d: arena = %+v, want %+v", det != nil, i, got, want)
+		want := runAll(t, p, false)
+		for i, got := range runAll(t, p, true) {
+			if got != want[i] {
+				t.Fatalf("det=%v inj %d: reused worker = %+v, want %+v", det != nil, i, got, want[i])
 			}
 		}
 	}
 }
 
-// TestArenaSurvivesCampaignSwitch: a campaign worker's arena outlives
-// cell boundaries — reusing one arena across two different prepared
-// golden runs (different benchmark, detector present vs absent) must
-// fall back to fresh allocation, not corrupt results.
+// TestArenaSurvivesCampaignSwitch: a campaign worker outlives cell
+// boundaries — reusing one Worker across two different prepared golden
+// runs (different benchmark, detector present vs absent) must fall
+// back to fresh allocation, not corrupt results.
 func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 	fh := core.DefaultConfig()
 	pa, err := Prepare(mkCore(t, "bzip2", &fh), smallConfig())
@@ -185,16 +133,20 @@ func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := pa.NewArena()
+	w := NewWorker(nil)
 	for round := 0; round < 3; round++ {
 		for _, p := range []*Prepared{pa, pb} {
 			inj := p.Injections()[round]
-			got, err := p.RunOneArena(context.Background(), inj, arena)
+			got, err := p.RunOne(context.Background(), inj, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := p.RunOne(inj); got != want {
-				t.Fatalf("round %d: arena after switch = %+v, want %+v", round, got, want)
+			want, err := p.RunOne(context.Background(), inj, NewWorker(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("round %d: worker after switch = %+v, want %+v", round, got, want)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"runtime"
+	"context"
 	"testing"
 
 	"faulthound/internal/core"
@@ -44,52 +44,39 @@ func benchPrepared(b *testing.B) *Prepared {
 
 // BenchmarkRunOne measures one complete injection — snapshot of the
 // golden core, advance to the fault cycle, flip, run the window,
-// classify — exactly as a campaign worker executes it, per-worker
-// snapshot arena included. allocs/op here is the per-injection
-// overhead that remains after the CoW/arena path.
+// classify — exactly as a campaign worker executes it, on one reused
+// Worker. allocs/op here is the per-injection overhead that remains
+// after the CoW/arena path.
 func BenchmarkRunOne(b *testing.B) {
 	p := benchPrepared(b)
 	injs := p.Injections()
-	arena := p.NewArena()
+	w := NewWorker(nil)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = p.RunOneArena(nil, injs[i%len(injs)], arena)
-	}
-}
-
-// BenchmarkRunOneDeepClone is BenchmarkRunOne without the arena — the
-// eager deep-clone path — kept as the baseline the arena numbers are
-// compared against.
-func BenchmarkRunOneDeepClone(b *testing.B) {
-	p := benchPrepared(b)
-	injs := p.Injections()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.RunOne(injs[i%len(injs)])
+		_, _ = p.RunOne(ctx, injs[i%len(injs)], w)
 	}
 }
 
 // BenchmarkPreparedParallel measures sustained injections/sec with a
-// full GOMAXPROCS worker pool over one prepared golden run — the
-// steady-state regime of fhcampaign and fhserved, one snapshot arena
-// per worker goroutine as in fault.RunAll.
+// full GOMAXPROCS set of goroutines over one prepared golden run — the
+// steady-state regime of fhcampaign and fhserved, one Worker per
+// goroutine as in campaign.Engine.
 func BenchmarkPreparedParallel(b *testing.B) {
 	p := benchPrepared(b)
 	injs := p.Injections()
-	workers := runtime.GOMAXPROCS(0)
+	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		arena := p.NewArena()
+		w := NewWorker(nil)
 		i := 0
 		for pb.Next() {
-			_, _ = p.RunOneArena(nil, injs[i%len(injs)], arena)
+			_, _ = p.RunOne(ctx, injs[i%len(injs)], w)
 			i++
 		}
 	})
 	b.StopTimer()
-	_ = workers
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inj/s")
 	// Acceleration quality ride-alongs, gated next to injections_per_sec
 	// in BENCH_simcore.json: the fraction of runs classified at

@@ -121,8 +121,20 @@ func FPTableFromSummary(id, title string, sum *campaign.Summary, benchmarks []st
 }
 
 // runPaired is the shared campaign path for experiments that need
-// paired coverage but custom core configs (the extension sweeps):
-// Prepare once, fan injections across Options.Workers.
+// paired coverage but custom core configs (the extension sweeps): a
+// one-cell in-memory engine run whose factory hands back mk, fanned
+// across Options.Workers.
 func (o Options) runPaired(mk func() *pipeline.Core, cfg fault.Config) (*fault.Campaign, error) {
-	return fault.RunParallel(context.Background(), mk, cfg, o.Workers, nil)
+	eng := &campaign.Engine{
+		Spec:   campaign.Spec{Workers: o.Workers, Fault: cfg},
+		Source: campaign.StaticCells{{Bench: "paired", Scheme: campaign.BaselineSpec}},
+		Factory: func(string, scheme.Spec) (func() *pipeline.Core, error) {
+			return mk, nil
+		},
+	}
+	out, err := eng.Run(context.Background(), "", false)
+	if err != nil {
+		return nil, err
+	}
+	return out.Campaigns[0], nil
 }

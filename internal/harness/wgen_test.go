@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -63,7 +62,7 @@ func TestReplayDifferential(t *testing.T) {
 
 	run := func(s Scheme) *fault.Campaign {
 		t.Helper()
-		camp, err := fault.Run(o.MakeCore(bm, s), o.Fault)
+		camp, err := o.runPaired(o.MakeCore(bm, s), o.Fault)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -122,11 +121,13 @@ func TestGeneratedWorkloadWorkerDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := o.MakeCore(bm, FaultHound)
-	serial, err := fault.RunParallel(context.Background(), mk, o.Fault, 1, nil)
+	o.Workers = 1
+	serial, err := o.runPaired(mk, o.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fault.RunParallel(context.Background(), mk, o.Fault, 4, nil)
+	o.Workers = 4
+	par, err := o.runPaired(mk, o.Fault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ type cloneSeg struct {
 // snapshot is in use — the fault runner's Prepared contract. The
 // returned core is valid until the next Snapshot on the same arena.
 func (c *Core) Snapshot(a *SnapshotArena) *Core {
-	if a == nil {
-		return c.Clone()
-	}
 	var m *mem.Memory
 	switch {
 	case a.dst != nil && a.dst.memory != nil && a.dst.memory.IsOverlayOf(c.memory):

@@ -56,7 +56,10 @@ type Param struct {
 	Default string `json:"default"`
 	// Min, for Int and Size parameters, is the smallest accepted value
 	// (in bytes for Size; both kinds additionally reject negatives).
-	Min  int    `json:"min,omitempty"`
+	Min int `json:"min,omitempty"`
+	// Max, for Int parameters, is the largest accepted value; 0 means
+	// unbounded.
+	Max  int    `json:"max,omitempty"`
 	Help string `json:"help"`
 }
 
@@ -73,6 +76,9 @@ func encode(p Param, raw string) (string, error) {
 		}
 		if n < p.Min {
 			return "", fmt.Errorf("parameter %s: %d is below the minimum %d", p.Name, n, p.Min)
+		}
+		if p.Max != 0 && n > p.Max {
+			return "", fmt.Errorf("parameter %s: %d is above the maximum %d", p.Name, n, p.Max)
 		}
 		return strconv.Itoa(n), nil
 	case Float:

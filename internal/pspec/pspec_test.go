@@ -15,7 +15,7 @@ func testReg() *Registry {
 		Name: "alpha",
 		Help: "test entry",
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: "4", Min: 2, Help: "an int"},
+			{Name: "n", Kind: Int, Default: "4", Min: 2, Max: 16, Help: "an int"},
 			{Name: "f", Kind: Float, Default: "0.5", Help: "a float"},
 			{Name: "b", Kind: Bool, Default: "off", Help: "a bool"},
 			{Name: "sz", Kind: Size, Default: "64k", Min: 1024, Help: "a size"},
@@ -32,7 +32,8 @@ func TestKindEncodings(t *testing.T) {
 	r := testReg()
 	ok := []struct{ in, want string }{
 		{"alpha?n=08", "alpha?n=8"},
-		{"alpha?n=4", "alpha"}, // default elides
+		{"alpha?n=16", "alpha?n=16"}, // the maximum itself is accepted
+		{"alpha?n=4", "alpha"},       // default elides
 		{"alpha?f=0.50", "alpha"},
 		{"alpha?f=0.25", "alpha?f=0.25"},
 		{"alpha?b=TRUE", "alpha?b=on"},
@@ -62,6 +63,7 @@ func TestKindEncodings(t *testing.T) {
 		{"alpha?n=x", "not an integer"},
 		{"alpha?n=-1", "negative value"},
 		{"alpha?n=1", "below the minimum"},
+		{"alpha?n=17", "above the maximum"},
 		{"alpha?f=x", "not a number"},
 		{"alpha?b=maybe", "not a boolean"},
 		{"alpha?sz=64q", "not a size"},

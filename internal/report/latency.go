@@ -20,8 +20,7 @@ import (
 type Recorder struct {
 	mu     sync.Mutex
 	tracks map[int]*recorderTrack
-	// samples accumulates latencies in completion order; Replayer
-	// resets the recorder per injection, so ordering never matters.
+	// samples accumulates latencies in completion order.
 	samples []uint64
 }
 
@@ -120,15 +119,19 @@ func (r *Replayer) CellLatencies(bench, schemeSpec string, detected []int) ([]ui
 		return nil, false, fmt.Errorf("preparing golden run: %w", err)
 	}
 
+	// One Recorder serves every replay: each run emits one "inject" and
+	// at most one "detect", so the recorder gains at most one sample per
+	// run, in replay order. A run detected only by the singleton
+	// end-of-window comparison, with no in-window detector action,
+	// contributes none.
 	injs := p.Injections()
-	arena := p.NewArena()
-	samples := make([]uint64, 0, len(detected))
+	rec := &Recorder{}
+	w := fault.NewWorker(rec)
 	for _, idx := range detected {
 		if idx < 0 || idx >= len(injs) {
 			return nil, false, fmt.Errorf("detected index %d outside the %d drawn descriptors", idx, len(injs))
 		}
-		rec := &Recorder{}
-		res, err := p.RunOneObsArena(context.Background(), injs[idx], rec, arena)
+		res, err := p.RunOne(context.Background(), injs[idx], w)
 		if err != nil {
 			return nil, false, err
 		}
@@ -138,13 +141,6 @@ func (r *Replayer) CellLatencies(bench, schemeSpec string, detected []int) ([]ui
 		if !res.Detected {
 			return nil, false, fmt.Errorf("replayed injection %d was not detected — the bundle does not reproduce on this source tree (golden drift)", idx)
 		}
-		got := rec.Samples()
-		if len(got) == 0 {
-			// Detected via the singleton end-of-window comparison with no
-			// in-window detector action: no latency sample to take.
-			continue
-		}
-		samples = append(samples, got[0])
 	}
-	return samples, true, nil
+	return rec.Samples(), true, nil
 }

@@ -1,11 +1,13 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"faulthound/internal/campaign"
@@ -300,5 +302,51 @@ func TestRecorder(t *testing.T) {
 		if !want[s] {
 			t.Fatalf("unexpected sample %d in %v", s, got)
 		}
+	}
+}
+
+// TestCommaSpecBundleRoundTrip runs a cell whose scheme spec carries
+// two parameters — and so a comma — through the engine, the bundle
+// contract, and the report: results.csv must quote the spec so the row
+// keeps its 16 columns and the report finds the cell.
+func TestCommaSpecBundleRoundTrip(t *testing.T) {
+	o := harness.QuickOptions()
+	o.Fault.Injections = 12
+	factory := o.CampaignFactory()
+	eng := &campaign.Engine{
+		Spec: campaign.Spec{
+			Benchmarks: []string{"bzip2"},
+			Schemes:    []string{"faulthound?tcam=16,delay=6"},
+			Workers:    2,
+			Fault:      o.Fault,
+		},
+		Factory: factory,
+	}
+	dir := t.TempDir()
+	if _, err := eng.Run(context.Background(), dir, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := contract.ValidateBundle(dir); err != nil {
+		t.Fatalf("bundle fails its contract: %v", err)
+	}
+	man, err := campaign.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Generate(dir, Options{Latency: NewReplayer(man, factory)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, c := range q.Cells {
+		if strings.Contains(c.Scheme, ",") {
+			found = true
+			if c.Confusion == nil {
+				t.Errorf("cell %s/%s has no confusion matrix against the baseline", c.Bench, c.Scheme)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("report has no cell for the two-parameter scheme: %+v", q.Cells)
 	}
 }

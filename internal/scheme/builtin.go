@@ -18,7 +18,7 @@ import (
 
 // Shared parameter metadata of the FaultHound family.
 var (
-	paramTCAM = Param{Name: "tcam", Kind: Int, Default: "32", Min: 1,
+	paramTCAM = Param{Name: "tcam", Kind: Int, Default: "32", Min: 1, Max: 64,
 		Help: "entries per TCAM filter bank (paper sweeps 8-64, Table 2 uses 32)"}
 	paramDelay = Param{Name: "delay", Kind: Int, Default: "7",
 		Help: "delay-buffer slots, the replay window (paper sweeps 6-8; 0 disables)"}

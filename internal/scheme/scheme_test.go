@@ -56,6 +56,7 @@ func TestParseErrors(t *testing.T) {
 		"faulthound?bogus=1",       // unknown parameter
 		"faulthound?tcam=x",        // not an integer
 		"faulthound?tcam=0",        // below minimum
+		"faulthound?tcam=65",       // above maximum (TCAM entries are a 64-bit mask)
 		"faulthound?tcam=-4",       // negative
 		"faulthound?lsq=7",         // not a bool
 		"faulthound?tcam",          // missing value

@@ -100,10 +100,13 @@ func mutableKind(k scheme.Kind) bool {
 
 // mutateInt perturbs an integer parameter: halve, double, or step by
 // one, clamped to [Min, 8×max(default, 1)] so the search stays in a
-// plausible hardware range.
+// plausible hardware range, and never above the parameter's Max.
 func mutateInt(rng *stats.RNG, n int, p scheme.Param) int {
 	def, _ := strconv.Atoi(p.Default)
 	hi := 8 * max(def, 1)
+	if p.Max != 0 {
+		hi = min(hi, p.Max)
+	}
 	var m int
 	switch rng.Intn(4) {
 	case 0:

@@ -190,6 +190,33 @@ func TestMutateStaysInRange(t *testing.T) {
 	}
 }
 
+// TestMutateRespectsMax: an integer mutation never leaves the
+// parameter's declared range, even where 8×default would exceed Max
+// (tcam: default 32, Max 64).
+func TestMutateRespectsMax(t *testing.T) {
+	sc, ok := scheme.Lookup("faulthound")
+	if !ok {
+		t.Fatal("faulthound not registered")
+	}
+	var tcam scheme.Param
+	for _, p := range sc.Params {
+		if p.Name == "tcam" {
+			tcam = p
+		}
+	}
+	if tcam.Max != 64 {
+		t.Fatalf("tcam Max = %d, want 64", tcam.Max)
+	}
+	rng := stats.NewRNG(5)
+	n := tcam.Max
+	for i := 0; i < 500; i++ {
+		n = mutateInt(rng, n, tcam)
+		if n < tcam.Min || n > tcam.Max {
+			t.Fatalf("mutation %d produced tcam=%d outside [%d, %d]", i, n, tcam.Min, tcam.Max)
+		}
+	}
+}
+
 func TestWithParam(t *testing.T) {
 	sp := scheme.FromString("faulthound?delay=6,tcam=16")
 	got := withParam(sp, "tcam", "8")

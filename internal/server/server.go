@@ -30,8 +30,8 @@ import (
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
+	"faulthound/internal/obs/metrics"
 	"faulthound/internal/pipeline"
-	"faulthound/internal/server/metrics"
 )
 
 // StatusName is the per-job state file inside a job directory. It

@@ -155,8 +155,9 @@ func TestNormalizeSpec(t *testing.T) {
 		}
 	}
 
-	// Unknown schemes and malformed specs are spec errors.
-	for _, schemes := range [][]string{{"nope"}, {"faulthound?tcam=zap"}} {
+	// Unknown schemes and malformed or out-of-range specs are spec
+	// errors (the daemon answers them with a structured 400).
+	for _, schemes := range [][]string{{"nope"}, {"faulthound?tcam=zap"}, {"faulthound?tcam=65"}} {
 		_, err := NormalizeSpec(campaign.Spec{Benchmarks: []string{"bzip2"}, Schemes: schemes, Fault: base}, base)
 		if err == nil || !scheme.IsSpecError(err) {
 			t.Errorf("schemes %v: err = %v, want a spec error", schemes, err)

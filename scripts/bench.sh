@@ -37,7 +37,7 @@ raw="$OUT/bench.txt"
     -bench 'BenchmarkSimCyclesPerSecond$|BenchmarkClone$|BenchmarkSnapshot$|BenchmarkArchHash$' \
     ./internal/pipeline/
   $GO test -run xxx -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
-    -bench 'BenchmarkRunOne$|BenchmarkRunOneDeepClone$|BenchmarkPreparedParallel$' \
+    -bench 'BenchmarkRunOne$|BenchmarkPreparedParallel$' \
     ./internal/fault/
 } | tee "$raw"
 
@@ -68,7 +68,6 @@ awk '
     printf "  \"clones_per_sec_deep\": %.0f,\n",     clone ? 1e9 / clone : 0
     printf "  \"snapshot_allocs_per_op\": %.1f,\n",  avg(al, na, "BenchmarkSnapshot")
     printf "  \"allocs_per_injection\": %.1f,\n",    avg(al, na, "BenchmarkRunOne")
-    printf "  \"allocs_per_injection_deep\": %.1f,\n", avg(al, na, "BenchmarkRunOneDeepClone")
     printf "  \"bytes_per_injection\": %.0f,\n",     avg(by, nb, "BenchmarkRunOne")
     printf "  \"injections_per_sec\": %.1f,\n",      avg(inj, ni, "BenchmarkPreparedParallel")
     printf "  \"early_exit_frac\": %.3f,\n",         avg(ee, ne, "BenchmarkPreparedParallel")
