@@ -87,8 +87,9 @@ smoke-wgen:
 
 # Pareto-search round trip (docs/OPTIMIZE.md): a seeded local
 # fhcampaign -optimize byte-identical across -workers settings,
-# contract-validated artifacts, and a daemon POST /v1/optimize whose
-# repeat hits the request-hash cache.
+# contract-validated artifacts, and the same search as a daemon job
+# (fhcampaign -optimize -addr) whose pareto.csv matches the local run
+# and whose repeat is a cache hit.
 smoke-optimize:
 	./scripts/smoke_optimize.sh
 

@@ -351,11 +351,9 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 	if err != nil {
 		fatal(err)
 	}
-	var params []string
-	for _, p := range strings.Split(of.params, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			params = append(params, p)
-		}
+	params, err := search.CanonicalParams(base, strings.Split(of.params, ","))
+	if err != nil {
+		fatal(err)
 	}
 	if of.injections > 0 {
 		opts.Fault.Injections = of.injections
@@ -407,7 +405,7 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 			Weights: weights,
 			Base:    base,
 			Params:  params,
-			Eval:    harness.NewSearchEval(opts.NewEvaluator(fault.NewPreparedCache(), progressLine()), benches),
+			Eval:    search.CampaignEval(opts.NewEvaluator(fault.NewPreparedCache(), progressLine()), benches),
 		}
 		if of.verbose {
 			cfg.Log = func(format string, args ...any) {

@@ -212,7 +212,7 @@ func validateOne(path string) error {
 	if st.IsDir() {
 		// A directory holding pareto.json but no campaign manifest is a
 		// standalone Pareto-search result (fhcampaign -optimize output,
-		// or the daemon's optimize cache), not a bundle.
+		// or a daemon optimize job's directory), not a bundle.
 		if _, err := os.Stat(filepath.Join(path, "pareto.json")); err == nil {
 			if _, err := os.Stat(filepath.Join(path, campaign.ManifestName)); err != nil {
 				return contract.ValidateParetoDir(path)

@@ -12,6 +12,7 @@ import (
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
 )
@@ -270,7 +271,7 @@ func (o Options) TimingRunner() campaign.TimingRunner {
 			sizing:
 				for _, name := range []string{"tcam", "entries"} {
 					for _, p := range sc.Params {
-						if p.Name == name && p.Kind == scheme.Int {
+						if p.Name == name && p.Kind == pspec.Int {
 							model.TCAMEntries = v.Int(name)
 							break sizing
 						}

@@ -3,7 +3,6 @@ package harness
 import (
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
-	"faulthound/internal/search"
 )
 
 // NewEvaluator builds the execute-layer evaluator for these options:
@@ -20,10 +19,4 @@ func (o Options) NewEvaluator(prepared *fault.PreparedCache, progress func(done,
 		Prepared: prepared,
 		Progress: progress,
 	}
-}
-
-// NewSearchEval adapts a campaign evaluator to the score layer's
-// Evaluate signature (see search.CampaignEval).
-func NewSearchEval(ev *campaign.Evaluator, benches []string) search.Evaluate {
-	return search.CampaignEval(ev, benches)
 }

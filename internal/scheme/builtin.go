@@ -7,6 +7,7 @@ import (
 	"faulthound/internal/detect"
 	"faulthound/internal/pbfs"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/pspec"
 	"faulthound/internal/srt"
 )
 
@@ -18,23 +19,23 @@ import (
 
 // Shared parameter metadata of the FaultHound family.
 var (
-	paramTCAM = Param{Name: "tcam", Kind: Int, Default: "32", Min: 1, Max: 64,
+	paramTCAM = pspec.Param{Name: "tcam", Kind: pspec.Int, Default: "32", Min: 1, Max: 64,
 		Help: "entries per TCAM filter bank (paper sweeps 8-64, Table 2 uses 32)"}
-	paramDelay = Param{Name: "delay", Kind: Int, Default: "7",
+	paramDelay = pspec.Param{Name: "delay", Kind: pspec.Int, Default: "7",
 		Help: "delay-buffer slots, the replay window (paper sweeps 6-8; 0 disables)"}
-	paramLSQ = Param{Name: "lsq", Kind: Bool, Default: "on",
+	paramLSQ = pspec.Param{Name: "lsq", Kind: pspec.Bool, Default: "on",
 		Help: "commit-time LSQ singleton checks (Section 3.5)"}
-	param2Level = Param{Name: "2level", Kind: Bool, Default: "on",
+	param2Level = pspec.Param{Name: "2level", Kind: pspec.Bool, Default: "on",
 		Help: "second-level delinquent-bit filter (Section 3.2)"}
-	paramSquash = Param{Name: "squash", Kind: Bool, Default: "on",
+	paramSquash = pspec.Param{Name: "squash", Kind: pspec.Bool, Default: "on",
 		Help: "per-entry squash state machines escalating rename faults to rollback (Section 3.4)"}
-	paramLoosen = Param{Name: "loosen", Kind: Int, Default: "4", Min: 1,
+	paramLoosen = pspec.Param{Name: "loosen", Kind: pspec.Int, Default: "4", Min: 1,
 		Help: "max mismatch bits for loosening the closest filter instead of replacing one"}
 )
 
 // fhApply folds the shared FaultHound-family parameters into cfg and
 // returns the pipeline hook for the delay parameter.
-func fhApply(cfg *core.Config, sp Spec, v Values) func(*pipeline.Config) {
+func fhApply(cfg *core.Config, sp Spec, v pspec.Values) func(*pipeline.Config) {
 	cfg.Name = sp.String()
 	entries := v.Int("tcam")
 	cfg.Addr.Entries, cfg.Value.Entries = entries, entries
@@ -48,22 +49,22 @@ func fhApply(cfg *core.Config, sp Spec, v Values) func(*pipeline.Config) {
 // config. The extra parameters (lsq, 2level, squash) are declared only
 // where the base config has the mechanism enabled — its ablations are
 // separate registered schemes already.
-func registerFH(name, help string, base func() core.Config, params ...Param) {
+func registerFH(name, help string, base func() core.Config, params ...pspec.Param) {
 	Register(Scheme{
 		Name:   name,
 		Help:   help,
-		Params: append([]Param{paramTCAM, paramDelay, paramLoosen}, params...),
-		Build: func(sp Spec, v Values, _ Env) (Instance, error) {
+		Params: append([]pspec.Param{paramTCAM, paramDelay, paramLoosen}, params...),
+		Build: func(sp Spec, v pspec.Values, _ Env) (Instance, error) {
 			cfg := base()
 			pipe := fhApply(&cfg, sp, v)
-			if hasParam(v, "lsq") {
+			if v.Has("lsq") {
 				cfg.NoLSQ = !v.Bool("lsq")
 			}
-			if hasParam(v, "2level") {
+			if v.Has("2level") {
 				on := v.Bool("2level")
 				cfg.Addr.SecondLevel, cfg.Value.SecondLevel = on, on
 			}
-			if hasParam(v, "squash") {
+			if v.Has("squash") {
 				on := v.Bool("squash")
 				cfg.Addr.SquashMachines, cfg.Value.SquashMachines = on, on
 				cfg.BackendOnly = !on
@@ -76,22 +77,19 @@ func registerFH(name, help string, base func() core.Config, params ...Param) {
 	})
 }
 
-// hasParam reports whether the scheme declares the parameter at all.
-func hasParam(v Values, name string) bool { return v.Has(name) }
-
 // registerPBFS registers one PBFS table variant.
 func registerPBFS(name, help string, base func() pbfs.Config) {
 	defaults := base()
 	Register(Scheme{
 		Name: name,
 		Help: help,
-		Params: []Param{
-			{Name: "entries", Kind: Int, Default: itoa(defaults.Addr.Entries), Min: 1,
+		Params: []pspec.Param{
+			{Name: "entries", Kind: pspec.Int, Default: itoa(defaults.Addr.Entries), Min: 1,
 				Help: "entries per PC-indexed filter table"},
-			{Name: "clear", Kind: Int, Default: itoa(int(defaults.Addr.ClearInterval)),
+			{Name: "clear", Kind: pspec.Int, Default: itoa(int(defaults.Addr.ClearInterval)),
 				Help: "flash-clear interval in lookups (0 disables)"},
 		},
-		Build: func(sp Spec, v Values, _ Env) (Instance, error) {
+		Build: func(sp Spec, v pspec.Values, _ Env) (Instance, error) {
 			cfg := base()
 			cfg.Name = sp.String()
 			entries, clear := v.Int("entries"), uint64(v.Int("clear"))
@@ -110,7 +108,7 @@ func init() {
 	Register(Scheme{
 		Name: "baseline",
 		Help: "unprotected pipeline, no detector (the pairing basis of every campaign)",
-		Build: func(Spec, Values, Env) (Instance, error) {
+		Build: func(Spec, pspec.Values, Env) (Instance, error) {
 			return Instance{}, nil
 		},
 	})
@@ -129,11 +127,11 @@ func init() {
 	Register(Scheme{
 		Name: "srt-iso",
 		Help: "idealized partial-redundancy SRT matched to FaultHound's coverage (Section 4)",
-		Params: []Param{
-			{Name: "coverage", Kind: Float, Default: "0.75",
+		Params: []pspec.Param{
+			{Name: "coverage", Kind: pspec.Float, Default: "0.75",
 				Help: "fraction of committed instructions re-executed redundantly"},
 		},
-		Build: func(_ Spec, v Values, env Env) (Instance, error) {
+		Build: func(_ Spec, v pspec.Values, env Env) (Instance, error) {
 			cov := v.Float("coverage")
 			if !v.Explicit("coverage") && env.SRTCoverage > 0 {
 				cov = env.SRTCoverage
@@ -145,7 +143,7 @@ func init() {
 	Register(Scheme{
 		Name: "srt",
 		Help: "full-redundancy SRT (coverage 1.0)",
-		Build: func(Spec, Values, Env) (Instance, error) {
+		Build: func(Spec, pspec.Values, Env) (Instance, error) {
 			m := srt.Full()
 			return Instance{Configure: func(pc *pipeline.Config) { m.Configure(pc) }}, nil
 		},
@@ -162,13 +160,13 @@ func init() {
 	Register(Scheme{
 		Name: "fh-be-nocluster-no2level",
 		Help: "PC-indexed biased tables with replay recovery, i.e. PBFS-biased plus replay (Figure 12-left)",
-		Params: []Param{
-			{Name: "entries", Kind: Int, Default: "2048", Min: 1,
+		Params: []pspec.Param{
+			{Name: "entries", Kind: pspec.Int, Default: "2048", Min: 1,
 				Help: "entries per PC-indexed table (replaces the TCAMs)"},
 			paramDelay,
 			paramLSQ,
 		},
-		Build: func(sp Spec, v Values, _ Env) (Instance, error) {
+		Build: func(sp Spec, v pspec.Values, _ Env) (Instance, error) {
 			cfg := core.NoClusterNo2LevelConfig()
 			cfg.Name = sp.String()
 			cfg.TableEntries = v.Int("entries")

@@ -8,28 +8,6 @@ import (
 	"faulthound/internal/pspec"
 )
 
-// Kind is a parameter's value type (shared pspec.Kind).
-type Kind = pspec.Kind
-
-// Parameter kinds.
-const (
-	Int   = pspec.Int
-	Float = pspec.Float
-	Bool  = pspec.Bool
-)
-
-// Param is the self-describing metadata of one scheme parameter.
-type Param = pspec.Param
-
-// Values is the typed view of one spec's parameters a factory reads:
-// explicit settings from the spec query, defaults from the parameter
-// metadata.
-type Values = pspec.Values
-
-// Metadata is the JSON form of the registry, served by the daemon's
-// /v1/schemes endpoint.
-type Metadata = pspec.Metadata
-
 // Env carries host-supplied tunables a factory may consult for
 // parameters the spec leaves unset. It keeps scheme-specific policy
 // (like the harness's SRT coverage matching) out of the callers.
@@ -56,10 +34,11 @@ type Instance struct {
 type Scheme struct {
 	Name   string
 	Help   string
-	Params []Param
+	Params []pspec.Param
 	// Build constructs the instance. sp is the canonical spec (for
-	// labeling), v the typed parameter view, env the host tunables.
-	Build func(sp Spec, v Values, env Env) (Instance, error)
+	// labeling), v the typed parameter view (explicit settings from the
+	// spec query, defaults from the metadata), env the host tunables.
+	Build func(sp Spec, v pspec.Values, env Env) (Instance, error)
 }
 
 var (
@@ -141,7 +120,7 @@ func Build(sp Spec, env Env) (Instance, error) {
 // Consumers that need a parameter's effective value without building
 // the full instance — the energy model's TCAM sizing, the search
 // driver's mutation space — go through here.
-func ValuesOf(sp Spec) (Values, error) { return reg.ValuesOf(sp) }
+func ValuesOf(sp Spec) (pspec.Values, error) { return reg.ValuesOf(sp) }
 
 // Resolved renders the spec with every parameter explicit (defaults
 // filled in), in declaration order — the self-describing form campaign
@@ -156,5 +135,6 @@ func Usage() string { return reg.Usage() }
 // -list-schemes; docs/SCHEMES.md mirrors it.
 func Describe() string { return reg.Describe() }
 
-// All returns the registry metadata in registration order.
-func All() []Metadata { return reg.All() }
+// All returns the registry metadata in registration order, the JSON
+// form the daemon's /v1/schemes endpoint serves.
+func All() []pspec.Metadata { return reg.All() }

@@ -41,15 +41,6 @@ type Spec = pspec.Spec
 // (journals, manifests); use Parse for user input.
 func FromString(raw string) Spec { return pspec.FromString(raw) }
 
-// UnknownSchemeError reports a spec whose scheme name is not
-// registered. Its message carries the full list of known schemes, so
-// every CLI and the daemon surface the same text.
-type UnknownSchemeError = pspec.UnknownNameError
-
-// BadSpecError reports a syntactically or semantically malformed
-// scheme spec (bad parameter name, unparsable value, stray token).
-type BadSpecError = pspec.BadSpecError
-
 // IsSpecError reports whether err (anywhere in its chain) is a scheme
 // spec error — the condition under which the daemon answers 400 with
 // the known-scheme list instead of 500. Spec errors of other domains

@@ -42,7 +42,7 @@ func goldenConfig(t *testing.T, workers int) (search.Config, []string) {
 		Weights: search.DefaultWeights(),
 		Base:    []scheme.Spec{base},
 		Params:  []string{"tcam", "delay", "loosen"},
-		Eval:    harness.NewSearchEval(ev, goldenBenches),
+		Eval:    search.CampaignEval(ev, goldenBenches),
 	}
 	return cfg, goldenBenches
 }

@@ -1,11 +1,14 @@
 package search
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/stats"
 )
@@ -49,12 +52,12 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 	if !found {
 		return scheme.Spec{}, false
 	}
-	var params []scheme.Param
+	var params []pspec.Param
 	for _, p := range sc.Params {
 		if !mutableKind(p.Kind) {
 			continue
 		}
-		if len(allow) > 0 && !contains(allow, p.Name) {
+		if len(allow) > 0 && !slices.Contains(allow, p.Name) {
 			continue
 		}
 		params = append(params, p)
@@ -70,11 +73,11 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 	}
 	var raw string
 	switch p.Kind {
-	case scheme.Int:
+	case pspec.Int:
 		raw = strconv.Itoa(mutateInt(rng, vals.Int(p.Name), p))
-	case scheme.Float:
+	case pspec.Float:
 		raw = strconv.FormatFloat(mutateFloat(rng, vals.Float(p.Name), p), 'g', -1, 64)
-	case scheme.Bool:
+	case pspec.Bool:
 		if vals.Bool(p.Name) {
 			raw = "off"
 		} else {
@@ -94,14 +97,47 @@ func mutate(rng *stats.RNG, sp scheme.Spec, allow []string) (scheme.Spec, bool) 
 // mutableKind reports whether the search perturbs parameters of this
 // kind. Size and Str parameters (segment sizes, labels) are skipped:
 // their value spaces are either workload-shaped or unordered.
-func mutableKind(k scheme.Kind) bool {
-	return k == scheme.Int || k == scheme.Float || k == scheme.Bool
+func mutableKind(k pspec.Kind) bool {
+	return k == pspec.Int || k == pspec.Float || k == pspec.Bool
+}
+
+// CanonicalParams validates a Config.Params allow-list against the base
+// population and returns its canonical form: names trimmed, empty names
+// dropped, sorted and deduplicated (nil when nothing remains, meaning
+// every mutable parameter). A name no base scheme declares as mutable
+// is an error: mutate would never find it, and the search would
+// silently return only the base points.
+func CanonicalParams(base []scheme.Spec, params []string) ([]string, error) {
+	var known, out []string
+	for _, sp := range base {
+		if sc, ok := scheme.Lookup(sp.Name); ok {
+			for _, p := range sc.Params {
+				if mutableKind(p.Kind) {
+					known = append(known, p.Name)
+				}
+			}
+		}
+	}
+	slices.Sort(known)
+	known = slices.Compact(known)
+	for _, p := range params {
+		if p = strings.TrimSpace(p); p == "" {
+			continue
+		}
+		if !slices.Contains(known, p) {
+			return nil, fmt.Errorf("search: %q is not a mutable parameter of the base schemes (known: %s)",
+				p, strings.Join(known, ", "))
+		}
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // mutateInt perturbs an integer parameter: halve, double, or step by
 // one, clamped to [Min, 8×max(default, 1)] so the search stays in a
 // plausible hardware range, and never above the parameter's Max.
-func mutateInt(rng *stats.RNG, n int, p scheme.Param) int {
+func mutateInt(rng *stats.RNG, n int, p pspec.Param) int {
 	def, _ := strconv.Atoi(p.Default)
 	hi := 8 * max(def, 1)
 	if p.Max != 0 {
@@ -125,7 +161,7 @@ func mutateInt(rng *stats.RNG, n int, p scheme.Param) int {
 // ±0.1, clamped to [0, 1] for fraction-like parameters (default ≤ 1)
 // and [0, 8×default] otherwise. Values are rounded to 4 decimals so
 // canonical encodings stay readable.
-func mutateFloat(rng *stats.RNG, f float64, p scheme.Param) float64 {
+func mutateFloat(rng *stats.RNG, f float64, p pspec.Param) float64 {
 	def, _ := strconv.ParseFloat(p.Default, 64)
 	hi := 1.0
 	if def > 1 {
@@ -168,14 +204,4 @@ func withParam(sp scheme.Spec, name, raw string) string {
 		pairs[i] = k + "=" + set[k]
 	}
 	return sp.Name + "?" + strings.Join(pairs, ",")
-}
-
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,7 @@ import (
 
 	"faulthound/internal/harness"
 	"faulthound/internal/scheme"
+	"faulthound/internal/search"
 )
 
 func TestProbeGrid(t *testing.T) {
@@ -15,7 +16,7 @@ func TestProbeGrid(t *testing.T) {
 	o.Fault.Injections = 96
 	benches := []string{"gen?seg=16k", "gen?seg=16k,stride=64"}
 	ev := o.NewEvaluator(nil, nil)
-	eval := harness.NewSearchEval(ev, benches)
+	eval := search.CampaignEval(ev, benches)
 	var specs []scheme.Spec
 	for _, s := range []string{
 		"faulthound?tcam=2", "faulthound?tcam=4", "faulthound?tcam=8",

@@ -152,9 +152,8 @@ type Point struct {
 }
 
 // Evaluate scores a batch of proposed configurations, returning one
-// Metrics per spec in order. The campaign Evaluator (wrapped by
-// harness.NewSearchEval) is the standard implementation; tests supply
-// synthetic ones.
+// Metrics per spec in order. CampaignEval over a campaign.Evaluator is
+// the standard implementation; tests supply synthetic ones.
 type Evaluate func(ctx context.Context, specs []scheme.Spec) ([]Metrics, error)
 
 // Config parameterizes one search run.
@@ -173,8 +172,8 @@ type Config struct {
 	// Base seeds round 0: the starting population, typically the plain
 	// registry schemes under search. Required, non-empty.
 	Base []scheme.Spec
-	// Params optionally restricts mutation to these parameter names;
-	// empty means every Int/Float/Bool parameter the scheme declares.
+	// Params optionally restricts mutation to these names (see
+	// CanonicalParams); empty means every Int/Float/Bool parameter.
 	Params []string
 	// Eval scores proposals (required).
 	Eval Evaluate

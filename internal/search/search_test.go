@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/stats"
 )
@@ -198,7 +199,7 @@ func TestMutateRespectsMax(t *testing.T) {
 	if !ok {
 		t.Fatal("faulthound not registered")
 	}
-	var tcam scheme.Param
+	var tcam pspec.Param
 	for _, p := range sc.Params {
 		if p.Name == "tcam" {
 			tcam = p
@@ -213,6 +214,32 @@ func TestMutateRespectsMax(t *testing.T) {
 		n = mutateInt(rng, n, tcam)
 		if n < tcam.Min || n > tcam.Max {
 			t.Fatalf("mutation %d produced tcam=%d outside [%d, %d]", i, n, tcam.Min, tcam.Max)
+		}
+	}
+}
+
+// TestCanonicalParams: the allow-list is trimmed, sorted and
+// deduplicated, and a name no base scheme declares as mutable is an
+// error instead of a search that silently never mutates.
+func TestCanonicalParams(t *testing.T) {
+	base := []scheme.Spec{scheme.FromString("faulthound"), scheme.FromString("pbfs")}
+	got, err := CanonicalParams(base, []string{"tcam", " entries ", "", "delay", "tcam"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != "delay,entries,tcam" {
+		t.Errorf("canonical params = %v", got)
+	}
+	if got, err := CanonicalParams(base, []string{" "}); err != nil || got != nil {
+		t.Errorf("blank list = %v, %v; want nil (every mutable parameter)", got, err)
+	}
+	for _, bad := range [][]string{{"tcma"}, {"entries"}} {
+		b := base
+		if bad[0] == "entries" {
+			b = base[:1] // faulthound declares no entries parameter
+		}
+		if _, err := CanonicalParams(b, bad); err == nil {
+			t.Errorf("CanonicalParams(%v, %v) accepted", b, bad)
 		}
 	}
 }

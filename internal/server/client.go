@@ -148,20 +148,25 @@ func (c *Client) retry(ctx context.Context, op func() error) error {
 // hash dedups on the server, so a retried submit attaches to the job
 // the lost response created.
 func (c *Client) Submit(ctx context.Context, spec campaign.Spec) (*JobStatus, error) {
-	b, err := json.Marshal(spec)
+	return c.submit(ctx, "/v1/campaigns", spec)
+}
+
+// submit posts a job body to one of the two submission routes.
+func (c *Client) submit(ctx context.Context, path string, v any) (*JobStatus, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	var st *JobStatus
 	err = c.retry(ctx, func() error {
-		st, err = c.submitOnce(ctx, b)
+		st, err = c.submitOnce(ctx, path, b)
 		return err
 	})
 	return st, err
 }
 
-func (c *Client) submitOnce(ctx context.Context, body []byte) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/campaigns", bytes.NewReader(body))
+func (c *Client) submitOnce(ctx context.Context, path string, body []byte) (*JobStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -314,37 +319,31 @@ func (c *Client) BundleFile(ctx context.Context, id, name string) ([]byte, error
 	return out, nil
 }
 
-// Optimize runs a Pareto search on the daemon (POST /v1/optimize) and
-// returns the resulting report. The call blocks until the search
-// finishes; repeats are harmless — the daemon caches results by
-// request hash, so a retried request is served from disk.
+// Optimize runs a Pareto search as a daemon job: it submits the
+// request (POST /v1/optimize), watches the job to a terminal state, and
+// returns the bundle's pareto.json. Repeats are harmless — the request
+// hash dedups onto the queued, running, or finished job.
 func (c *Client) Optimize(ctx context.Context, oreq OptimizeRequest) (*search.Report, error) {
-	body, err := json.Marshal(oreq)
+	st, err := c.submit(ctx, "/v1/optimize", oreq)
 	if err != nil {
 		return nil, err
 	}
-	var rep *search.Report
-	err = c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/optimize", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		defer resp.Body.Close()
-		rep = new(search.Report)
-		return json.NewDecoder(resp.Body).Decode(rep)
-	})
+	final, err := c.Watch(ctx, st.ID, nil)
 	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	if final.State != StateDone {
+		return nil, fmt.Errorf("server: optimize job %s ended %s: %s", final.ID, final.State, final.Error)
+	}
+	b, err := c.BundleFile(ctx, final.ID, search.JSONName)
+	if err != nil {
+		return nil, err
+	}
+	var rep search.Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return nil, fmt.Errorf("server: optimize job %s: bad %s: %w", final.ID, search.JSONName, err)
+	}
+	return &rep, nil
 }
 
 // Summary fetches and parses a completed job's summary.json.

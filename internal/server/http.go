@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -19,15 +20,15 @@ import (
 )
 
 // bundleFiles is the whitelist the bundle endpoint serves — exactly
-// the artifact set a campaign writes (plus the daemon's status file is
-// deliberately excluded).
-var bundleFiles = []string{
+// the artifact sets the two job kinds write (the daemon's status file
+// is deliberately excluded).
+var bundleFiles = append([]string{
 	campaign.ManifestName,
 	campaign.JournalName,
 	campaign.ResultsName,
 	campaign.SummaryName,
 	campaign.ReportName,
-}
+}, paretoFiles...)
 
 // Handler returns the daemon's HTTP API:
 //
@@ -38,7 +39,7 @@ var bundleFiles = []string{
 //	GET  /v1/campaigns/{id}/bundle/ bundle file list; append a file name to fetch it
 //	GET  /v1/campaigns/{id}/report  detector-quality report (?format=md for markdown)
 //	GET  /v1/jobs/{id}/report       alias of the campaign report route
-//	POST /v1/optimize               run (or serve cached) a Pareto search (docs/OPTIMIZE.md)
+//	POST /v1/optimize               submit a Pareto search job (docs/OPTIMIZE.md); answers as above
 //	GET  /v1/schemes                scheme registry metadata (names, parameters)
 //	GET  /v1/workloads              workload catalogue (benchmarks + generators)
 //	GET  /metrics                   Prometheus text format
@@ -128,18 +129,33 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec campaign.Spec
+	s.serveSubmit(w, r, &spec, func() (*job, bool, error) { return s.Submit(spec) })
+}
+
+// handleOptimize submits a Pareto search job (docs/OPTIMIZE.md); a
+// daemon without a timing runner cannot score overheads and answers 503.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Timing == nil {
+		writeError(w, http.StatusServiceUnavailable, "optimizer unavailable: daemon has no timing runner")
+		return
+	}
+	var req OptimizeRequest
+	s.serveSubmit(w, r, &req, func() (*job, bool, error) { return s.SubmitOptimize(req) })
+}
+
+// serveSubmit is the front door both POST routes share: the rate gate,
+// a strict decode of the body into v, submit, and one answer mapping.
+func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, v any, submit func() (*job, bool, error)) {
 	if s.admission != nil && !s.admission.Allow() {
 		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
 		return
 	}
-	var spec campaign.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad spec JSON: "+err.Error())
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request JSON: "+err.Error())
 		return
 	}
-	j, hit, err := s.Submit(spec)
+	j, hit, err := submit()
 	switch {
 	case err == nil:
 	case isBadSpec(err):
@@ -176,6 +192,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)
+}
+
+// decodeStrict decodes one JSON request body. Unknown fields are
+// errors, so a misspelled knob is a 400 rather than a silent default.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -52,11 +54,17 @@ type JobStatus struct {
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 }
 
-// job is the server-side state of one campaign.
+// job is the server-side state of one campaign or optimize job. The
+// two kinds share the queue, dedup, state, persistence, events and
+// drain; they differ only in how a submission is normalized, in the
+// execute step, and in the artifact set a finished job leaves.
 type job struct {
-	id   string // spec hash
+	id   string // spec hash, or optimize request hash
 	spec campaign.Spec
-	dir  string
+	// opt is an optimize job's normalized search request; nil for a
+	// campaign.
+	opt *OptimizeRequest
+	dir string
 
 	mu       sync.Mutex
 	state    string
@@ -74,16 +82,36 @@ type job struct {
 	doneCh chan struct{}
 }
 
-func newJob(id string, spec campaign.Spec, dir string) *job {
+func newJob(id string, spec campaign.Spec, opt *OptimizeRequest, dir string) *job {
+	total := len(spec.Cells()) * spec.Fault.Injections
+	if opt != nil {
+		total = opt.worstCase()
+	}
 	return &job{
 		id:     id,
 		spec:   spec,
+		opt:    opt,
 		dir:    dir,
 		state:  StateQueued,
-		total:  len(spec.Cells()) * spec.Fault.Injections,
+		total:  total,
 		subs:   make(map[chan Event]struct{}),
 		doneCh: make(chan struct{}),
 	}
+}
+
+// complete reports whether the job directory holds every artifact a
+// finished job of its kind writes.
+func (j *job) complete() bool {
+	files := []string{campaign.ManifestName, campaign.ResultsName, campaign.SummaryName, campaign.ReportName}
+	if j.opt != nil {
+		files = paretoFiles
+	}
+	for _, f := range files {
+		if _, err := os.Stat(filepath.Join(j.dir, f)); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // status snapshots the wire form.

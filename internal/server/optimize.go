@@ -1,14 +1,8 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"os"
 	"path/filepath"
-	"strings"
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/scheme"
@@ -16,15 +10,13 @@ import (
 	"faulthound/internal/workload"
 )
 
-// OptimizeDirName is the subdirectory of the data root holding cached
-// Pareto-search results, one directory per request hash. It lives
-// beside the spec-hash job directories but is not a job: rescan skips
-// it.
-const OptimizeDirName = "optimize"
-
 // DefaultOptimizeBudget caps distinct configurations evaluated when a
 // request leaves Budget zero.
 const DefaultOptimizeBudget = 8
+
+// paretoFiles is the artifact set an optimize job writes into its job
+// directory (contract faulthound.pareto/v1).
+var paretoFiles = []string{search.CSVName, search.JSONName, search.ReportName}
 
 // OptimizeRequest is the POST /v1/optimize body: the search space
 // (benchmarks × base schemes × mutable params) and the driver knobs.
@@ -50,29 +42,63 @@ type OptimizeRequest struct {
 	Injections int `json:"injections,omitempty"`
 }
 
+// worstCase is a normalized request's injection bound: every budgeted
+// configuration plus one baseline per benchmark, on every benchmark.
+// It is the admission cap's measure and the job's progress total.
+func (r OptimizeRequest) worstCase() int {
+	return (r.Budget + 1) * len(r.Benchmarks) * r.Injections
+}
+
+// SubmitOptimize normalizes and hashes a search request, then admits
+// its job exactly as Submit admits a campaign's.
+func (s *Server) SubmitOptimize(req OptimizeRequest) (*job, bool, error) {
+	j, err := s.optimizeJob(req)
+	if err != nil {
+		return nil, false, err
+	}
+	return s.admit(j)
+}
+
+// optimizeJob validates a request and builds its job: the spec carries
+// the run ID and the fault config every evaluation runs under.
+func (s *Server) optimizeJob(req OptimizeRequest) (*job, error) {
+	req, err := s.normalizeOptimize(req)
+	if err != nil {
+		return nil, err
+	}
+	fc := s.cfg.BaseFault
+	fc.Injections = req.Injections
+	// The request's identity: the canonical request, the fault config
+	// every evaluation runs under, and the source revision.
+	id := hashJSON(struct {
+		Req    OptimizeRequest `json:"req"`
+		Fault  any             `json:"fault"`
+		Commit string          `json:"commit"`
+	}{req, fc, s.cfg.GitCommit})
+	spec := campaign.Spec{RunID: "opt-" + id[:12], Fault: fc}
+	return newJob(id, spec, &req, filepath.Join(s.cfg.Root, id)), nil
+}
+
 // normalizeOptimize validates and canonicalizes a request: workload
-// and scheme specs expand through their registries, defaults fill in,
-// and every benchmark × base-scheme cell must resolve through the
-// factory. The canonical form is what gets hashed, so equivalent
-// requests share a cache entry.
-func (s *Server) normalizeOptimize(req OptimizeRequest) (OptimizeRequest, []scheme.Spec, search.Weights, error) {
-	var base []scheme.Spec
-	if len(req.Benchmarks) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no benchmarks")
-	}
-	if len(req.Schemes) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no schemes")
-	}
+// and scheme specs expand through their registries, params go through
+// search.CanonicalParams, defaults fill in, and every benchmark ×
+// base-scheme cell must resolve through the factory. The canonical
+// form is what gets hashed, so equivalent requests share a job.
+func (s *Server) normalizeOptimize(req OptimizeRequest) (OptimizeRequest, error) {
 	benches, err := workload.ExpandSpecs(req.Benchmarks)
 	if err != nil {
-		return req, nil, search.Weights{}, wrapBadSpec(err)
+		return req, wrapBadSpec(err)
+	}
+	if len(benches) == 0 {
+		return req, errBadSpec("optimize request has no benchmarks")
 	}
 	req.Benchmarks = benches
+	var base []scheme.Spec
 	var schemes []string
 	for _, raw := range req.Schemes {
 		specs, err := scheme.Expand(raw)
 		if err != nil {
-			return req, nil, search.Weights{}, wrapBadSpec(err)
+			return req, wrapBadSpec(err)
 		}
 		for _, sp := range specs {
 			if sp == campaign.BaselineSpec {
@@ -83,133 +109,67 @@ func (s *Server) normalizeOptimize(req OptimizeRequest) (OptimizeRequest, []sche
 		}
 	}
 	if len(base) == 0 {
-		return req, nil, search.Weights{}, errBadSpec("optimize request has no non-baseline schemes")
+		return req, errBadSpec("optimize request has no non-baseline schemes")
 	}
 	req.Schemes = schemes
 	w, err := search.ParseWeights(req.Weights)
 	if err != nil {
-		return req, nil, search.Weights{}, wrapBadSpec(err)
+		return req, wrapBadSpec(err)
 	}
 	req.Weights = w.String()
+	if req.Params, err = search.CanonicalParams(base, req.Params); err != nil {
+		return req, wrapBadSpec(err)
+	}
 	if req.Budget <= 0 {
 		req.Budget = DefaultOptimizeBudget
 	}
 	if req.Injections <= 0 {
 		req.Injections = s.cfg.BaseFault.Injections
 	}
-	for i, p := range req.Params {
-		req.Params[i] = strings.TrimSpace(p)
-	}
 	// Resolve every cell up front so an unknown bench or scheme is a
 	// 400 at submit time, not a failed search later.
 	for _, bm := range req.Benchmarks {
 		for _, sp := range base {
 			if _, err := s.cfg.Factory(bm, sp); err != nil {
-				return req, nil, search.Weights{}, wrapBadSpec(err)
+				return req, wrapBadSpec(err)
 			}
 		}
 	}
-	// The same admission cap campaigns get, against the worst case:
-	// every budgeted configuration (plus one baseline per benchmark)
-	// runs on every benchmark.
-	if max := s.cfg.MaxInjections; max > 0 {
-		worst := (req.Budget + 1) * len(req.Benchmarks) * req.Injections
-		if worst > max {
-			return req, nil, search.Weights{}, errBadSpec(fmt.Sprintf(
-				"optimize wants up to %d injections, limit is %d", worst, max))
-		}
+	// The same admission cap campaigns get, against the worst case.
+	if max := s.cfg.MaxInjections; max > 0 && req.worstCase() > max {
+		return req, errBadSpec(fmt.Sprintf(
+			"optimize wants up to %d injections, limit is %d", req.worstCase(), max))
 	}
-	return req, base, w, nil
+	return req, nil
 }
 
-// optimizeHash is the request's cache identity: the canonical request
-// JSON, the daemon's fault config (which parameterizes every
-// evaluation), and the source revision.
-func (s *Server) optimizeHash(req OptimizeRequest) string {
-	b, err := json.Marshal(struct {
-		Req    OptimizeRequest `json:"req"`
-		Fault  any             `json:"fault"`
-		Commit string          `json:"commit"`
-	}{req, s.faultFor(req.Injections), s.cfg.GitCommit})
+// runOptimize is an optimize job's execute step: the Pareto search
+// through the campaign evaluator, under the runners' context, with
+// cumulative progress against the admission worst case. The search is
+// deterministic, so a rerun after a drain writes the same bytes.
+func (s *Server) runOptimize(j *job) error {
+	req := *j.opt
+	base := make([]scheme.Spec, len(req.Schemes))
+	for i, raw := range req.Schemes {
+		base[i] = scheme.FromString(raw) // canonical since normalization
+	}
+	weights, err := search.ParseWeights(req.Weights)
 	if err != nil {
-		panic(fmt.Sprintf("server: optimize hash marshal: %v", err))
+		return err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])[:24]
-}
-
-// faultFor is the fault config an optimize run evaluates under: the
-// daemon's base config with the request's injection count.
-func (s *Server) faultFor(injections int) any {
-	f := s.cfg.BaseFault
-	f.Injections = injections
-	return f
-}
-
-// handleOptimize runs (or serves from cache) a Pareto search:
-// normalize, hash, and either stream back the cached pareto.json or
-// execute the search synchronously and cache its artifacts under
-// Root/optimize/<hash>/. Searches serialize on one mutex — the driver
-// is single-threaded by contract and each evaluation already fans out
-// over the injection worker pool.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Timing == nil {
-		writeError(w, http.StatusServiceUnavailable, "optimizer unavailable: daemon has no timing runner")
-		return
-	}
-	if s.admission != nil && !s.admission.Allow() {
-		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
-		return
-	}
-	var req OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad optimize JSON: "+err.Error())
-		return
-	}
-	req, base, weights, err := s.normalizeOptimize(req)
-	if err != nil {
-		if isBadSpec(err) {
-			if scheme.IsSpecError(err) {
-				writeJSON(w, http.StatusBadRequest, map[string]any{
-					"error":         err.Error(),
-					"known_schemes": scheme.Names(),
-				})
-				return
-			}
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-
-	hash := s.optimizeHash(req)
-	dir := filepath.Join(s.cfg.Root, OptimizeDirName, hash)
-	jsonPath := filepath.Join(dir, search.JSONName)
-
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	if b, err := os.ReadFile(jsonPath); err == nil {
-		s.mOptHits.Inc()
-		s.log.Debug("optimize cache hit", "hash", hash)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Faulthound-Optimize-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-		return
-	}
-
-	fc := s.cfg.BaseFault
-	fc.Injections = req.Injections
+	done, total := 0, req.worstCase()
 	ev := &campaign.Evaluator{
 		Factory:  s.cfg.Factory,
-		Fault:    fc,
+		Fault:    j.spec.Fault,
 		Workers:  s.cfg.Workers,
 		Timing:   s.cfg.Timing,
 		Prepared: s.prepared,
-		Progress: func(int, int) { s.mInjections.Inc() },
+		// The engine serializes its Progress calls, one per injection.
+		Progress: func(int, int) {
+			done++
+			j.progress(done, total)
+			s.mInjections.Inc()
+		},
 	}
 	cfg := search.Config{
 		Seed:    req.Seed,
@@ -222,29 +182,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			s.log.Debug(fmt.Sprintf(format, args...))
 		},
 	}
-	s.log.Info("optimize starting", "hash", hash,
-		"benchmarks", len(req.Benchmarks), "budget", req.Budget, "injections", req.Injections)
-	res, err := search.Run(r.Context(), cfg)
+	res, err := search.Run(s.runCtx, cfg)
 	if err != nil {
-		s.log.Error("optimize failed", "hash", hash, "err", err)
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		return err
 	}
-	rep := search.NewReport("opt-"+hash[:12], req.Benchmarks, cfg, res)
-	if err := rep.WriteArtifacts(dir); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.mOptRuns.Inc()
-	s.log.Info("optimize done", "hash", hash,
-		"evaluated", res.Evaluated, "front", len(res.Front()))
-	b, err := rep.JSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Faulthound-Optimize-Cache", "miss")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	return search.NewReport(j.spec.RunID, req.Benchmarks, cfg, res).WriteArtifacts(j.dir)
 }

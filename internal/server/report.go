@@ -25,8 +25,8 @@ var reportMu sync.Mutex
 // <bundle>/report/ — generated on first request (replaying detected
 // injections through the shared prepared cache for latencies) and
 // served from disk afterwards, exactly the files fhreport bundle
-// writes. 409 until the job is done: the report is a pure function of
-// a complete bundle.
+// writes. 409 unless the job is a done campaign: the report is a pure
+// function of a complete campaign bundle.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
@@ -35,8 +35,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
-	if state != StateDone {
-		writeError(w, http.StatusConflict, "job is "+state+"; the quality report needs a complete bundle")
+	if state != StateDone || !hasManifest(j.dir) {
+		writeError(w, http.StatusConflict, "job is "+state+"; the quality report needs a complete campaign bundle")
 		return
 	}
 

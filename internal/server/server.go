@@ -13,6 +13,11 @@
 // engines cancel promptly (mid-injection), their journals stay on
 // disk, and a restarted daemon rescans its data root and resumes every
 // unfinished job through the engine's resume path.
+//
+// A Pareto search (POST /v1/optimize) is the second job kind: its
+// request hash is its job ID, it runs on the same queue, and its
+// pareto.{csv,json,md} artifacts are served from the same bundle
+// routes.
 package server
 
 import (
@@ -24,7 +29,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,12 +46,14 @@ const StatusName = "status.json"
 
 // persistedStatus is the on-disk form of a job's state.
 type persistedStatus struct {
-	SpecHash   string        `json:"spec_hash"`
-	State      string        `json:"state"`
-	Spec       campaign.Spec `json:"spec"`
-	Error      string        `json:"error,omitempty"`
-	CreatedAt  string        `json:"created_at"`
-	FinishedAt string        `json:"finished_at,omitempty"`
+	SpecHash string        `json:"spec_hash"`
+	State    string        `json:"state"`
+	Spec     campaign.Spec `json:"spec"`
+	// Optimize is an optimize job's normalized request (none for campaigns).
+	Optimize   *OptimizeRequest `json:"optimize,omitempty"`
+	Error      string           `json:"error,omitempty"`
+	CreatedAt  string           `json:"created_at"`
+	FinishedAt string           `json:"finished_at,omitempty"`
 }
 
 // Runner executes one campaign on behalf of the daemon's job loop.
@@ -69,8 +75,8 @@ type Config struct {
 	Factory campaign.CoreFactory
 	// BaseFault fills zero-valued fault fields of submitted specs.
 	BaseFault fault.Config
-	// Jobs is the number of concurrently executing campaigns (each one
-	// fans its injections over its own worker pool). Default 1.
+	// Jobs is the number of concurrently executing jobs (each one fans
+	// its injections over its own worker pool). Default 1.
 	Jobs int
 	// Workers overrides every job's injection worker pool size
 	// (0 keeps the spec's choice, which itself defaults to GOMAXPROCS).
@@ -87,14 +93,15 @@ type Config struct {
 	// at Debug/Info, anomalies at Warn/Error); nil discards them.
 	Log *slog.Logger
 	// Runner overrides campaign execution (nil runs the engine
-	// in-process; the coordinator mode shards across workers).
+	// in-process; the coordinator mode shards across workers). Optimize
+	// jobs always run in-process.
 	Runner Runner
 	// Prepared shares a golden-preparation cache with other subsystems
 	// (the cluster worker); nil builds a private one.
 	Prepared *fault.PreparedCache
-	// Timing measures fault-free perf/energy per cell for the optimize
-	// endpoint's overhead objectives (harness.Options.TimingRunner in
-	// the daemon); nil answers POST /v1/optimize with 503.
+	// Timing measures fault-free perf/energy per cell for optimize
+	// jobs' overhead objectives (harness.Options.TimingRunner in the
+	// daemon); nil answers POST /v1/optimize with 503.
 	Timing campaign.TimingRunner
 	// Role names this daemon's cluster role for /healthz:
 	// "single" (default), "coordinator", or "worker".
@@ -124,10 +131,6 @@ type Server struct {
 	order []string        // submission order, for listing
 	queue chan *job
 
-	// optMu serializes Pareto searches (the driver is single-threaded
-	// by contract; parallelism lives in each evaluation's worker pool).
-	optMu sync.Mutex
-
 	runCtx  context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -148,8 +151,6 @@ type Server struct {
 	mInflight    *metrics.Value
 	mPrepHits    *metrics.Value
 	mPrepMisses  *metrics.Value
-	mOptRuns     *metrics.Value
-	mOptHits     *metrics.Value
 	mQueueWait   *metrics.Histogram
 
 	// injections-per-second window state (guarded by rateMu).
@@ -218,8 +219,6 @@ func New(cfg Config) (*Server, error) {
 	s.mInflight = s.reg.Gauge("fhserved_injections_inflight", "Faulty runs executing right now, across all jobs.")
 	s.mPrepHits = s.reg.Counter("fhserved_prepared_cache_hits_total", "Golden-run preparations reused from the prepared cache.")
 	s.mPrepMisses = s.reg.Counter("fhserved_prepared_cache_misses_total", "Golden-run preparations executed (cache fills).")
-	s.mOptRuns = s.reg.Counter("fhserved_optimize_runs_total", "Pareto searches executed to completion.")
-	s.mOptHits = s.reg.Counter("fhserved_optimize_cache_hits_total", "Optimize requests served from the request-hash cache.")
 	s.mQueueWait = s.reg.Histogram("fhserved_job_queue_wait_seconds",
 		"Seconds a job waited between submission and execution start.", metrics.ExpBuckets(0.01, 2, 16))
 	// Pre-register both reject reasons so scrapes render zeros before
@@ -257,16 +256,11 @@ func (s *Server) rescan() error {
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		// The optimize cache is keyed by request hash, not spec hash:
-		// its directories are not jobs.
-		if e.IsDir() && e.Name() != OptimizeDirName {
-			names = append(names, e.Name())
+	for _, e := range entries { // sorted by name
+		if !e.IsDir() {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
+		name := e.Name()
 		dir := filepath.Join(s.cfg.Root, name)
 		var ps persistedStatus
 		b, err := os.ReadFile(filepath.Join(dir, StatusName))
@@ -278,11 +272,11 @@ func (s *Server) rescan() error {
 			s.log.Warn("skipping job dir: malformed status file", "dir", name)
 			continue
 		}
-		j := newJob(ps.SpecHash, ps.Spec, dir)
+		j := newJob(ps.SpecHash, ps.Spec, ps.Optimize, dir)
 		j.created = time.Now()
 		switch ps.State {
 		case StateDone:
-			if bundleComplete(dir) {
+			if j.complete() {
 				j.done = j.total
 				j.setState(StateDone, nil) // close doneCh for waiters
 			} else {
@@ -374,11 +368,8 @@ func (s *Server) Unfinished() []string {
 	return out
 }
 
-// Submit normalizes and hashes spec, then returns the matching job:
-// an existing one (cache hit — done, queued, or running all dedup) or
-// a freshly enqueued one. The bool reports whether the submission was
-// served by dedup/cache. A failed job is retried, not served from
-// cache.
+// Submit normalizes and hashes a campaign spec, then admits its job
+// (see admit).
 func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 	norm, err := NormalizeSpec(spec, s.cfg.BaseFault)
 	if err != nil {
@@ -410,11 +401,19 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 	if s.cfg.Workers > 0 {
 		norm.Workers = s.cfg.Workers
 	}
+	return s.admit(newJob(id, norm, nil, filepath.Join(s.cfg.Root, id)))
+}
 
+// admit returns the job already registered under fresh's ID (a cache
+// hit: done, queued, and running jobs all dedup) or registers and
+// enqueues fresh. The bool reports whether the submission was served
+// by dedup/cache. A failed job is retried in place, not served from
+// cache.
+func (s *Server) admit(fresh *job) (*job, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mSubmitted.Inc()
-	if j := s.jobs[id]; j != nil {
+	if j := s.jobs[fresh.id]; j != nil {
 		st := j.status()
 		if st.State != StateFailed {
 			s.mCacheHits.Inc()
@@ -433,8 +432,7 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 		return j, false, nil
 	}
 
-	dir := filepath.Join(s.cfg.Root, id)
-	j := newJob(id, norm, dir)
+	j := fresh
 	j.created = time.Now()
 	if err := s.persist(j); err != nil {
 		return nil, false, err
@@ -442,8 +440,8 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 	if err := s.enqueueLocked(j); err != nil {
 		return nil, false, err
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	return j, false, nil
 }
 
@@ -506,8 +504,9 @@ func (s *Server) Jobs() []JobStatus {
 // daemon's own gauges write through it).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// runJob executes one campaign through the engine, reporting progress
-// into the job and the metrics registry.
+// runJob executes one job on a runner goroutine, under the runners'
+// context, and records its outcome. The execute step is the only part
+// that depends on the job's kind.
 func (s *Server) runJob(j *job) {
 	s.mQueued.Add(-1)
 	s.mRunning.Add(1)
@@ -515,9 +514,40 @@ func (s *Server) runJob(j *job) {
 	s.mQueueWait.Observe(time.Since(j.created).Seconds())
 	j.setState(StateRunning, nil)
 	s.persist(j)
-	s.log.Debug("job starting", "job", j.id,
-		"cells", len(j.spec.Cells()), "injections", j.spec.Fault.Injections, "resume", j.resume)
+	s.log.Debug("job starting", "job", j.id, "total", j.total, "resume", j.resume)
 
+	execute := s.runCampaign
+	if j.opt != nil {
+		execute = s.runOptimize
+	}
+	err := execute(j)
+	switch {
+	case err != nil && s.runCtx.Err() != nil:
+		// Drain: a restarted daemon resumes a campaign from its journal
+		// and reruns an optimize job.
+		j.setState(StateInterrupted, nil)
+		s.persist(j)
+		s.log.Info("job interrupted by drain", "job", j.id)
+	case err != nil:
+		s.mFailed.Inc()
+		j.setState(StateFailed, err)
+		s.persist(j)
+		s.log.Error("job failed", "job", j.id, "err", err)
+	default:
+		j.mu.Lock()
+		j.done = j.total
+		j.mu.Unlock()
+		s.mExecuted.Inc()
+		j.setState(StateDone, nil)
+		s.persist(j)
+		s.log.Info("job done", "job", j.id, "elapsed_ms", j.status().ElapsedMS)
+	}
+}
+
+// runCampaign is a campaign job's execute step: the engine (or the
+// configured Runner) over the job's bundle directory, resuming from
+// its journal when one exists.
+func (s *Server) runCampaign(j *job) error {
 	// Register the job's labeled series up front so a scrape during the
 	// run (or after a run with zero detections) still renders them.
 	for _, c := range j.spec.Cells() {
@@ -554,29 +584,14 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	out, err := run(s.runCtx, eng, j.dir, j.resume)
-	switch {
-	case err != nil && s.runCtx.Err() != nil:
-		// Drain: the journal holds every completed injection; a
-		// restarted daemon requeues this job as a resume.
-		j.setState(StateInterrupted, nil)
-		s.persist(j)
-		s.log.Info("job interrupted by drain", "job", j.id, "journal", filepath.Join(j.dir, campaign.JournalName))
-	case err != nil:
-		s.mFailed.Inc()
-		j.setState(StateFailed, err)
-		s.persist(j)
-		s.log.Error("job failed", "job", j.id, "err", err)
-	default:
-		j.mu.Lock()
-		j.resumed = out.Resumed
-		j.done = j.total
-		j.mu.Unlock()
-		s.mExecuted.Inc()
-		s.recordSummary(out.Summary)
-		j.setState(StateDone, nil)
-		s.persist(j)
-		s.log.Info("job done", "job", j.id, "elapsed", out.Elapsed.Round(time.Millisecond), "resumed", out.Resumed)
+	if err != nil {
+		return err
 	}
+	j.mu.Lock()
+	j.resumed = out.Resumed
+	j.mu.Unlock()
+	s.recordSummary(out.Summary)
+	return nil
 }
 
 // recordSummary feeds per-cell results into the labeled gauges.
@@ -600,6 +615,7 @@ func (s *Server) persist(j *job) error {
 		SpecHash:  j.id,
 		State:     j.state,
 		Spec:      j.spec,
+		Optimize:  j.opt,
 		CreatedAt: j.created.UTC().Format(time.RFC3339),
 	}
 	if j.err != nil {
@@ -633,16 +649,6 @@ func (s *Server) scrape() {
 		s.mInjRate.Set((cur - s.rateLastInj) / dt)
 	}
 	s.rateLastTime, s.rateLastInj = now, cur
-}
-
-// bundleComplete reports whether dir holds every post-run artifact.
-func bundleComplete(dir string) bool {
-	for _, f := range []string{campaign.ManifestName, campaign.ResultsName, campaign.SummaryName, campaign.ReportName} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // hasManifest reports whether dir can be resumed (the engine writes

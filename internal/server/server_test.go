@@ -19,7 +19,7 @@ import (
 // testConfig returns a server config over a fresh root with the quick
 // harness factory and a pinned git commit (so hashes are stable across
 // roots within one test).
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	o := harness.QuickOptions()
 	return Config{

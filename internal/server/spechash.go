@@ -125,14 +125,16 @@ type specHashable struct {
 // canonical spec JSON plus gitCommit. Two submissions hash equal iff a
 // byte-identical bundle would serve both.
 func SpecHash(spec campaign.Spec, gitCommit string) string {
-	b, err := json.Marshal(specHashable{
-		Cells:  spec.Cells(),
-		Fault:  spec.Fault,
-		Commit: gitCommit,
-	})
+	return hashJSON(specHashable{Cells: spec.Cells(), Fault: spec.Fault, Commit: gitCommit})
+}
+
+// hashJSON is the job-identity digest of both job kinds: the hex
+// SHA-256 of v's JSON, truncated to 24 chars.
+func hashJSON(v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// Spec and Config are plain data; Marshal cannot fail on them.
-		panic(fmt.Sprintf("server: spec hash marshal: %v", err))
+		// Job identities are plain data; Marshal cannot fail on them.
+		panic(fmt.Sprintf("server: job hash marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])[:24]

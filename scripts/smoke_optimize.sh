@@ -2,10 +2,11 @@
 # Pareto-search round trip (docs/OPTIMIZE.md): run a small seeded
 # fhcampaign -optimize twice at different worker counts and require
 # byte-identical artifacts, validate them against the pareto/v1
-# contract, then drive the daemon's POST /v1/optimize and require the
-# repeat to come from the request-hash cache. Exits non-zero on any
-# failure. (-f: $SEARCH is word-split on purpose and carries a literal
-# 'gen?seg=16k' that must not glob.)
+# contract, then run the same search as a daemon job through
+# fhcampaign -optimize -addr, require its pareto.csv to match the local
+# run byte for byte, and require a repeat submission to be a cache hit.
+# Exits non-zero on any failure. (-f: $SEARCH is word-split on purpose
+# and carries a literal 'gen?seg=16k' that must not glob.)
 set -euf
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18421}"
@@ -45,20 +46,18 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 
-REQ='{"benchmarks":["gen?seg=16k"],"schemes":["faulthound?tcam=8"],"budget":3,"seed":7,"params":["tcam"],"injections":48}'
-echo "== POST /v1/optimize =="
-curl -sf -D "$TMP/h1" -d "$REQ" "http://$ADDR/v1/optimize" >"$TMP/opt-daemon.json"
-grep -qi 'X-Faulthound-Optimize-Cache: miss' "$TMP/h1" \
-    || { echo "first request was not a cache miss"; cat "$TMP/h1"; exit 1; }
-grep -q '"schema_version": "faulthound.pareto/v1"' "$TMP/opt-daemon.json" \
-    || { echo "daemon response is not a pareto report"; head "$TMP/opt-daemon.json"; exit 1; }
+echo "== daemon job: fhcampaign -optimize -addr =="
+"$TMP/fhcampaign" $SEARCH -addr "$ADDR" -out "$TMP/opt-daemon"
+cmp "$TMP/opt-daemon/pareto.csv" "$TMP/opt-w1/pareto.csv" \
+    || { echo "daemon pareto.csv differs from the local -workers 1 run"; exit 1; }
+grep -q '"run_id": "opt-' "$TMP/opt-daemon/pareto.json" \
+    || { echo "daemon pareto.json has no opt- run ID"; head "$TMP/opt-daemon/pareto.json"; exit 1; }
 
 echo "== repeat (must be a cache hit) =="
-curl -sf -D "$TMP/h2" -d "$REQ" "http://$ADDR/v1/optimize" >"$TMP/opt-daemon2.json"
-grep -qi 'X-Faulthound-Optimize-Cache: hit' "$TMP/h2" \
-    || { echo "repeat was not a cache hit"; cat "$TMP/h2"; exit 1; }
-cmp "$TMP/opt-daemon.json" "$TMP/opt-daemon2.json" \
-    || { echo "cached repeat returned different bytes"; exit 1; }
+REQ='{"benchmarks":["gen?seg=16k"],"schemes":["faulthound?tcam=8"],"budget":3,"seed":7,"params":["tcam"],"injections":48}'
+curl -sf -d "$REQ" "http://$ADDR/v1/optimize" >"$TMP/repeat.json"
+grep -q '"cache_hit": *true' "$TMP/repeat.json" \
+    || { echo "repeat was not a cache hit"; cat "$TMP/repeat.json"; exit 1; }
 
 echo "== draining =="
 kill -TERM "$SERVED_PID"
