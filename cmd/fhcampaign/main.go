@@ -181,16 +181,15 @@ func main() {
 			perf.NameTrack(w, fmt.Sprintf("worker-%d", w))
 		}
 	}
+	var cellLog obs.Sink
+	if *verbose {
+		cellLog = obs.OnBegin("prepare", func(cell string) { fmt.Fprintf(os.Stderr, "# preparing %s\n", cell) })
+	}
 	eng := &campaign.Engine{
 		Spec:     spec,
 		Factory:  opts.CampaignFactory(),
 		Progress: progressLine(),
-		Obs:      obs.Tee(latencySink{wallHist}, perfettoSink(perf)),
-	}
-	if *verbose {
-		eng.OnCell = func(c campaign.Cell) {
-			fmt.Fprintf(os.Stderr, "# preparing %s\n", c)
-		}
+		Obs:      obs.Tee(latencySink{wallHist}, perfettoSink(perf), cellLog),
 	}
 
 	outcome, err := eng.Run(ctx, dir, *resume != "")

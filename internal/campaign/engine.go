@@ -12,7 +12,6 @@ import (
 	"faulthound/internal/fault"
 	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
-	"faulthound/internal/scheme"
 )
 
 // ManifestName is the manifest's file name inside a run directory.
@@ -38,9 +37,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Engine executes a campaign spec. Factory supplies core construction
-// per cell; Progress and OnCell are optional observation hooks, both
-// invoked serially.
+// Engine executes a campaign spec. It owns every run's state — the
+// manifest, the journal, the done-set, resume and the bundle — and
+// hands only the outstanding injections to an executor. Factory
+// supplies core construction per cell; Progress is an optional
+// observation hook, invoked serially.
 type Engine struct {
 	Spec    Spec
 	Factory CoreFactory
@@ -54,8 +55,12 @@ type Engine struct {
 	// cumulative completed count (including journal-resumed results)
 	// and the campaign total.
 	Progress func(done, total int)
-	// OnCell is called when a cell's golden-run preparation starts.
-	OnCell func(c Cell)
+	// Exec executes a run's outstanding injections, handing each
+	// completed one (and each cell's fault-free FP rate) back through
+	// the Work; it returns once all are in or the run has failed. Nil
+	// means the local worker pool. The cluster coordinator installs its
+	// lease dispatcher here.
+	Exec func(ctx context.Context, w *Work) error
 	// Prepare overrides the golden-run preparation of a cell; nil means
 	// fault.Prepare. Long-lived callers (the campaign-serving daemon)
 	// route this through a fault.PreparedCache so jobs sharing a cell
@@ -64,9 +69,10 @@ type Engine struct {
 	// Warnf receives non-fatal diagnostics (a truncated journal record
 	// skipped during resume); nil logs them to os.Stderr.
 	Warnf func(format string, args ...any)
-	// Obs receives injection-lifecycle events: a "prepare" span around
-	// each cell's golden phase, an "injection" span around every faulty
-	// run (End carries the outcome, or "cancelled" on abort), and the
+	// Obs receives injection-lifecycle events from the local pool: a
+	// "prepare" span around each cell's golden phase (its Begin event's
+	// Arg names the cell), an "injection" span around every faulty run
+	// (End carries the outcome, or "cancelled" on abort), and the
 	// per-run instants fault.(*Prepared).RunOne emits through each
 	// worker's fault.Worker ("inject", detector actions, "detect").
 	// Events are stamped with the worker index as their track. Nil
@@ -99,24 +105,13 @@ type Outcome struct {
 	Dir string
 }
 
-// cellState is one cell's lazily-prepared golden run. Preparation
-// happens under once when the first worker picks a task of the cell;
-// after prepare returns, prepared is read-only and shared by every
-// worker (see fault.Prepared).
-type cellState struct {
-	once     sync.Once
-	prepared *fault.Prepared
-	err      error
-}
-
-type task struct{ cell, inj int }
-
 // Resume continues an interrupted campaign from dir: it loads the
 // manifest's spec into the engine (preserving a non-zero
 // e.Spec.Workers override — a resume may use a different pool size)
-// and replays the journal before executing the remainder. It is the
-// exported resume entry point shared by cmd/fhcampaign and the
-// campaign-serving daemon.
+// and replays the journal before executing the remainder. The
+// campaign-serving daemon and the cluster coordinator resume their
+// jobs through it; cmd/fhcampaign loads the manifest itself and calls
+// Run.
 func (e *Engine) Resume(ctx context.Context, dir string) (*Outcome, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -146,6 +141,38 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	w, err := e.open(dir, resume)
+	if err != nil {
+		return nil, err
+	}
+	resumed := w.done
+	exec := e.Exec
+	if exec == nil {
+		exec = e.execLocal
+	}
+	err = exec(ctx, w)
+	if w.journal != nil {
+		if cerr := w.journal.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if w.done != w.total {
+		return nil, fmt.Errorf("campaign: executor returned with %d of %d injections outstanding", w.total-w.done, w.total)
+	}
+	return e.finish(w, dir, resumed, start)
+}
+
+// open is everything before the first injection: validate the engine,
+// plan the cells, replay a resumed run's journal into the done-set,
+// write a fresh run's manifest (up front, so even an early kill leaves
+// a resumable run) and open the journal for appending.
+func (e *Engine) open(dir string, resume bool) (*Work, error) {
 	source := e.Source
 	if source == nil {
 		// Classic path: the spec itself is the plan.
@@ -167,24 +194,8 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("campaign: plan has no cells")
 	}
-	nInj := e.Spec.Fault.Injections
-	injs := fault.DrawInjections(e.Spec.Fault)
-	cellIdx := make(map[Cell]int, len(cells))
-	for i, c := range cells {
-		cellIdx[c] = i
-	}
+	w := newWork(e.Spec, cells, e.Progress)
 
-	results := make([][]fault.Result, len(cells))
-	have := make([][]bool, len(cells))
-	for i := range cells {
-		results[i] = make([]fault.Result, nInj)
-		have[i] = make([]bool, nInj)
-	}
-	fpRates := make([]float64, len(cells))
-	fpKnown := make([]bool, len(cells))
-
-	// Resume: validate the manifest and replay the journal.
-	resumed := 0
 	if resume {
 		man, err := ReadManifest(dir)
 		if err != nil {
@@ -194,43 +205,22 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 			return nil, fmt.Errorf("campaign: spec does not match the manifest in %s (cells or fault config differ)", dir)
 		}
 		jpath := filepath.Join(dir, JournalName)
-		recs, repaired, err := RepairJournal(jpath)
+		recs, repaired, err := repairJournal(jpath)
 		if err != nil {
 			return nil, err
 		}
 		if repaired {
 			// A process killed mid-append leaves a partial trailing
-			// record. RepairJournal dropped it (that injection simply
+			// record. repairJournal dropped it (that injection simply
 			// re-executes) and cut the file so our own appends start on
 			// a clean line boundary.
 			e.warnf("campaign: journal %s: skipping truncated trailing record (process killed mid-write); re-executing that injection", jpath)
 		}
-		for _, r := range recs {
-			ci, ok := cellIdx[Cell{r.Bench, scheme.FromString(r.Scheme)}]
-			if !ok {
-				return nil, fmt.Errorf("campaign: journal records unknown cell %s/%s", r.Bench, r.Scheme)
-			}
-			switch r.Kind {
-			case "prep":
-				fpRates[ci], fpKnown[ci] = r.FPRate, true
-			case "result":
-				if r.Index < 0 || r.Index >= nInj || r.Result == nil {
-					return nil, fmt.Errorf("campaign: journal has bad result record for %s/%s index %d", r.Bench, r.Scheme, r.Index)
-				}
-				if !have[ci][r.Index] {
-					resumed++
-				}
-				results[ci][r.Index] = *r.Result
-				have[ci][r.Index] = true
-			default:
-				return nil, fmt.Errorf("campaign: journal has unknown record kind %q", r.Kind)
-			}
+		if err := w.replay(recs); err != nil {
+			return nil, err
 		}
 	}
 
-	// Open the bundle directory and journal; a fresh run writes the
-	// manifest up front so even an early kill leaves a resumable run.
-	var journal *JournalWriter
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
@@ -242,37 +232,67 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 			}
 		}
 		var err error
-		journal, err = OpenJournal(filepath.Join(dir, JournalName))
-		if err != nil {
+		if w.journal, err = openJournal(filepath.Join(dir, JournalName)); err != nil {
 			return nil, err
 		}
-		defer journal.Close()
 	}
+	return w, nil
+}
 
-	// Enumerate outstanding tasks cell-major: workers converge on one
-	// cell's injections while the next cell's preparation overlaps with
-	// the current cell's tail.
-	var tasks []task
-	for ci := range cells {
-		for i := 0; i < nInj; i++ {
-			if !have[ci][i] {
-				tasks = append(tasks, task{ci, i})
-			}
+// finish aggregates a fully executed run into its outcome and, for a
+// run with a directory, writes the bundle.
+func (e *Engine) finish(w *Work, dir string, resumed int, start time.Time) (*Outcome, error) {
+	campaigns := make([]*fault.Campaign, len(w.Cells))
+	for ci := range w.Cells {
+		campaigns[ci] = &fault.Campaign{Config: w.Spec.Fault, Results: w.results[ci]}
+	}
+	out := &Outcome{
+		Spec:      w.Spec,
+		Cells:     w.Cells,
+		Campaigns: campaigns,
+		Summary:   buildSummary(w.Spec, w.Cells, campaigns, w.fpRates),
+		Resumed:   resumed,
+		Elapsed:   time.Since(start),
+		Dir:       dir,
+	}
+	if dir != "" {
+		if err := writeBundle(dir, out); err != nil {
+			return nil, err
 		}
 	}
-	total := len(cells) * nInj
+	return out, nil
+}
 
-	states := make([]*cellState, len(cells))
-	for i := range states {
-		states[i] = &cellState{}
+// cellState is one cell's lazily-prepared golden run. Preparation
+// happens under once when the first worker picks a task of the cell;
+// after prepare returns, prepared is read-only and shared by every
+// worker (see fault.Prepared).
+type cellState struct {
+	once     sync.Once
+	prepared *fault.Prepared
+	err      error
+}
+
+// execLocal is the default executor: Spec.Workers goroutines, each
+// with its own fault.Worker, over the outstanding injections in
+// cell-major order — workers converge on one cell's injections while
+// the next cell's preparation overlaps with the current cell's tail.
+func (e *Engine) execLocal(ctx context.Context, w *Work) error {
+	type task struct{ cell, inj int }
+	var tasks []task
+	for _, r := range w.Ranges() {
+		for i := r.From; i < r.To; i++ {
+			tasks = append(tasks, task{r.Cell, i})
+		}
 	}
+	injs := fault.DrawInjections(w.Spec.Fault)
+	states := make([]cellState, len(w.Cells))
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		mu       sync.Mutex
 		firstErr error
-		done     = total - len(tasks)
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -283,20 +303,15 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 		cancel()
 	}
 
-	// prepare runs a cell's golden phase exactly once and journals its
+	// prepare runs a cell's golden phase exactly once and records its
 	// fault-free FP rate. The span lands on the track of whichever
 	// worker won the once — the one that actually paid the golden run.
 	prepare := func(ci int, sink obs.Sink) *cellState {
-		st := states[ci]
+		st := &states[ci]
 		st.once.Do(func() {
-			c := cells[ci]
+			c := w.Cells[ci]
 			began := obs.Begin(sink, "prepare", c.String())
 			defer func() { obs.End(sink, "prepare", began, "") }()
-			if e.OnCell != nil {
-				mu.Lock()
-				e.OnCell(c)
-				mu.Unlock()
-			}
 			mk, err := e.Factory(c.Bench, c.Scheme)
 			if err != nil {
 				st.err = fmt.Errorf("campaign: %s: %w", c, err)
@@ -308,35 +323,28 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 					return fault.Prepare(mk, cfg)
 				}
 			}
-			p, err := prep(c, mk, e.Spec.Fault)
+			p, err := prep(c, mk, w.Spec.Fault)
 			if err != nil {
 				st.err = fmt.Errorf("campaign: %s: %w", c, err)
 				return
 			}
 			st.prepared = p
-			mu.Lock()
-			fpRates[ci], fpKnown[ci] = p.FPRate(), true
-			mu.Unlock()
-			if journal != nil {
-				if err := journal.Append(Record{Kind: "prep", Bench: c.Bench, Scheme: c.Scheme.String(), FPRate: p.FPRate()}); err != nil {
-					st.err = err
-				}
-			}
+			st.err = w.Prep(ci, p.FPRate())
 		})
 		return st
 	}
 
-	workers := e.Spec.WorkerCount()
+	workers := w.Spec.WorkerCount()
 	if workers > len(tasks) && len(tasks) > 0 {
 		workers = len(tasks)
 	}
 	taskCh := make(chan task)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(wi int) {
 			defer wg.Done()
-			wsink := obs.WithTrack(e.Obs, w)
+			wsink := obs.WithTrack(e.Obs, wi)
 			// One fault.Worker per goroutine: successive injections
 			// rebuild the faulty core in its arena, which survives cell
 			// switches (mismatched golden state just falls back to fresh
@@ -351,30 +359,19 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 				// RunOne polls runCtx inside the faulty run, so a drain
 				// (SIGTERM) aborts promptly even mid-injection; the
 				// partial injection is simply not journaled.
-				began := obs.Begin(wsink, "injection", cells[t.cell].String())
+				began := obs.Begin(wsink, "injection", w.Cells[t.cell].String())
 				res, rerr := st.prepared.RunOne(runCtx, injs[t.inj], fw)
 				if rerr != nil {
 					obs.End(wsink, "injection", began, "cancelled")
 					return
 				}
 				obs.End(wsink, "injection", began, res.Outcome.String())
-				results[t.cell][t.inj] = res
-				have[t.cell][t.inj] = true
-				if journal != nil {
-					c := cells[t.cell]
-					if err := journal.Append(Record{Kind: "result", Bench: c.Bench, Scheme: c.Scheme.String(), Index: t.inj, Result: &res}); err != nil {
-						fail(err)
-						return
-					}
+				if _, err := w.Result(t.cell, t.inj, res); err != nil {
+					fail(err)
+					return
 				}
-				mu.Lock()
-				done++
-				if e.Progress != nil {
-					e.Progress(done, total)
-				}
-				mu.Unlock()
 			}
-		}(w)
+		}(wi)
 	}
 
 feed:
@@ -387,31 +384,5 @@ feed:
 	}
 	close(taskCh)
 	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	campaigns := make([]*fault.Campaign, len(cells))
-	for ci := range cells {
-		campaigns[ci] = &fault.Campaign{Config: e.Spec.Fault, Results: results[ci]}
-	}
-	out := &Outcome{
-		Spec:      e.Spec,
-		Cells:     cells,
-		Campaigns: campaigns,
-		Summary:   buildSummary(e.Spec, cells, campaigns, fpRates),
-		Resumed:   resumed,
-		Elapsed:   time.Since(start),
-		Dir:       dir,
-	}
-	if dir != "" {
-		if err := writeBundle(dir, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return firstErr
 }

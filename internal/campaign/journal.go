@@ -1,11 +1,10 @@
 package campaign
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 
 	"faulthound/internal/fault"
 )
@@ -27,67 +26,42 @@ type Record struct {
 	Result *fault.Result `json:"result,omitempty"`
 }
 
-// JournalWriter appends records to a journal file, one JSON object per
-// line, serialized by a mutex so worker goroutines can share it. It is
-// exported for the cluster coordinator, which merges worker-streamed
-// shard results into its own journal through the same writer the
-// engine uses.
-type JournalWriter struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+// openJournal opens a run's journal for appending, creating it if
+// absent.
+func openJournal(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// OpenJournal opens path for appending (creating it if absent).
-func OpenJournal(path string) (*JournalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+// appendRecord writes r as one line — record and newline in a single
+// write — so a killed process loses at most the record being written.
+// A nil journal (an in-memory run) records nothing.
+func appendRecord(f *os.File, r Record) error {
+	if f == nil {
+		return nil
 	}
-	return &JournalWriter{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// Append writes one record and flushes it to the file, so a killed
-// process loses at most the record being written.
-func (j *JournalWriter) Append(r Record) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return j.w.Flush()
+	_, err = f.Write(append(b, '\n'))
+	return err
 }
 
-// Close flushes and closes the file.
-func (j *JournalWriter) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
-
-// ReadJournal parses a journal file. A truncated final line (the record
-// being written when the process died) is ignored; malformed interior
-// lines are an error. A missing file yields no records.
+// ReadJournal parses a journal file. A torn final line (the record
+// being written when the process died, recognizable by its missing
+// newline or malformed JSON) is ignored; malformed interior lines are
+// an error. A missing file yields no records.
 func ReadJournal(path string) ([]Record, error) {
 	recs, _, err := readJournalTolerant(path)
 	return recs, err
 }
 
-// RepairJournal reads a journal tolerantly and, when the final record
-// is a truncated partial write (process killed mid-append), cuts the
-// file back to the last clean line boundary so subsequent appends do
-// not glue onto the partial record. It returns the parsed records and
-// whether a repair happened. Resume paths — the engine's and the
-// cluster coordinator's — share it.
-func RepairJournal(path string) ([]Record, bool, error) {
+// repairJournal reads a journal tolerantly and, when the final record
+// is torn (process killed mid-append), cuts the file back to the last
+// clean line boundary so subsequent appends do not glue onto the
+// partial record. It returns the parsed records and whether a repair
+// happened.
+func repairJournal(path string) ([]Record, bool, error) {
 	recs, truncAt, err := readJournalTolerant(path)
 	if err != nil {
 		return nil, false, err
@@ -102,39 +76,36 @@ func RepairJournal(path string) ([]Record, bool, error) {
 }
 
 // readJournalTolerant is ReadJournal plus the byte offset at which a
-// truncated trailing record starts (-1 when the journal is clean).
-// Resume paths use the offset to warn and to truncate the journal
-// before appending — appending after a partial record would glue the
-// new record onto it and corrupt both, turning a tolerated trailing
-// truncation into a fatal interior one on the next resume.
+// torn trailing record starts (-1 when the journal is clean). Resume
+// uses the offset to warn and to truncate the journal before
+// appending — appending after a partial record would glue the new
+// record onto it and corrupt both, turning a tolerated trailing tear
+// into a fatal interior one on the next resume.
 func readJournalTolerant(path string) ([]Record, int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, -1, nil
 	}
 	if err != nil {
 		return nil, -1, err
 	}
-	defer f.Close()
-
 	var (
-		out    []Record
-		bad    int   // line number of a malformed line, 1-based; 0 = none
-		badAt  int64 // byte offset where the malformed line starts
-		line   int
-		offset int64
+		out   []Record
+		bad   int   // line number of a torn or malformed line, 1-based; 0 = none
+		badAt int64 // byte offset where that line starts
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line++
-		start := offset
-		offset += int64(len(sc.Bytes())) + 1 // the journal writer always appends '\n'
-		if len(sc.Bytes()) == 0 {
+	for line, rest := 1, data; len(rest) > 0; line++ {
+		start := int64(len(data) - len(rest))
+		text, after, whole := bytes.Cut(rest, []byte{'\n'})
+		rest = after
+		if len(text) == 0 {
 			continue
 		}
+		// appendRecord writes a record and its newline in one write, so
+		// a final line without the newline is torn even when its JSON
+		// happens to be complete.
 		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+		if !whole || json.Unmarshal(text, &r) != nil {
 			if bad != 0 {
 				return nil, -1, fmt.Errorf("campaign: journal %s: malformed line %d", path, bad)
 			}
@@ -145,9 +116,6 @@ func readJournalTolerant(path string) ([]Record, int64, error) {
 			return nil, -1, fmt.Errorf("campaign: journal %s: malformed line %d", path, bad)
 		}
 		out = append(out, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, -1, err
 	}
 	if bad == 0 {
 		badAt = -1

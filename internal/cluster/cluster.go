@@ -1,11 +1,12 @@
 // Package cluster shards one fault-injection campaign across many
-// fhserved nodes. A coordinator partitions a campaign's pre-drawn
-// injection descriptors into contiguous per-cell index ranges, leases
-// each range to a registered worker, and merges the streamed-back
-// results into the job's journal — so the finished bundle is produced
-// by the exact single-node journal/resume path and is byte-identical
-// to an unsharded run, and a coordinator crash mid-campaign is itself
-// resumable from the merged journal.
+// fhserved nodes. A coordinator is the campaign engine's executor: it
+// partitions the outstanding pre-drawn injection descriptors into
+// contiguous per-cell index ranges, leases each range to a registered
+// worker, and hands the streamed-back results to the engine, which
+// journals them and writes the bundle exactly as for a single-node run
+// — so the bundle is byte-identical to an unsharded run, and a
+// coordinator crash mid-campaign resumes from the journal like any
+// interrupted run.
 //
 // The protocol is three HTTP endpoints layered on the existing daemon:
 //
@@ -86,8 +87,8 @@ const (
 
 // StreamRecord is one JSONL line of a shard's response stream. Prep
 // and result records map 1:1 onto campaign.Record; the bench/scheme of
-// the lease's cell are implied and filled in by the coordinator at
-// merge time.
+// the lease's cell are implied, and the coordinator merges the records
+// through campaign.Work.Prep and Result.
 type StreamRecord struct {
 	Kind string `json:"kind"`
 	// Index is the descriptor index of a result record.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,17 +128,154 @@ func TestShardedReference1kByteIdentical(t *testing.T) {
 // TestCoordinatorCrashResume interrupts a sharded campaign partway
 // (coordinator-side cancellation, as a crash would) and finishes it
 // with a second coordinator in resume mode; the merged bundle must be
-// byte-identical to an unsharded single-node run of the same spec.
+// byte-identical to an unsharded single-node run of the same spec. The
+// torn-write case also cuts the journal's last record in half between
+// the two coordinators, as a crash mid-append would.
 func TestCoordinatorCrashResume(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tear bool
+	}{{"clean", false}, {"torn-write", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := harness.QuickOptions()
+			spec := campaign.Spec{
+				RunID:      "shard-resume",
+				Benchmarks: []string{"bzip2"},
+				Schemes:    []string{"faulthound"},
+				Workers:    2,
+				Fault:      opts.Fault,
+			}
+			spec.Fault.Injections = 40
+
+			w := newTestWorker(t, opts, 2)
+			ts := httptest.NewServer(w.Handler())
+			defer ts.Close()
+			reg := NewRegistry(nil)
+			reg.ExpireAfter = time.Hour
+			register(reg, w, "w", ts.URL)
+
+			coord := &Coordinator{Registry: reg, RangeSize: 8}
+			coord.RegisterMetrics(metrics.NewRegistry())
+
+			// First attempt: cancel once a quarter of the injections merged.
+			ctx, cancel := context.WithCancel(context.Background())
+			eng := &campaign.Engine{
+				Spec:    spec,
+				Factory: opts.CampaignFactory(),
+				Progress: func(done, total int) {
+					if done >= total/4 {
+						cancel()
+					}
+				},
+			}
+			dir := t.TempDir()
+			if _, err := coord.RunCampaign(ctx, eng, dir, false); err == nil {
+				t.Fatal("cancelled sharded campaign reported success")
+			}
+			cancel()
+			if tc.tear {
+				tearLastRecord(t, filepath.Join(dir, journalFile))
+			}
+
+			// Second coordinator (fresh state, same registry) resumes from the
+			// journal and completes.
+			coord2 := &Coordinator{Registry: reg, RangeSize: 8}
+			coord2.RegisterMetrics(metrics.NewRegistry())
+			var warned []string
+			eng2 := &campaign.Engine{
+				Spec:    spec,
+				Factory: opts.CampaignFactory(),
+				Warnf:   func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) },
+			}
+			out, err := coord2.RunCampaign(context.Background(), eng2, dir, true)
+			if err != nil {
+				t.Fatalf("resumed sharded campaign failed: %v", err)
+			}
+			if out.Resumed == 0 {
+				t.Fatal("resume replayed nothing; the first attempt's journal was lost")
+			}
+			truncations := 0
+			for _, msg := range warned {
+				if strings.Contains(msg, "truncated") {
+					truncations++
+				}
+			}
+			want := 0
+			if tc.tear {
+				want = 1
+			}
+			if truncations != want {
+				t.Fatalf("resume warned of %d truncations, want %d: %q", truncations, want, warned)
+			}
+
+			// Reference: plain single-node engine run.
+			refEng := &campaign.Engine{Spec: spec, Factory: opts.CampaignFactory()}
+			refDir := t.TempDir()
+			if _, err := refEng.Run(context.Background(), refDir, false); err != nil {
+				t.Fatalf("single-node reference run failed: %v", err)
+			}
+			gotResults, gotSummary := readBundleFiles(t, dir)
+			wantResults, wantSummary := readBundleFiles(t, refDir)
+			if !bytes.Equal(gotResults, wantResults) {
+				t.Error("resumed sharded results.csv differs from the single-node run")
+			}
+			if !bytes.Equal(gotSummary, wantSummary) {
+				t.Error("resumed sharded summary.json differs from the single-node run")
+			}
+		})
+	}
+}
+
+// journalFile and manifestFile are the run-directory layout the
+// campaign engine owns; the tests below reach into it to fake a crash.
+const (
+	journalFile  = "journal.jsonl"
+	manifestFile = "manifest.json"
+)
+
+// tearLastRecord cuts a journal's final record roughly in half, as a
+// process killed mid-append leaves it.
+func tearLastRecord(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimSuffix(string(raw), "\n")
+	last := strings.LastIndexByte(body, '\n') + 1
+	if len(body)-last < 2 {
+		t.Fatalf("journal has no final record to tear: %q", raw)
+	}
+	if err := os.WriteFile(path, []byte(body[:last+(len(body)-last)/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoordinatorResumeBadJournal: a coordinator resuming a job whose
+// journal the engine rejects fails with the engine's error before it
+// leases a single range.
+func TestCoordinatorResumeBadJournal(t *testing.T) {
 	opts := harness.QuickOptions()
 	spec := campaign.Spec{
-		RunID:      "shard-resume",
+		RunID:      "bad-journal",
 		Benchmarks: []string{"bzip2"},
 		Schemes:    []string{"faulthound"},
 		Workers:    2,
 		Fault:      opts.Fault,
 	}
-	spec.Fault.Injections = 40
+	spec.Fault.Injections = 16
+	dir := t.TempDir()
+	man, err := campaign.MarshalJSON(campaign.Manifest{Provenance: campaign.Provenance{RunID: spec.RunID}, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bogus := `{"kind":"bogus","bench":"bzip2","scheme":"faulthound","index":3}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(bogus), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	w := newTestWorker(t, opts, 2)
 	ts := httptest.NewServer(w.Handler())
@@ -145,53 +283,16 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	reg := NewRegistry(nil)
 	reg.ExpireAfter = time.Hour
 	register(reg, w, "w", ts.URL)
-
 	coord := &Coordinator{Registry: reg, RangeSize: 8}
 	coord.RegisterMetrics(metrics.NewRegistry())
 
-	// First attempt: cancel once a quarter of the injections merged.
-	ctx, cancel := context.WithCancel(context.Background())
-	eng := &campaign.Engine{
-		Spec:    spec,
-		Factory: opts.CampaignFactory(),
-		Progress: func(done, total int) {
-			if done >= total/4 {
-				cancel()
-			}
-		},
+	eng := &campaign.Engine{Spec: spec, Factory: opts.CampaignFactory()}
+	_, err = coord.RunCampaign(context.Background(), eng, dir, true)
+	if err == nil || !strings.Contains(err.Error(), "unknown record kind") {
+		t.Fatalf("resume over a bogus journal record returned %v, want the engine's unknown record kind error", err)
 	}
-	dir := t.TempDir()
-	if _, err := coord.RunCampaign(ctx, eng, dir, false); err == nil {
-		t.Fatal("cancelled sharded campaign reported success")
-	}
-	cancel()
-
-	// Second coordinator (fresh state, same registry) resumes from the
-	// journal and completes.
-	coord2 := &Coordinator{Registry: reg, RangeSize: 8}
-	coord2.RegisterMetrics(metrics.NewRegistry())
-	eng2 := &campaign.Engine{Spec: spec, Factory: opts.CampaignFactory()}
-	out, err := coord2.RunCampaign(context.Background(), eng2, dir, true)
-	if err != nil {
-		t.Fatalf("resumed sharded campaign failed: %v", err)
-	}
-	if out.Resumed == 0 {
-		t.Fatal("resume replayed nothing; the first attempt's journal was lost")
-	}
-
-	// Reference: plain single-node engine run.
-	refEng := &campaign.Engine{Spec: spec, Factory: opts.CampaignFactory()}
-	refDir := t.TempDir()
-	if _, err := refEng.Run(context.Background(), refDir, false); err != nil {
-		t.Fatalf("single-node reference run failed: %v", err)
-	}
-	gotResults, gotSummary := readBundleFiles(t, dir)
-	wantResults, wantSummary := readBundleFiles(t, refDir)
-	if !bytes.Equal(gotResults, wantResults) {
-		t.Error("resumed sharded results.csv differs from the single-node run")
-	}
-	if !bytes.Equal(gotSummary, wantSummary) {
-		t.Error("resumed sharded summary.json differs from the single-node run")
+	if got := coord.mLeases.Get(); got != 0 {
+		t.Fatalf("fh_cluster_leases_granted_total = %v, want 0 (the journal is rejected before dispatch)", got)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
 
 	"faulthound/internal/campaign"
@@ -20,13 +18,14 @@ import (
 // Coordinator shards campaigns across registered workers. It plugs
 // into the serving daemon as its campaign runner: the front door
 // (submission, dedup, queueing, status, SSE, bundles) is unchanged,
-// and only the execution step is replaced — partition the outstanding
-// descriptor indices into leases, stream results back from workers
-// into the job's journal, and finish by replaying that journal through
-// campaign.Engine.Resume, which writes the bundle via the exact
-// single-node path. Byte-identity with an unsharded run and
-// resumability after a coordinator crash both follow from the journal
-// being the only state.
+// and only the execution step is replaced. The coordinator is the
+// campaign engine's executor (campaign.Engine.Exec): it partitions the
+// outstanding descriptor indices the engine hands it into leases and
+// streams results back from workers into the engine's campaign.Work,
+// which journals them. The engine keeps everything else — manifest,
+// journal replay, resume and the bundle — so a sharded bundle is
+// byte-identical to an unsharded one, and a coordinator crash resumes
+// like any interrupted run.
 type Coordinator struct {
 	// Registry tracks the worker fleet. Required.
 	Registry *Registry
@@ -113,7 +112,7 @@ func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 	c.mExpired = reg.Counter("fh_cluster_leases_expired_total", "Leases lost to worker death or stream stall and re-leased.")
 	c.mMerged = reg.Counter("fh_cluster_records_merged_total", "Worker-streamed result records merged into job journals.")
 	c.mMerge = reg.Histogram("fh_cluster_merge_seconds",
-		"Wall time of the final journal-replay merge that writes a sharded job's bundle.", metrics.ExpBuckets(0.001, 2, 14))
+		"Wall time from a sharded job's last lease to its written bundle.", metrics.ExpBuckets(0.001, 2, 14))
 	if c.Registry != nil && c.Registry.alive == nil {
 		c.Registry.alive = reg.Gauge("fh_cluster_workers_alive", "Workers registered and heartbeating within the expiry window.")
 	}
@@ -197,146 +196,52 @@ type leaseResult struct {
 	workerID string
 	err      error // nil: range fully merged
 	expired  bool  // worker death or stall (vs. worker-reported error)
+	fatal    bool  // the merge itself failed: fail the campaign, re-lease nothing
 }
 
 // RunCampaign executes one campaign across the worker fleet. Its
 // signature matches server.Runner, so cmd/fhserved wires it straight
-// into the daemon's job loop. The engine supplies the normalized spec
-// and the Progress/Warnf hooks; dir is the job's bundle directory.
+// into the daemon's job loop. It installs the lease dispatcher as the
+// engine's executor and runs (or, with resume, resumes) the campaign
+// in dir through the engine.
 func (c *Coordinator) RunCampaign(ctx context.Context, eng *campaign.Engine, dir string, resume bool) (*campaign.Outcome, error) {
-	start := time.Now()
-	if dir == "" {
-		return nil, fmt.Errorf("cluster: sharded runs require a job directory")
+	var lastLease time.Time
+	eng.Exec = func(ctx context.Context, work *campaign.Work) error {
+		defer func() { lastLease = time.Now() }()
+		return c.dispatch(ctx, work)
 	}
-	spec := eng.Spec
+	var (
+		out *campaign.Outcome
+		err error
+	)
 	if resume {
-		man, err := campaign.ReadManifest(dir)
-		if err != nil {
-			return nil, err
-		}
-		workers := spec.Workers
-		spec = man.Spec
-		if workers != 0 {
-			spec.Workers = workers
-		}
-		eng.Spec = spec
+		out, err = eng.Resume(ctx, dir)
+	} else {
+		out, err = eng.Run(ctx, dir, false)
 	}
-	cells := spec.Cells()
-	nInj := spec.Fault.Injections
-	if len(cells) == 0 || nInj <= 0 {
-		return nil, fmt.Errorf("cluster: spec has no cells or injections")
-	}
-
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if !resume {
-		man := campaign.Manifest{Provenance: campaign.NewProvenance(spec.RunID), Spec: spec}
-		if err := campaign.WriteJSONFile(filepath.Join(dir, campaign.ManifestName), man); err != nil {
-			return nil, err
-		}
-	}
-
-	// Replay whatever a previous coordinator run merged: the journal is
-	// the coordinator's only state, shared byte-for-byte with the
-	// single-node engine.
-	jpath := filepath.Join(dir, campaign.JournalName)
-	recs, repaired, err := campaign.RepairJournal(jpath)
-	if err != nil {
-		return nil, err
-	}
-	if repaired && eng.Warnf != nil {
-		eng.Warnf("cluster: journal %s: dropped truncated trailing record", jpath)
-	}
-	cellIdx := make(map[string]int, len(cells))
-	for i, cl := range cells {
-		cellIdx[CellKey(cl.Bench, cl.Scheme.String())] = i
-	}
-	have := make([][]bool, len(cells))
-	for i := range have {
-		have[i] = make([]bool, nInj)
-	}
-	fpKnown := make([]bool, len(cells))
-	resumedAtStart := 0
-	for _, r := range recs {
-		ci, ok := cellIdx[CellKey(r.Bench, r.Scheme)]
-		if !ok {
-			return nil, fmt.Errorf("cluster: journal records unknown cell %s/%s", r.Bench, r.Scheme)
-		}
-		switch r.Kind {
-		case "prep":
-			fpKnown[ci] = true
-		case "result":
-			if r.Index < 0 || r.Index >= nInj || r.Result == nil {
-				return nil, fmt.Errorf("cluster: journal has bad result record for %s at index %d", r.Bench, r.Index)
-			}
-			if !have[ci][r.Index] {
-				resumedAtStart++
-			}
-			have[ci][r.Index] = true
-		}
-	}
-
-	journal, err := campaign.OpenJournal(jpath)
-	if err != nil {
-		return nil, err
-	}
-
-	// Partition the outstanding indices of each cell into contiguous
-	// ranges of at most RangeSize descriptors, cell-major — the same
-	// deterministic order the single-node engine enumerates tasks in.
-	var pending []*lease
-	for ci := range cells {
-		i := 0
-		for i < nInj {
-			if have[ci][i] {
-				i++
-				continue
-			}
-			j := i
-			for j < nInj && !have[ci][j] && j-i < c.rangeSize() {
-				j++
-			}
-			pending = append(pending, &lease{cell: ci, from: i, to: j})
-			i = j
-		}
-	}
-	total := len(cells) * nInj
-	done := resumedAtStart
-
-	if err := c.dispatch(ctx, eng, spec, cells, journal, pending, have, fpKnown, &done, total); err != nil {
-		journal.Close()
-		return nil, err
-	}
-	if err := journal.Close(); err != nil {
-		return nil, err
-	}
-
-	// Merge: every (cell, index) is journaled, so the engine's resume
-	// path replays it all without executing a single injection and
-	// writes results.csv/summary.json/report.md exactly as a
-	// single-node run would.
-	mergeStart := time.Now()
-	out, err := eng.Resume(ctx, dir)
 	if err != nil {
 		return nil, err
 	}
 	if c.mMerge != nil {
-		c.mMerge.Observe(time.Since(mergeStart).Seconds())
+		c.mMerge.Observe(time.Since(lastLease).Seconds())
 	}
-	// Resumed (as reported upward) means "restored from a previous
-	// interrupted run", not "merged from workers" — the final replay
-	// restores everything by construction.
-	out.Resumed = resumedAtStart
-	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// dispatch runs the lease scheduler until every pending range is
-// merged or the context/attempt budget ends.
-func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec campaign.Spec,
-	cells []campaign.Cell, journal *campaign.JournalWriter,
-	pending []*lease, have [][]bool, fpKnown []bool, done *int, total int) error {
+// dispatch is the engine's executor: it runs the lease scheduler until
+// every outstanding injection of work is merged or the context/attempt
+// budget ends.
+func (c *Coordinator) dispatch(ctx context.Context, work *campaign.Work) error {
+	// Split the outstanding runs of each cell into contiguous leases of
+	// at most RangeSize descriptors, cell-major — the order the local
+	// pool executes tasks in.
+	var pending []*lease
+	size := c.rangeSize()
+	for _, r := range work.Ranges() {
+		for from := r.From; from < r.To; from += size {
+			pending = append(pending, &lease{cell: r.Cell, from: from, to: min(from+size, r.To)})
+		}
+	}
 
 	// Every lease goroutine runs under dctx and ends with exactly one
 	// blocking send on resCh; cancelling dctx aborts their streams, so
@@ -352,11 +257,6 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 		}
 	}
 
-	// merge folds one streamed record into the journal and the merge
-	// state; lease goroutines call it directly, serialized internally.
-	var mergeErr error
-	merge := c.merger(eng, cells, journal, have, fpKnown, done, total, &mergeErr)
-
 	for (len(pending) > 0 || active > 0) && firstErr == nil {
 		// Grant as many leases as the fleet can take right now.
 		granted := true
@@ -364,8 +264,8 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 			granted = false
 			cands := c.Registry.Snapshot()
 			l := pending[0]
-			cell := CellKey(cells[l.cell].Bench, cells[l.cell].Scheme.String())
-			if i := c.policy().Pick(cands, cell); i >= 0 {
+			cell := work.Cells[l.cell]
+			if i := c.policy().Pick(cands, CellKey(cell.Bench, cell.Scheme.String())); i >= 0 {
 				pending = pending[1:]
 				w := cands[i].Status
 				c.Registry.AddLeases(w.ID, 1)
@@ -374,7 +274,7 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 				}
 				active++
 				granted = true
-				go c.runLease(dctx, spec, cells, l, w, merge, resCh)
+				go c.runLease(dctx, work, l, w, resCh)
 			}
 		}
 
@@ -397,10 +297,11 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 		case r := <-resCh:
 			active--
 			c.Registry.AddLeases(r.workerID, -1)
-			if mergeErr != nil {
-				fail(mergeErr)
-			}
 			if r.err == nil {
+				continue
+			}
+			if r.fatal {
+				fail(r.err)
 				continue
 			}
 			if r.expired {
@@ -412,19 +313,20 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 			// Re-lease the unmerged remainder. Streams are ordered, so
 			// the merged part of the range is a prefix.
 			rest := *r.l
-			for rest.from < rest.to && have[rest.cell][rest.from] {
+			for rest.from < rest.to && work.Done(rest.cell, rest.from) {
 				rest.from++
 			}
 			if rest.from >= rest.to {
 				continue // lost the race to a duplicate lease; all merged
 			}
 			rest.attempts++
+			cell := work.Cells[rest.cell]
 			if rest.attempts >= c.maxAttempts() {
 				fail(fmt.Errorf("cluster: range %s[%d,%d) failed %d times, last: %w",
-					CellKey(cells[rest.cell].Bench, cells[rest.cell].Scheme.String()), rest.from, rest.to, rest.attempts, r.err))
+					CellKey(cell.Bench, cell.Scheme.String()), rest.from, rest.to, rest.attempts, r.err))
 				continue
 			}
-			c.log().Warn("re-leasing range", "cell", cells[rest.cell].String(),
+			c.log().Warn("re-leasing range", "cell", cell.String(),
 				"from", rest.from, "to", rest.to, "attempt", rest.attempts, "err", r.err)
 			pending = append(pending, &rest)
 		}
@@ -438,73 +340,13 @@ func (c *Coordinator) dispatch(ctx context.Context, eng *campaign.Engine, spec c
 		c.Registry.AddLeases(r.workerID, -1)
 		active--
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if mergeErr != nil {
-		return mergeErr
-	}
-	return nil
-}
-
-// merger returns the synchronized record-merge closure shared by all
-// lease goroutines.
-func (c *Coordinator) merger(eng *campaign.Engine, cells []campaign.Cell,
-	journal *campaign.JournalWriter, have [][]bool, fpKnown []bool,
-	done *int, total int, mergeErr *error) func(cell int, rec StreamRecord) {
-
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	return func(ci int, rec StreamRecord) {
-		<-mu
-		defer func() { mu <- struct{}{} }()
-		cl := cells[ci]
-		switch rec.Kind {
-		case KindPrep:
-			if fpKnown[ci] {
-				return
-			}
-			fpKnown[ci] = true
-			if err := journal.Append(campaign.Record{
-				Kind: "prep", Bench: cl.Bench, Scheme: cl.Scheme.String(), FPRate: rec.FPRate,
-			}); err != nil && *mergeErr == nil {
-				*mergeErr = err
-			}
-		case KindResult:
-			if rec.Index < 0 || rec.Index >= len(have[ci]) || rec.Result == nil {
-				if *mergeErr == nil {
-					*mergeErr = fmt.Errorf("cluster: worker streamed bad result record (index %d)", rec.Index)
-				}
-				return
-			}
-			if have[ci][rec.Index] {
-				return // duplicate from a re-lease race; byte-equal by determinism
-			}
-			if err := journal.Append(campaign.Record{
-				Kind: "result", Bench: cl.Bench, Scheme: cl.Scheme.String(), Index: rec.Index, Result: rec.Result,
-			}); err != nil {
-				if *mergeErr == nil {
-					*mergeErr = err
-				}
-				return
-			}
-			have[ci][rec.Index] = true
-			*done++
-			if c.mMerged != nil {
-				c.mMerged.Inc()
-			}
-			if eng.Progress != nil {
-				eng.Progress(*done, total)
-			}
-		}
-	}
+	return firstErr
 }
 
 // runLease executes one lease against one worker: POST the shard,
 // consume the record stream (any line renews the lease timer), and
 // report the outcome to the scheduler.
-func (c *Coordinator) runLease(ctx context.Context, spec campaign.Spec, cells []campaign.Cell,
-	l *lease, w WorkerStatus, merge func(int, StreamRecord), resCh chan<- leaseResult) {
+func (c *Coordinator) runLease(ctx context.Context, work *campaign.Work, l *lease, w WorkerStatus, resCh chan<- leaseResult) {
 
 	// The scheduler receives every result, draining until active==0
 	// even on error/cancellation exits, so this send never orphans —
@@ -513,15 +355,15 @@ func (c *Coordinator) runLease(ctx context.Context, spec campaign.Spec, cells []
 		resCh <- leaseResult{l: l, workerID: w.ID, err: err, expired: expired}
 	}
 
-	cl := cells[l.cell]
+	cl := work.Cells[l.cell]
 	req := ShardRequest{
-		LeaseID: fmt.Sprintf("%s/%s[%d,%d)#%d", spec.RunID, cl, l.from, l.to, l.attempts),
-		RunID:   spec.RunID,
+		LeaseID: fmt.Sprintf("%s/%s[%d,%d)#%d", work.Spec.RunID, cl, l.from, l.to, l.attempts),
+		RunID:   work.Spec.RunID,
 		Bench:   cl.Bench,
 		Scheme:  cl.Scheme.String(),
 		From:    l.from,
 		To:      l.to,
-		Fault:   spec.Fault,
+		Fault:   work.Spec.Fault,
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -605,7 +447,11 @@ func (c *Coordinator) runLease(ctx context.Context, spec campaign.Spec, cells []
 			case KindPing:
 				// keepalive only
 			case KindPrep, KindResult:
-				merge(l.cell, rec)
+				if err := c.merge(work, l.cell, rec); err != nil {
+					cancel()
+					resCh <- leaseResult{l: l, workerID: w.ID, err: err, fatal: true}
+					return
+				}
 			case KindDone:
 				report(nil, false)
 				return
@@ -617,4 +463,20 @@ func (c *Coordinator) runLease(ctx context.Context, spec campaign.Spec, cells []
 			}
 		}
 	}
+}
+
+// merge hands one streamed prep or result record to the engine's Work,
+// which validates, dedupes and journals it.
+func (c *Coordinator) merge(work *campaign.Work, cell int, rec StreamRecord) error {
+	if rec.Kind == KindPrep {
+		return work.Prep(cell, rec.FPRate)
+	}
+	if rec.Result == nil {
+		return fmt.Errorf("cluster: worker streamed a result record without a result (index %d)", rec.Index)
+	}
+	added, err := work.Result(cell, rec.Index, *rec.Result)
+	if added && c.mMerged != nil {
+		c.mMerged.Inc()
+	}
+	return err
 }

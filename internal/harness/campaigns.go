@@ -5,6 +5,7 @@ import (
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
+	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
@@ -58,10 +59,9 @@ func (o Options) CampaignSpec(benchmarks []string, schemes []Scheme) campaign.Sp
 // RunCampaign executes a spec in memory (no artifact bundle) with this
 // Options' core factory, reporting per-cell progress when verbose.
 func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
-	eng := &campaign.Engine{
-		Spec:    spec,
-		Factory: o.CampaignFactory(),
-		OnCell:  func(c campaign.Cell) { o.progress("campaign: %s", c) },
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory()}
+	if o.Verbose {
+		eng.Obs = obs.OnBegin("prepare", func(cell string) { o.progress("campaign: %s", cell) })
 	}
 	return eng.Run(context.Background(), "", false)
 }
