@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-json report gates campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize trace-demo experiments extensions quick clean
+.PHONY: all build test vet lint race bench report gates campaign serve smoke-server smoke-cluster smoke-wgen smoke-optimize trace-demo experiments extensions quick clean
 
 all: lint test build
 
@@ -44,11 +44,10 @@ report:
 
 # The CI release gates, runnable locally: contract validation over
 # every committed artifact, the quality-report drift gate, the
-# self-diff sanity check, and the bench-gate positive/negative
-# controls (docs/CONTRACTS.md).
+# self-diff sanity check, and a validator self-test — a summary with a
+# renamed required field must fail validation (docs/CONTRACTS.md).
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
-		results/bench/BENCH_simcore.json \
 		internal/server/testdata/spechash_golden.json \
 		internal/server/testdata/wspec_golden.json \
 		internal/search/testdata/golden \
@@ -57,7 +56,13 @@ gates:
 	cmp /tmp/fh-gate-regen/quality.json results/campaigns/reference-1k/report/quality.json
 	cmp /tmp/fh-gate-regen/quality.md results/campaigns/reference-1k/report/quality.md
 	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k results/campaigns/reference-1k
-	./scripts/check_bench_gate.sh
+	rm -rf /tmp/fh-gate-break && mkdir -p /tmp/fh-gate-break
+	cp results/campaigns/reference-1k/manifest.json results/campaigns/reference-1k/results.csv /tmp/fh-gate-break/
+	sed 's/"run_id"/"runid"/' results/campaigns/reference-1k/summary.json > /tmp/fh-gate-break/summary.json
+	@if $(GO) run ./cmd/fhreport validate /tmp/fh-gate-break >/dev/null 2>&1; then \
+		echo "gates: injected schema break passed validation"; exit 1; \
+	fi
+	@echo "gates: injected schema break rejected"
 
 # Parallel, resumable fault-injection campaign with an artifact bundle.
 campaign:
@@ -102,11 +107,6 @@ trace-demo:
 # One iteration of every paper-figure bench plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -run xxx .
-
-# Guard benchmarks for the simulation/injection hot path, distilled
-# into results/bench/BENCH_simcore.json (docs/PERFORMANCE.md).
-bench-json:
-	./scripts/bench.sh
 
 # Full-scale regeneration of every table and figure (tens of minutes).
 experiments:

@@ -2,23 +2,21 @@
 // it validates campaign bundles against the versioned v1 contracts
 // (internal/contract, docs/CONTRACTS.md), derives detector-quality
 // reports (coverage, FP rate, detection-latency percentiles, confusion
-// matrices vs the baseline golden classification), diffs two reports
-// under a tolerance, and gates benchmark throughput against committed
-// guard numbers. The CI release gates are built from these subcommands.
+// matrices vs the baseline golden classification), and diffs two
+// reports under a tolerance. The CI release gates are built from these
+// subcommands.
 //
 // Usage:
 //
 //	fhreport bundle [-out dir] [-no-latency] <bundle-dir>
 //	fhreport diff [-tolerance 0] <bundle-or-quality.json> <bundle-or-quality.json>
 //	fhreport validate <bundle-dir | artifact.json>...
-//	fhreport bench [-tolerance 0.10] <got BENCH.json> <ref BENCH.json>
 //
 // bundle writes the derived report/quality.{json,md} sidecar next to
 // the bundle's artifacts (never mutating them); -out redirects the two
 // files elsewhere. diff exits non-zero when any metric differs by more
 // than the relative tolerance (0 = byte-exact metrics). validate exits
-// non-zero on any contract violation. bench exits non-zero when a
-// gated throughput metric regresses by more than the tolerance.
+// non-zero on any contract violation.
 package main
 
 import (
@@ -56,8 +54,6 @@ func main() {
 		err = cmdDiff(rest)
 	case "validate":
 		err = cmdValidate(rest)
-	case "bench":
-		err = cmdBench(rest)
 	default:
 		fmt.Fprintf(os.Stderr, "fhreport: unknown subcommand %q\n\n", cmd)
 		usage()
@@ -74,7 +70,6 @@ func usage() {
   fhreport bundle [-out dir] [-no-latency] <bundle-dir>
   fhreport diff [-tolerance 0] <bundle-or-quality.json> <bundle-or-quality.json>
   fhreport validate <bundle-dir | artifact.json>...
-  fhreport bench [-tolerance 0.10] <got BENCH.json> <ref BENCH.json>
   fhreport -version
 `)
 }
@@ -243,38 +238,4 @@ func validateOne(path string) error {
 		return fmt.Errorf("no contract covers %q", filepath.Base(path))
 	}
 	return contract.ValidateJSONFile(kind, path)
-}
-
-// cmdBench gates current benchmark throughput against committed guard
-// numbers.
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	tol := fs.Float64("tolerance", 0.10, "allowed relative regression on gated throughput metrics")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return fmt.Errorf("bench wants <got BENCH.json> <ref BENCH.json>")
-	}
-	got, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	ref, err := os.ReadFile(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	deltas, regressions, err := report.CompareBench(got, ref, *tol)
-	if err != nil {
-		return err
-	}
-	for _, d := range deltas {
-		fmt.Println(d)
-	}
-	if len(regressions) > 0 {
-		for _, d := range regressions {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s\n", d)
-		}
-		return fmt.Errorf("%d gated metrics regressed beyond tolerance %g", len(regressions), *tol)
-	}
-	fmt.Printf("bench gate passed (tolerance %g)\n", *tol)
-	return nil
 }

@@ -1,13 +1,12 @@
 // Package contract is the versioned artifact-surface layer: JSON-schema
 // contracts (v1) for every machine-readable artifact the campaign stack
 // emits — a bundle's summary.json and manifest.json, its results.csv
-// column layout, the derived report/quality.json, the committed
-// BENCH_simcore.json guard numbers, and the golden spec-hash maps —
-// plus a validator API and the ValidateBundle entry point the fhreport
-// CLI and the CI release gates run. The contracts exist so the layers
-// above (distributed fabric, parameter-space search) can evolve without
-// silently corrupting the artifact surface; see docs/CONTRACTS.md for
-// the compatibility policy.
+// column layout, the derived report/quality.json, and the golden
+// spec-hash maps — plus a validator API and the ValidateBundle entry
+// point the fhreport CLI and the CI release gates run. The contracts
+// exist so the layers above (distributed fabric, parameter-space
+// search) can evolve without silently corrupting the artifact surface;
+// see docs/CONTRACTS.md for the compatibility policy.
 package contract
 
 import (
@@ -35,7 +34,6 @@ type Kind string
 const (
 	KindSummary  Kind = "summary"
 	KindManifest Kind = "manifest"
-	KindBench    Kind = "bench"
 	KindQuality  Kind = "quality"
 	KindHashes   Kind = "hashes"
 	KindPareto   Kind = "pareto"
@@ -45,7 +43,6 @@ const (
 const (
 	SummaryV1  = "faulthound.summary/v1"
 	ManifestV1 = "faulthound.manifest/v1"
-	BenchV1    = "faulthound.bench/v1"
 	QualityV1  = "faulthound.quality/v1"
 	HashesV1   = "faulthound.hashes/v1"
 	ParetoV1   = "faulthound.pareto/v1"
@@ -65,7 +62,6 @@ var schemas = func() map[Kind]*Schema {
 	for kind, file := range map[Kind]string{
 		KindSummary:  "summary.v1.schema.json",
 		KindManifest: "manifest.v1.schema.json",
-		KindBench:    "bench.v1.schema.json",
 		KindQuality:  "quality.v1.schema.json",
 		KindHashes:   "hashes.v1.schema.json",
 		KindPareto:   "pareto.v1.schema.json",
@@ -123,8 +119,8 @@ func ValidateJSONFile(kind Kind, path string) error {
 }
 
 // SniffKind maps an artifact file name to its contract kind: the bundle
-// artifacts by their fixed names, BENCH_simcore.json, quality.json, and
-// the *_golden.json spec-hash maps. Unknown names return "" —
+// artifacts by their fixed names, quality.json, pareto.json, and the
+// *_golden.json spec-hash maps. Unknown names return "" —
 // journal.jsonl and report.md deliberately have no JSON contract.
 func SniffKind(name string) Kind {
 	switch base := filepath.Base(name); {
@@ -136,8 +132,6 @@ func SniffKind(name string) Kind {
 		return KindQuality
 	case base == "pareto.json":
 		return KindPareto
-	case strings.HasPrefix(base, "BENCH_"):
-		return KindBench
 	case strings.HasSuffix(base, "_golden.json"):
 		return KindHashes
 	}

@@ -10,7 +10,6 @@ import (
 
 const (
 	referenceBundle = "../../results/campaigns/reference-1k"
-	benchGuard      = "../../results/bench/BENCH_simcore.json"
 	spechashGolden  = "../server/testdata/spechash_golden.json"
 	wspecGolden     = "../server/testdata/wspec_golden.json"
 	paretoGolden    = "../search/testdata/golden"
@@ -96,13 +95,12 @@ func TestCompileRejectsUnknownType(t *testing.T) {
 
 // TestCommittedArtifactsConform is the release gate in test form:
 // every committed machine-readable artifact validates against its v1
-// contract — the reference bundle, the bench guard numbers, and the
-// spec-hash goldens.
+// contract — the reference bundle and the spec-hash goldens.
 func TestCommittedArtifactsConform(t *testing.T) {
 	if err := ValidateBundle(referenceBundle); err != nil {
 		t.Errorf("reference bundle: %v", err)
 	}
-	for _, f := range []string{benchGuard, spechashGolden, wspecGolden} {
+	for _, f := range []string{spechashGolden, wspecGolden} {
 		kind := SniffKind(f)
 		if kind == "" {
 			t.Fatalf("SniffKind(%s) = \"\"", f)
@@ -215,7 +213,7 @@ func TestSniffKind(t *testing.T) {
 		"some/dir/manifest.json":        KindManifest,
 		"report/quality.json":           KindQuality,
 		"opt/pareto.json":               KindPareto,
-		"results/BENCH_simcore.json":    KindBench,
+		"results/BENCH_simcore.json":    "",
 		"testdata/spechash_golden.json": KindHashes,
 		"journal.jsonl":                 "",
 		"report.md":                     "",

@@ -26,9 +26,12 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 	cells := []struct {
 		name string
 		fh   *core.Config
+		// minEarly floors the early exits at ckpt=64 with early exit:
+		// half of today's 68 (FaultHound) and 42 (baseline) of 80 runs.
+		minEarly uint64
 	}{
-		{"faulthound", func() *core.Config { c := core.DefaultConfig(); return &c }()},
-		{"baseline", nil},
+		{"faulthound", func() *core.Config { c := core.DefaultConfig(); return &c }(), 34},
+		{"baseline", nil, 21},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
@@ -58,14 +61,26 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						}
 					}
 					pf := p.Perf()
+					// Any acceleration passes, except at the production
+					// setting ckpt=64 with early exit: there the floors are
+					// half of today's counts, so halving either fails.
+					// Forking saves 17792/20269 = 0.878 of the fast-forward
+					// cycles on both cells.
+					var minEarly uint64
+					var minSaved float64
+					if ckpt == 64 && early {
+						minEarly, minSaved = cell.minEarly, 0.44
+					}
 					// ckpt=1024 exceeds the 500-cycle spread, so no
 					// checkpoint fits inside it and every run legitimately
 					// forks from the spread start.
-					if ckpt != 0 && ckpt < cfg.SpreadCycles && pf.ForkCyclesSaved == 0 {
-						t.Errorf("ckpt=%d early=%v: checkpoint forking saved no cycles", ckpt, early)
+					if ckpt != 0 && ckpt < cfg.SpreadCycles && (pf.ForkCyclesSaved == 0 || pf.ForkSavedFrac() < minSaved) {
+						t.Errorf("ckpt=%d early=%v: checkpoint forking saved %d of %d fast-forward cycles, want some and a fraction >= %g",
+							ckpt, early, pf.ForkCyclesSaved, pf.OffsetCycles, minSaved)
 					}
-					if early && pf.EarlyExits == 0 {
-						t.Errorf("ckpt=%d early=%v: no run took the reconvergence early-exit", ckpt, early)
+					if early && (pf.EarlyExits == 0 || pf.EarlyExits < minEarly) {
+						t.Errorf("ckpt=%d early=%v: %d of %d runs took the reconvergence early-exit, want some and >= %d",
+							ckpt, early, pf.EarlyExits, pf.Runs, minEarly)
 					}
 				}
 			}

@@ -10,10 +10,10 @@ import (
 	"faulthound/internal/workload"
 )
 
-// Guard benchmarks for the injection engine's hot path: the per-run
+// Microbenchmarks for the injection engine's hot path: the per-run
 // snapshot (clone) plus the faulty window. Campaign wall time is
-// dominated by these, so they are tracked in BENCH_simcore.json via
-// scripts/bench.sh (docs/PERFORMANCE.md).
+// dominated by these; they are `go test -bench` profiling entry points
+// beside the end-to-end benchmark in bench/ (docs/PERFORMANCE.md).
 
 // benchPrepared builds a warmed FaultHound campaign once per benchmark.
 func benchPrepared(b *testing.B) *Prepared {
@@ -78,9 +78,8 @@ func BenchmarkPreparedParallel(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inj/s")
-	// Acceleration quality ride-alongs, gated next to injections_per_sec
-	// in BENCH_simcore.json: the fraction of runs classified at
-	// reconvergence, and the fraction of pre-injection fast-forward
+	// Acceleration quality ride-alongs: the fraction of runs classified
+	// at reconvergence, and the fraction of pre-injection fast-forward
 	// cycles skipped by checkpoint forking.
 	pf := p.Perf()
 	b.ReportMetric(pf.EarlyExitFrac(), "early-exit-frac")

@@ -1,12 +1,9 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-
-	"faulthound/internal/contract"
 )
 
 // Delta is one metric whose value differs between two quality reports
@@ -171,64 +168,4 @@ func Exceeds(deltas []Delta, tol float64) []Delta {
 		}
 	}
 	return out
-}
-
-// BenchGated lists the BENCH_simcore.json metrics the release gate
-// treats as higher-is-better regressions: injections/sec and simulated
-// cycles/sec guard the two hot loops, and the checkpoint-forking and
-// reconvergence-early-exit fractions guard the acceleration that the
-// injection throughput depends on (a silent drop in either frac shows
-// up here even before it fully erodes injections_per_sec). Metrics
-// absent from the reference file are not gated, so pre-acceleration
-// references stay comparable.
-var BenchGated = []string{
-	"injections_per_sec",
-	"sim_cycles_per_sec",
-	"early_exit_frac",
-	"checkpoint_fork_cycles_saved_frac",
-}
-
-// CompareBench validates two BENCH_simcore.json payloads against the
-// bench contract and returns (all metric deltas, gated regressions):
-// a gated regression is a BenchGated metric whose got value falls more
-// than tol below ref (relative). Non-gated metrics and improvements
-// never regress.
-func CompareBench(got, ref []byte, tol float64) (deltas, regressions []Delta, err error) {
-	parse := func(b []byte) (map[string]float64, error) {
-		if err := contract.ValidateJSON(contract.KindBench, b); err != nil {
-			return nil, err
-		}
-		var m map[string]float64
-		if err := json.Unmarshal(b, &m); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	g, err := parse(got)
-	if err != nil {
-		return nil, nil, fmt.Errorf("got: %w", err)
-	}
-	r, err := parse(ref)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ref: %w", err)
-	}
-	names := make([]string, 0, len(r))
-	for k := range r {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	gated := map[string]bool{}
-	for _, m := range BenchGated {
-		gated[m] = true
-	}
-	for _, name := range names {
-		d := Delta{Metric: name, A: g[name], B: r[name]}
-		if d.A != d.B {
-			deltas = append(deltas, d)
-		}
-		if gated[name] && d.A < d.B*(1-tol) {
-			regressions = append(regressions, d)
-		}
-	}
-	return deltas, regressions, nil
 }

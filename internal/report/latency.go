@@ -76,7 +76,10 @@ type Replayer struct {
 	// Factory resolves cells to core constructors
 	// (harness.Options.CampaignFactory in the CLIs and the daemon).
 	Factory campaign.CoreFactory
-	// Fault is the bundle's fault config (manifest spec).
+	// Fault is the campaign's fault config. NewReplayer takes it from
+	// the manifest, which omits the execution-strategy fields; a caller
+	// holding the campaign's own spec passes that instead, so its
+	// preparations key the same as the campaign's.
 	Fault fault.Config
 	// Prepare overrides golden-run preparation; nil means
 	// fault.Prepare. The daemon routes this through its

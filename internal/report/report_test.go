@@ -2,7 +2,6 @@ package report
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -208,53 +207,6 @@ func TestDiffMissingCell(t *testing.T) {
 	if len(Exceeds(deltas, 1e9)) == 0 {
 		t.Error("missing cell passed under a huge tolerance")
 	}
-}
-
-// TestCompareBench exercises the throughput gate: identical files
-// pass, a small dip passes under 10%, a 20% dip on a gated metric
-// fails, and a dip on a non-gated metric does not.
-func TestCompareBench(t *testing.T) {
-	ref, err := os.ReadFile("../../results/bench/BENCH_simcore.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, regs, err := CompareBench(ref, ref, 0.10); err != nil || len(regs) != 0 {
-		t.Fatalf("self-compare: regs=%v err=%v", regs, err)
-	}
-	scale := func(metric string, factor float64) []byte {
-		b := mutateJSON(t, ref, metric, factor)
-		return b
-	}
-	if _, regs, err := CompareBench(scale("injections_per_sec", 0.95), ref, 0.10); err != nil || len(regs) != 0 {
-		t.Fatalf("5%% dip gated at 10%%: regs=%v err=%v", regs, err)
-	}
-	if _, regs, err := CompareBench(scale("injections_per_sec", 0.80), ref, 0.10); err != nil || len(regs) != 1 {
-		t.Fatalf("20%% dip not gated: regs=%v err=%v", regs, err)
-	}
-	if _, regs, err := CompareBench(scale("clones_per_sec_arena", 0.50), ref, 0.10); err != nil || len(regs) != 0 {
-		t.Fatalf("non-gated metric gated: regs=%v err=%v", regs, err)
-	}
-	if _, _, err := CompareBench([]byte(`{"injections_per_sec": 1}`), ref, 0.10); err == nil {
-		t.Fatal("contract-violating bench JSON accepted")
-	}
-}
-
-// mutateJSON scales one numeric field of a flat JSON object.
-func mutateJSON(t *testing.T, raw []byte, key string, factor float64) []byte {
-	t.Helper()
-	var m map[string]float64
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m[key]; !ok {
-		t.Fatalf("no field %q", key)
-	}
-	m[key] *= factor
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestSummarizeLatency pins the nearest-rank percentile convention and

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"faulthound/internal/campaign"
 	"faulthound/internal/contract"
 	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
@@ -65,13 +64,15 @@ func (s *Server) generateReport(j *job) error {
 	if _, err := os.Stat(filepath.Join(j.dir, contract.ReportDirName, contract.QualityJSONName)); err == nil {
 		return nil // lost the race; the winner's sidecar serves
 	}
-	man, err := campaign.ReadManifest(j.dir)
-	if err != nil {
-		return err
-	}
-	rep := report.NewReplayer(man, s.cfg.Factory)
-	rep.Prepare = func(bench, schemeSpec string, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
-		return s.prepared.Get(fault.PreparedKey{Bench: bench, Scheme: schemeSpec, Cfg: cfg}, mk)
+	// The job's own spec, not the manifest: the manifest's fault config
+	// drops the execution-strategy fields, so its PreparedKey would
+	// never match the golden state the engine left in the cache.
+	rep := &report.Replayer{
+		Factory: s.cfg.Factory,
+		Fault:   j.spec.Fault,
+		Prepare: func(bench, schemeSpec string, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			return s.prepared.Get(fault.PreparedKey{Bench: bench, Scheme: schemeSpec, Cfg: cfg}, mk)
+		},
 	}
 	q, err := report.Generate(j.dir, report.Options{Latency: rep})
 	if err != nil {

@@ -17,7 +17,8 @@ import (
 // TestReportEndpoint covers the quality-report route end to end: 404
 // for unknown jobs, 200 with contract-valid quality.json for a
 // completed job, the markdown variant, and the on-disk sidecar cache
-// (the second request serves the first request's files).
+// (the second request serves the first request's files). The first
+// request's latency replay must reuse the campaign's golden state.
 func TestReportEndpoint(t *testing.T) {
 	s, err := New(testConfig(t))
 	if err != nil {
@@ -52,9 +53,14 @@ func TestReportEndpoint(t *testing.T) {
 	}
 	waitDone(t, j, 2*time.Minute)
 
+	hits, misses := s.prepared.Stats()
 	code, body := get(ts.URL + "/v1/jobs/" + j.id + "/report")
 	if code != http.StatusOK {
 		t.Fatalf("report: got %d: %s", code, body)
+	}
+	// The latency replay reuses the golden state the campaign prepared.
+	if h, m := s.prepared.Stats(); m != misses || h == hits {
+		t.Errorf("report replay: prepared cache hits %d -> %d, misses %d -> %d; want a hit and no miss", hits, h, misses, m)
 	}
 	if err := contract.ValidateJSON(contract.KindQuality, body); err != nil {
 		t.Fatalf("served report violates its contract: %v", err)

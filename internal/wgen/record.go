@@ -161,7 +161,9 @@ func ReadStream(r io.Reader) (*Stream, error) {
 	if hdr.Ops < 0 || hdr.Ops > 1<<24 {
 		return nil, fmt.Errorf("stream: implausible op count %d", hdr.Ops)
 	}
-	s := &Stream{Workload: hdr.Workload, Seed: hdr.Seed, Ops: make([]MemOp, 0, hdr.Ops)}
+	// The header's count is a claim, not a size: reserve at most a
+	// default recording and let append grow with the bytes that arrive.
+	s := &Stream{Workload: hdr.Workload, Seed: hdr.Seed, Ops: make([]MemOp, 0, min(hdr.Ops, DefaultRecordOps))}
 	prev := uint64(0)
 	for i := 0; i < hdr.Ops; i++ {
 		flag, err := br.ReadByte()

@@ -68,10 +68,12 @@ func FromStream(s *Stream) (Workload, error) {
 			hi = op.Addr
 		}
 	}
-	span := hi + 8 - lo
-	if span > replaySegMax {
-		return Workload{}, fmt.Errorf("wgen: replay footprint %d exceeds %d bytes", span, uint64(replaySegMax))
+	// Bound hi-lo before adding the last word: hi+8-lo wraps to 0 when
+	// the stream touches both ends of the address space.
+	if hi-lo > replaySegMax-8 {
+		return Workload{}, fmt.Errorf("wgen: replay footprint [%#x, %#x] exceeds %d bytes", lo, hi, uint64(replaySegMax))
 	}
+	span := hi + 8 - lo
 	ops := append([]MemOp(nil), s.Ops...)
 	return Workload{
 		Spec:     Spec{Name: "replay"},
