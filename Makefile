@@ -43,8 +43,11 @@ report:
 	$(GO) run ./cmd/fhreport bundle results/campaigns/reference-1k
 
 # The CI release gates, runnable locally: contract validation over
-# every committed artifact, the quality-report drift gate, the
-# self-diff sanity check, and a validator self-test — a summary with a
+# every committed artifact; the committed journal must yield the
+# committed quality report; the drift gate — reference-1k re-simulated
+# from its bare manifest must reproduce results.csv, summary.json and
+# the quality report byte for byte, and diff clean against the
+# committed bundle; and a validator self-test — a summary with a
 # renamed required field must fail validation (docs/CONTRACTS.md).
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
@@ -55,7 +58,16 @@ gates:
 	$(GO) run ./cmd/fhreport bundle -out /tmp/fh-gate-regen results/campaigns/reference-1k
 	cmp /tmp/fh-gate-regen/quality.json results/campaigns/reference-1k/report/quality.json
 	cmp /tmp/fh-gate-regen/quality.md results/campaigns/reference-1k/report/quality.md
-	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k results/campaigns/reference-1k
+	rm -rf /tmp/fh-gate-repro && mkdir -p /tmp/fh-gate-repro
+	cp results/campaigns/reference-1k/manifest.json /tmp/fh-gate-repro/
+	$(GO) run ./cmd/fhcampaign -resume /tmp/fh-gate-repro -workers 2 >/tmp/fh-gate-repro.log 2>&1 || \
+		{ cat /tmp/fh-gate-repro.log; exit 1; }
+	cmp /tmp/fh-gate-repro/results.csv results/campaigns/reference-1k/results.csv
+	cmp /tmp/fh-gate-repro/summary.json results/campaigns/reference-1k/summary.json
+	$(GO) run ./cmd/fhreport bundle /tmp/fh-gate-repro
+	cmp /tmp/fh-gate-repro/report/quality.json results/campaigns/reference-1k/report/quality.json
+	cmp /tmp/fh-gate-repro/report/quality.md results/campaigns/reference-1k/report/quality.md
+	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k /tmp/fh-gate-repro
 	rm -rf /tmp/fh-gate-break && mkdir -p /tmp/fh-gate-break
 	cp results/campaigns/reference-1k/manifest.json results/campaigns/reference-1k/results.csv /tmp/fh-gate-break/
 	sed 's/"run_id"/"runid"/' results/campaigns/reference-1k/summary.json > /tmp/fh-gate-break/summary.json

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	fhreport bundle [-out dir] [-no-latency] <bundle-dir>
+//	fhreport bundle [-out dir] <bundle-dir>
 //	fhreport diff [-tolerance 0] <bundle-or-quality.json> <bundle-or-quality.json>
 //	fhreport validate <bundle-dir | artifact.json>...
 //
@@ -29,7 +29,6 @@ import (
 	"faulthound/internal/buildinfo"
 	"faulthound/internal/campaign"
 	"faulthound/internal/contract"
-	"faulthound/internal/harness"
 	"faulthound/internal/report"
 )
 
@@ -67,7 +66,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  fhreport bundle [-out dir] [-no-latency] <bundle-dir>
+  fhreport bundle [-out dir] <bundle-dir>
   fhreport diff [-tolerance 0] <bundle-or-quality.json> <bundle-or-quality.json>
   fhreport validate <bundle-dir | artifact.json>...
   fhreport -version
@@ -78,14 +77,13 @@ func usage() {
 func cmdBundle(args []string) error {
 	fs := flag.NewFlagSet("bundle", flag.ExitOnError)
 	out := fs.String("out", "", "write quality.{json,md} into this directory instead of <bundle>/report/")
-	noLatency := fs.Bool("no-latency", false, "skip the detection-latency replay (faster; omits the latency section)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("bundle wants exactly one bundle directory")
 	}
 	dir := fs.Arg(0)
 
-	q, err := generate(dir, *noLatency)
+	q, err := report.Generate(dir, report.Options{})
 	if err != nil {
 		return err
 	}
@@ -103,20 +101,6 @@ func cmdBundle(args []string) error {
 	return nil
 }
 
-// generate builds a bundle's quality report, replaying detected
-// injections for latency unless disabled.
-func generate(dir string, noLatency bool) (*report.Quality, error) {
-	opts := report.Options{}
-	if !noLatency {
-		man, err := campaign.ReadManifest(dir)
-		if err != nil {
-			return nil, err
-		}
-		opts.Latency = report.NewReplayer(man, harness.DefaultOptions().CampaignFactory())
-	}
-	return report.Generate(dir, opts)
-}
-
 // loadQuality resolves a diff operand: a quality.json file, or a
 // bundle directory — whose committed report/quality.json is used when
 // present, and which is otherwise generated in memory.
@@ -130,7 +114,7 @@ func loadQuality(path string) (*report.Quality, error) {
 		if _, err := os.Stat(sidecar); err == nil {
 			return readQuality(sidecar)
 		}
-		return generate(path, false)
+		return report.Generate(path, report.Options{})
 	}
 	return readQuality(path)
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/csv"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -24,7 +23,7 @@ const (
 // functions of the outcome, so an interrupted-then-resumed campaign
 // reproduces them byte for byte.
 func writeBundle(dir string, out *Outcome) error {
-	if err := os.WriteFile(filepath.Join(dir, ResultsName), []byte(ResultsCSV(out)), 0o644); err != nil {
+	if err := WriteFile(filepath.Join(dir, ResultsName), []byte(ResultsCSV(out))); err != nil {
 		return err
 	}
 	if err := WriteJSONFile(filepath.Join(dir, SummaryName), out.Summary); err != nil {
@@ -34,7 +33,7 @@ func writeBundle(dir string, out *Outcome) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, ReportName), []byte(Report(out, man)), 0o644)
+	return WriteFile(filepath.Join(dir, ReportName), []byte(Report(out, man)))
 }
 
 // ResultsCSV renders the per-injection results: one row per (cell,

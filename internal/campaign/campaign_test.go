@@ -430,3 +430,55 @@ func TestEngineObs(t *testing.T) {
 		t.Fatalf("saw %d prepare spans, want %d", prepares, len(out.Cells))
 	}
 }
+
+// TestWriteJSONFileNeverTorn rewrites a ~1 MB artifact 200 times while
+// a reader parses it in a loop. Write-then-rename means every read sees
+// a whole file, the old one or the new one; a truncate-and-write lets
+// the reader see a prefix.
+func TestWriteJSONFileNeverTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), campaign.SummaryName)
+	val := map[string]any{"pad": strings.Repeat("x", 1<<20)}
+	if err := campaign.WriteJSONFile(path, val); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var reads, torn int
+	var firstErr error
+	go func() {
+		defer close(done)
+		for {
+			b, err := os.ReadFile(path)
+			reads++
+			if err == nil && !json.Valid(b) {
+				err = fmt.Errorf("read %d bytes of invalid JSON", len(b))
+			}
+			if err != nil {
+				torn++
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		val["rev"] = i
+		if err := campaign.WriteJSONFile(path, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if torn > 0 {
+		t.Fatalf("%d of %d concurrent reads saw a torn file; first: %v", torn, reads, firstErr)
+	}
+	left, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))
+	if err != nil || len(left) != 1 {
+		t.Fatalf("directory holds %v (err %v), want only %s", left, err, path)
+	}
+}

@@ -69,7 +69,7 @@ func MarshalJSON(v any) ([]byte, error) {
 }
 
 // WriteJSONFile marshals v with MarshalJSON into path, creating parent
-// directories.
+// directories, and writes it with WriteFile.
 func WriteJSONFile(path string, v any) error {
 	b, err := MarshalJSON(v)
 	if err != nil {
@@ -78,5 +78,33 @@ func WriteJSONFile(path string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
+	return WriteFile(path, b)
+}
+
+// WriteFile writes an artifact by write-then-rename: data goes to a
+// temporary file in path's directory, which is then renamed over path.
+// A reader, or a process killed mid-write, sees the old file or the
+// new one, never a truncated one. Every artifact write goes through
+// it; the append-only journal is the exception. Like the journal it
+// does not fsync: it guards against a killed process, not a lost
+// machine.
+func WriteFile(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp creates 0600; artifacts are shared
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

@@ -16,9 +16,11 @@ import (
 	"time"
 
 	"faulthound/internal/campaign"
+	"faulthound/internal/contract"
 	"faulthound/internal/fault"
 	"faulthound/internal/harness"
 	"faulthound/internal/obs/metrics"
+	"faulthound/internal/report"
 )
 
 // newTestWorker builds a worker over the quick harness factory with
@@ -52,7 +54,9 @@ func readBundleFiles(t *testing.T, dir string) (results, summary []byte) {
 // sharded across two in-process workers, one worker is killed
 // mid-campaign (its ranges must be re-leased to the survivor), and the
 // merged bundle's results.csv and summary.json must be byte-identical
-// to the committed single-node bundle.
+// to the committed single-node bundle. Its quality report must equal
+// the committed one up to provenance, which shows the detection
+// latencies cross the shard stream, the merge and the re-lease.
 func TestShardedReference1kByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reference campaign; skipped with -short")
@@ -122,6 +126,26 @@ func TestShardedReference1kByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(gotSummary, wantSummary) {
 		t.Errorf("sharded summary.json differs from the committed reference bundle")
+	}
+
+	q, err := report.Generate(dir, report.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(refDir, contract.ReportDirName, contract.QualityJSONName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want report.Quality
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	q.Generator, q.Source = "", report.Source{}
+	want.Generator, want.Source = "", report.Source{}
+	gotQ, _ := campaign.MarshalJSON(q)
+	wantQ, _ := campaign.MarshalJSON(&want)
+	if !bytes.Equal(gotQ, wantQ) {
+		t.Errorf("sharded quality report differs from the committed one:\n--- got ---\n%s\n--- want ---\n%s", gotQ, wantQ)
 	}
 }
 

@@ -204,7 +204,16 @@ type Result struct {
 	// the activity attributable to the fault, for the Figure-11
 	// breakdown. Clamped at zero.
 	Triggers, Suppressed, Replays, Rollbacks, Singletons uint64
+	// DetectLatency is the detection latency of a Detected run: the
+	// cycles from the flip to the first in-window detector action
+	// (replay, rollback or singleton), at least 1. Zero on undetected
+	// runs, so their journal records omit it.
+	DetectLatency uint64 `json:",omitempty"`
 }
+
+// actions is a detector's cumulative action count: replays, rollbacks
+// and singletons.
+func actions(s detect.Stats) uint64 { return s.Replays + s.Rollbacks + s.Singletons }
 
 // sub returns a-b clamped at zero.
 func sub(a, b uint64) uint64 {
@@ -408,8 +417,7 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	}
 	ds := gold.DetectorStats()
 	if commits := gold.Committed(0) - commits0; commits > 0 {
-		p.fpRate = float64(ds.Replays+ds.Rollbacks+ds.Singletons-
-			ds0.Replays-ds0.Rollbacks-ds0.Singletons) / float64(commits)
+		p.fpRate = float64(actions(ds)-actions(ds0)) / float64(commits)
 	}
 	// Every fork origin is frozen from here on; anchor them all to the
 	// spread-start snapshot so a worker's per-run hierarchy restore
@@ -603,11 +611,17 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		f.SetTracer(&actionTracer{sink: sink})
 	}
 
+	det := f.Detector()
 	var ds0 detect.Stats
-	if d := f.Detector(); d != nil {
-		ds0 = d.Stats()
+	if det != nil {
+		ds0 = det.Stats()
 	}
 	ps0 := f.Stats()
+	// The first window step that raises the detector's action count is
+	// the step whose action the tracer marks "detect": detectors count
+	// an action exactly when they return one, and the pipeline acts on
+	// (and traces) every action it is returned.
+	acts0, firstAction := actions(ds0), uint64(0)
 
 	injCount := f.Committed(0)
 	target := injCount + cfg.WindowInstr
@@ -672,13 +686,16 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 			}
 		}
 		f.Step()
+		if firstAction == 0 && det != nil && actions(det.Stats()) != acts0 {
+			firstAction = f.Cycle()
+		}
 	}
 	if earlyExit && sink != nil {
 		obs.Instant(sink, "early-exit", f.Cycle(), strconv.FormatUint(er.cycle-f.Cycle(), 10))
 	}
 
-	if d := f.Detector(); d != nil {
-		ds := d.Stats()
+	if det != nil {
+		ds := det.Stats()
 		if earlyExit {
 			// The run matched the golden digest counters exactly, so its
 			// window finishes with exactly the golden trace's end-of-run
@@ -709,6 +726,9 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		fd = er.fd
 	}
 	res.Detected = fd > ps0.FaultsDeclared
+	if res.Detected && firstAction != 0 {
+		res.DetectLatency = firstAction - start
+	}
 
 	p.perf.runs.Add(1)
 	p.perf.forkCyclesSaved.Add(forkOff)

@@ -9,12 +9,12 @@
 // artifacts — and quality.json conforms to the faulthound.quality/v1
 // contract (internal/contract, docs/CONTRACTS.md).
 //
-// Detection latency is not recorded in results.csv; it is re-derived
-// through the obs layer by replaying exactly the detected injections
-// from the bundle's manifest spec and capturing the "inject"/"detect"
-// instants fault.(*Prepared).RunOne emits (see Replayer). Replay is
-// deterministic, so the report is a pure function of the bundle — the
-// golden test and the CI drift gate depend on that.
+// Detection latency is recorded at campaign time: every detected
+// injection's journal record carries fault.Result.DetectLatency, and
+// the report reads it back from journal.jsonl. The report is a pure
+// function of the bundle's files — the golden test and the CI drift
+// gate depend on that — and simulator drift is caught by re-running
+// the campaign, not the report.
 package report
 
 import (
@@ -29,6 +29,8 @@ import (
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/contract"
+	"faulthound/internal/fault"
+	"faulthound/internal/pipeline"
 )
 
 // Outcomes is a Figure-7 classification triple.
@@ -47,7 +49,7 @@ type Coverage struct {
 
 // Latency summarizes a cell's detection latencies in cycles
 // (injection to first detector action), nearest-rank percentiles over
-// the replayed samples plus a cumulative power-of-two histogram.
+// the journaled samples plus a cumulative power-of-two histogram.
 type Latency struct {
 	Count int    `json:"count"`
 	P50   uint64 `json:"p50"`
@@ -87,8 +89,8 @@ type CellQuality struct {
 	// Coverage and Confusion are present on scheme cells only — both
 	// are defined against the benchmark's baseline cell.
 	Coverage *Coverage `json:"coverage,omitempty"`
-	// Latency is present when a latency provider supplied samples
-	// (detected > 0 and replay available).
+	// Latency is present when the cell detected faults and the journal
+	// carries every one's latency.
 	Latency   *Latency   `json:"detection_latency_cycles,omitempty"`
 	Confusion *Confusion `json:"confusion,omitempty"`
 }
@@ -110,19 +112,31 @@ type Quality struct {
 	Cells         []CellQuality `json:"cells"`
 }
 
-// LatencyProvider supplies detection latencies (cycles) for one cell's
-// detected injections, identified by descriptor index. ok=false means
-// the provider cannot serve this cell (the report omits latency there).
-type LatencyProvider interface {
-	CellLatencies(bench, scheme string, detected []int) (samples []uint64, ok bool, err error)
+// Options parameterizes Generate.
+//
+// Deprecated: Generate reads everything it needs from the bundle and
+// ignores Options. It remains only for callers that still pass it.
+type Options struct {
+	// Latency is ignored.
+	//
+	// Deprecated: latency comes from the bundle's journal.
+	Latency *Replayer
 }
 
-// Options parameterizes Generate.
-type Options struct {
-	// Latency supplies per-cell detection latencies; nil omits the
-	// latency section (the report is still contract-valid).
-	Latency LatencyProvider
+// Replayer is inert: detection latency is recorded at campaign time,
+// not replayed.
+//
+// Deprecated: Generate ignores it. It remains only for callers that
+// still set its hooks, which are never called.
+type Replayer struct {
+	Prepare func(bench, schemeSpec string, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error)
+	Outcome func(bench, schemeSpec string, index int, outcome string)
 }
+
+// NewReplayer returns an inert Replayer.
+//
+// Deprecated: see Replayer.
+func NewReplayer(*campaign.Manifest, campaign.CoreFactory) *Replayer { return &Replayer{} }
 
 // row is one parsed results.csv line (the columns the report needs).
 type row struct {
@@ -132,11 +146,11 @@ type row struct {
 }
 
 // Generate builds the quality report of a campaign bundle from its
-// manifest.json, summary.json, and results.csv. It is a pure function
-// of the bundle (plus the deterministic replay the latency provider
-// performs), so regenerating a committed bundle's report must be
-// byte-identical — the CI drift gate enforces exactly that.
-func Generate(dir string, opts Options) (*Quality, error) {
+// manifest.json, summary.json, results.csv and journal.jsonl. It is a
+// pure function of those files, so regenerating a committed bundle's
+// report must be byte-identical — the CI drift gate enforces exactly
+// that.
+func Generate(dir string, _ Options) (*Quality, error) {
 	man, err := campaign.ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -153,6 +167,10 @@ func Generate(dir string, opts Options) (*Quality, error) {
 		return nil, fmt.Errorf("report: %s: %w", campaign.SummaryName, err)
 	}
 	cells, err := readResults(filepath.Join(dir, campaign.ResultsName))
+	if err != nil {
+		return nil, err
+	}
+	lats, err := journalLatencies(filepath.Join(dir, campaign.JournalName))
 	if err != nil {
 		return nil, err
 	}
@@ -201,20 +219,8 @@ func Generate(dir string, opts Options) (*Quality, error) {
 			}
 			cq.Confusion = confusion(base, rows)
 		}
-		if opts.Latency != nil && cs.Detected > 0 {
-			var detected []int
-			for _, r := range rows {
-				if r.detected {
-					detected = append(detected, r.index)
-				}
-			}
-			samples, ok, err := opts.Latency.CellLatencies(cs.Bench, cs.Scheme, detected)
-			if err != nil {
-				return nil, fmt.Errorf("report: latency for %s/%s: %w", cs.Bench, cs.Scheme, err)
-			}
-			if ok && len(samples) > 0 {
-				cq.Latency = summarizeLatency(samples)
-			}
+		if samples := cellLatencies(key, rows, lats); len(samples) > 0 {
+			cq.Latency = summarizeLatency(samples)
 		}
 		q.Cells = append(q.Cells, cq)
 	}
@@ -268,6 +274,47 @@ func readResults(path string) (map[cellKey][]row, error) {
 		out[key] = rows
 	}
 	return out, nil
+}
+
+// injKey names one injection of one cell.
+type injKey struct {
+	cellKey
+	index int
+}
+
+// journalLatencies reads the detection latency each journaled result
+// carries, keyed by injection. A missing journal yields none.
+func journalLatencies(path string) (map[injKey]uint64, error) {
+	recs, err := campaign.ReadJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	out := map[injKey]uint64{}
+	for _, r := range recs {
+		if r.Kind == "result" && r.Result != nil && r.Result.DetectLatency != 0 {
+			out[injKey{cellKey{r.Bench, r.Scheme}, r.Index}] = r.Result.DetectLatency
+		}
+	}
+	return out, nil
+}
+
+// cellLatencies returns the journaled latencies of a cell's detected
+// rows, or nil when any detected row has none (a journal written
+// before latency was recorded): a partial sample would misstate the
+// percentiles.
+func cellLatencies(key cellKey, rows []row, lats map[injKey]uint64) []uint64 {
+	var out []uint64
+	for _, r := range rows {
+		if !r.detected {
+			continue
+		}
+		lat, ok := lats[injKey{key, r.index}]
+		if !ok {
+			return nil
+		}
+		out = append(out, lat)
+	}
+	return out
 }
 
 // confusion tallies scheme outcomes against baseline outcomes over the
@@ -358,10 +405,10 @@ func WriteDir(rdir string, q *Quality) (jsonPath, mdPath string, err error) {
 	}
 	jsonPath = filepath.Join(rdir, contract.QualityJSONName)
 	mdPath = filepath.Join(rdir, contract.QualityMDName)
-	if err := os.WriteFile(jsonPath, b, 0o644); err != nil {
+	if err := campaign.WriteFile(jsonPath, b); err != nil {
 		return "", "", err
 	}
-	if err := os.WriteFile(mdPath, []byte(Markdown(q)), 0o644); err != nil {
+	if err := campaign.WriteFile(mdPath, []byte(Markdown(q))); err != nil {
 		return "", "", err
 	}
 	return jsonPath, mdPath, nil

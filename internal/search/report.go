@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"faulthound/internal/buildinfo"
+	"faulthound/internal/campaign"
 )
 
 // SchemaVersion is the pareto artifact contract this package emits
@@ -148,7 +149,7 @@ func (r *Report) WriteArtifacts(dir string) error {
 		{JSONName, jb},
 		{ReportName, r.Markdown()},
 	} {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
+		if err := campaign.WriteFile(filepath.Join(dir, f.name), f.data); err != nil {
 			return err
 		}
 	}

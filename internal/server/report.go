@@ -7,25 +7,22 @@ import (
 	"sync"
 
 	"faulthound/internal/contract"
-	"faulthound/internal/fault"
-	"faulthound/internal/pipeline"
 	"faulthound/internal/report"
 )
 
 // reportMu single-flights sidecar generation: two concurrent report
-// requests for the same fresh bundle must not both replay it. The
-// critical section re-checks the cache, so losers serve the winner's
+// requests for the same fresh bundle must not both generate it. The
+// critical section re-checks the sidecar, so losers serve the winner's
 // files.
 var reportMu sync.Mutex
 
 // handleReport serves a completed job's detector-quality report
 // (docs/OBSERVABILITY.md "Quality reports"): quality.json by default,
 // quality.md with ?format=md. The report is a derived sidecar under
-// <bundle>/report/ — generated on first request (replaying detected
-// injections through the shared prepared cache for latencies) and
-// served from disk afterwards, exactly the files fhreport bundle
-// writes. 409 unless the job is a done campaign: the report is a pure
-// function of a complete campaign bundle.
+// <bundle>/report/ — generated from the bundle's files on first
+// request and served from disk afterwards, exactly the files fhreport
+// bundle writes. 409 unless the job is a done campaign: the report is
+// a pure function of a complete campaign bundle.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
@@ -47,7 +44,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	path := filepath.Join(j.dir, contract.ReportDirName, name)
 	if _, err := os.Stat(path); err != nil {
-		if err := s.generateReport(j); err != nil {
+		if err := generateReport(j.dir); err != nil {
 			writeError(w, http.StatusInternalServerError, "generating report: "+err.Error())
 			return
 		}
@@ -56,28 +53,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, path)
 }
 
-// generateReport writes a job bundle's report sidecar, sharing the
-// daemon's golden-preparation cache with the campaign engine.
-func (s *Server) generateReport(j *job) error {
+// generateReport writes a bundle's report sidecar unless both of its
+// files exist. report.WriteDir renames each file into place, so a file
+// that exists is whole.
+func generateReport(dir string) error {
 	reportMu.Lock()
 	defer reportMu.Unlock()
-	if _, err := os.Stat(filepath.Join(j.dir, contract.ReportDirName, contract.QualityJSONName)); err == nil {
+	rdir := filepath.Join(dir, contract.ReportDirName)
+	_, errJSON := os.Stat(filepath.Join(rdir, contract.QualityJSONName))
+	_, errMD := os.Stat(filepath.Join(rdir, contract.QualityMDName))
+	if errJSON == nil && errMD == nil {
 		return nil // lost the race; the winner's sidecar serves
 	}
-	// The job's own spec, not the manifest: the manifest's fault config
-	// drops the execution-strategy fields, so its PreparedKey would
-	// never match the golden state the engine left in the cache.
-	rep := &report.Replayer{
-		Factory: s.cfg.Factory,
-		Fault:   j.spec.Fault,
-		Prepare: func(bench, schemeSpec string, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
-			return s.prepared.Get(fault.PreparedKey{Bench: bench, Scheme: schemeSpec, Cfg: cfg}, mk)
-		},
-	}
-	q, err := report.Generate(j.dir, report.Options{Latency: rep})
+	q, err := report.Generate(dir, report.Options{})
 	if err != nil {
 		return err
 	}
-	_, _, err = report.WriteFiles(j.dir, q)
+	_, _, err = report.WriteFiles(dir, q)
 	return err
 }

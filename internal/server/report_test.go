@@ -17,8 +17,9 @@ import (
 // TestReportEndpoint covers the quality-report route end to end: 404
 // for unknown jobs, 200 with contract-valid quality.json for a
 // completed job, the markdown variant, and the on-disk sidecar cache
-// (the second request serves the first request's files). The first
-// request's latency replay must reuse the campaign's golden state.
+// (the second request serves the first request's files, and a missing
+// quality.md is rebuilt). The report reads the bundle's files only:
+// generating it must not touch the prepared cache.
 func TestReportEndpoint(t *testing.T) {
 	s, err := New(testConfig(t))
 	if err != nil {
@@ -58,9 +59,8 @@ func TestReportEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("report: got %d: %s", code, body)
 	}
-	// The latency replay reuses the golden state the campaign prepared.
-	if h, m := s.prepared.Stats(); m != misses || h == hits {
-		t.Errorf("report replay: prepared cache hits %d -> %d, misses %d -> %d; want a hit and no miss", hits, h, misses, m)
+	if h, m := s.prepared.Stats(); m != misses || h != hits {
+		t.Errorf("report: prepared cache hits %d -> %d, misses %d -> %d; want neither", hits, h, misses, m)
 	}
 	if err := contract.ValidateJSON(contract.KindQuality, body); err != nil {
 		t.Fatalf("served report violates its contract: %v", err)
@@ -87,5 +87,15 @@ func TestReportEndpoint(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(md), "# Detector Quality Report") {
 		t.Fatalf("markdown report does not render: %.80s", md)
+	}
+
+	// A sidecar missing quality.md (a deletion, or a crash between the
+	// two writes) is rebuilt, not answered with 404.
+	if err := os.Remove(filepath.Join(j.dir, contract.ReportDirName, contract.QualityMDName)); err != nil {
+		t.Fatal(err)
+	}
+	code, rebuilt := get(ts.URL + "/v1/jobs/" + j.id + "/report?format=md")
+	if code != http.StatusOK || string(rebuilt) != string(md) {
+		t.Fatalf("markdown report after deleting quality.md: code %d, bytes match %v", code, string(rebuilt) == string(md))
 	}
 }
