@@ -47,8 +47,11 @@ report:
 # committed quality report; the drift gate — reference-1k re-simulated
 # from its bare manifest must reproduce results.csv, summary.json and
 # the quality report byte for byte, and diff clean against the
-# committed bundle; and a validator self-test — a summary with a
-# renamed required field must fail validation (docs/CONTRACTS.md).
+# committed bundle; the one-worker order — the same re-simulation at
+# -workers 1 must reproduce the committed journal.jsonl too, which pins
+# that one worker runs the plan cell by cell; and a validator self-test
+# — a summary with a renamed required field must fail validation
+# (docs/CONTRACTS.md).
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
 		internal/server/testdata/spechash_golden.json \
@@ -68,6 +71,13 @@ gates:
 	cmp /tmp/fh-gate-repro/report/quality.json results/campaigns/reference-1k/report/quality.json
 	cmp /tmp/fh-gate-repro/report/quality.md results/campaigns/reference-1k/report/quality.md
 	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k /tmp/fh-gate-repro
+	rm -rf /tmp/fh-gate-w1 && mkdir -p /tmp/fh-gate-w1
+	cp results/campaigns/reference-1k/manifest.json /tmp/fh-gate-w1/
+	$(GO) run ./cmd/fhcampaign -resume /tmp/fh-gate-w1 -workers 1 >/tmp/fh-gate-w1.log 2>&1 || \
+		{ cat /tmp/fh-gate-w1.log; exit 1; }
+	cmp /tmp/fh-gate-w1/journal.jsonl results/campaigns/reference-1k/journal.jsonl
+	cmp /tmp/fh-gate-w1/results.csv results/campaigns/reference-1k/results.csv
+	cmp /tmp/fh-gate-w1/summary.json results/campaigns/reference-1k/summary.json
 	rm -rf /tmp/fh-gate-break && mkdir -p /tmp/fh-gate-break
 	cp results/campaigns/reference-1k/manifest.json results/campaigns/reference-1k/results.csv /tmp/fh-gate-break/
 	sed 's/"run_id"/"runid"/' results/campaigns/reference-1k/summary.json > /tmp/fh-gate-break/summary.json

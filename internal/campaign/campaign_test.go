@@ -7,15 +7,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
 	"faulthound/internal/harness"
 	"faulthound/internal/obs"
+	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 )
 
@@ -46,30 +50,105 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestWorkerCountInvariance is the determinism guarantee: the same spec
-// produces byte-identical results.csv and summary.json bundles whether
-// one worker or many execute it.
+// produces byte-identical results.csv and summary.json bundles whatever
+// the worker count. Four cells, so that at two and four workers cells
+// are prepared ahead of each other and finish out of plan order.
 func TestWorkerCountInvariance(t *testing.T) {
 	spec, o := testSpec(t, 24)
-	var bundles [][]byte
-	for _, workers := range []int{1, 4} {
+	spec.Benchmarks = []string{"bzip2", "mcf"}
+	var want []string
+	for _, workers := range []int{1, 2, 4} {
 		dir := filepath.Join(t.TempDir(), "run")
 		s := spec
 		s.Workers = workers
 		if _, err := runEngine(t, s, o, dir, false, nil); err != nil {
 			t.Fatal(err)
 		}
-		bundles = append(bundles, readFile(t, filepath.Join(dir, campaign.ResultsName)))
 		// summary.json must match too (aggregates of the same results).
-		bundles = append(bundles, readFile(t, filepath.Join(dir, campaign.SummaryName)))
+		files := []string{campaign.ResultsName, campaign.SummaryName}
+		for i, f := range files {
+			got := string(readFile(t, filepath.Join(dir, f)))
+			if workers == 1 {
+				if got == "" {
+					t.Fatalf("empty %s", f)
+				}
+				want = append(want, got)
+			} else if got != want[i] {
+				t.Fatalf("%s differs between -workers 1 and -workers %d", f, workers)
+			}
+		}
 	}
-	if string(bundles[0]) != string(bundles[2]) {
-		t.Fatal("results.csv differs between -workers 1 and -workers 4")
+}
+
+// TestPrepareAhead: a worker that would wait on another worker's
+// preparation prepares the next cell instead. Cell 0's preparation is
+// held until cell 1's has begun, which only the second worker, preparing
+// ahead, can start.
+func TestPrepareAhead(t *testing.T) {
+	spec, o := testSpec(t, 8)
+	spec.Benchmarks = []string{"bzip2", "mcf"}
+	spec.Workers = 2
+	cells := spec.Cells()
+	began := make(chan struct{})
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory(),
+		Prepare: func(c campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			switch c {
+			case cells[0]:
+				select {
+				case <-began:
+				case <-time.After(10 * time.Second):
+					return nil, fmt.Errorf("%s's preparation was held 10 s and %s's never began", cells[0], cells[1])
+				}
+			case cells[1]:
+				close(began)
+			}
+			return fault.Prepare(mk, cfg)
+		}}
+	if _, err := eng.Run(context.Background(), "", false); err != nil {
+		t.Fatal(err)
 	}
-	if string(bundles[1]) != string(bundles[3]) {
-		t.Fatal("summary.json differs between -workers 1 and -workers 4")
-	}
-	if len(bundles[0]) == 0 {
-		t.Fatal("empty results.csv")
+}
+
+// TestPreparedReleased: a cell's golden state is dropped after its last
+// injection, so a long campaign holds only the cells in flight. With
+// one worker, when cell k starts preparing, cells 0..k-2 must already
+// be collectable; cell k-1 may still back the worker's arena.
+func TestPreparedReleased(t *testing.T) {
+	spec, o := testSpec(t, 8)
+	spec.Benchmarks = []string{"bzip2", "mcf"}
+	spec.Workers = 1
+	collected := make([]atomic.Bool, len(spec.Cells()))
+	k := 0
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory(),
+		Prepare: func(_ campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			gone := func() int {
+				n := 0
+				for i := 0; i < k-1; i++ {
+					if collected[i].Load() {
+						n++
+					}
+				}
+				return n
+			}
+			// Finalizers run on their own goroutine after the collection
+			// that finds the object unreachable.
+			for deadline := time.Now().Add(2 * time.Second); k >= 2 && gone() < k-1 && time.Now().Before(deadline); {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if k >= 2 && gone() < k-1 {
+				return nil, fmt.Errorf("cell %d began preparing with %d of the first %d cells' golden state collected", k, gone(), k-1)
+			}
+			p, err := fault.Prepare(mk, cfg)
+			if err == nil {
+				i := k
+				runtime.SetFinalizer(p, func(*fault.Prepared) { collected[i].Store(true) })
+			}
+			k++
+			return p, err
+		}}
+	if _, err := eng.Run(context.Background(), "", false); err != nil {
+		t.Fatal(err)
 	}
 }
 

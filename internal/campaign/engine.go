@@ -263,82 +263,25 @@ func (e *Engine) finish(w *Work, dir string, resumed int, start time.Time) (*Out
 	return out, nil
 }
 
-// cellState is one cell's lazily-prepared golden run. Preparation
-// happens under once when the first worker picks a task of the cell;
-// after prepare returns, prepared is read-only and shared by every
-// worker (see fault.Prepared).
-type cellState struct {
-	once     sync.Once
-	prepared *fault.Prepared
-	err      error
-}
-
 // execLocal is the default executor: Spec.Workers goroutines, each
-// with its own fault.Worker, over the outstanding injections in
-// cell-major order — workers converge on one cell's injections while
-// the next cell's preparation overlaps with the current cell's tail.
+// with its own fault.Worker, drawing cells to prepare and injections
+// to run from one schedule. A worker that would wait on another's
+// preparation prepares the next cell itself, so preparations overlap
+// each other and the injections of cells already prepared.
 func (e *Engine) execLocal(ctx context.Context, w *Work) error {
-	type task struct{ cell, inj int }
-	var tasks []task
-	for _, r := range w.Ranges() {
-		for i := r.From; i < r.To; i++ {
-			tasks = append(tasks, task{r.Cell, i})
-		}
-	}
 	injs := fault.DrawInjections(w.Spec.Fault)
-	states := make([]cellState, len(w.Cells))
+	s := newSchedule(w)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
+	// A cancellation wakes workers waiting on a preparation.
+	defer context.AfterFunc(runCtx, func() { s.stop(nil) })()
 	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+		s.stop(err)
 		cancel()
 	}
 
-	// prepare runs a cell's golden phase exactly once and records its
-	// fault-free FP rate. The span lands on the track of whichever
-	// worker won the once — the one that actually paid the golden run.
-	prepare := func(ci int, sink obs.Sink) *cellState {
-		st := &states[ci]
-		st.once.Do(func() {
-			c := w.Cells[ci]
-			began := obs.Begin(sink, "prepare", c.String())
-			defer func() { obs.End(sink, "prepare", began, "") }()
-			mk, err := e.Factory(c.Bench, c.Scheme)
-			if err != nil {
-				st.err = fmt.Errorf("campaign: %s: %w", c, err)
-				return
-			}
-			prep := e.Prepare
-			if prep == nil {
-				prep = func(_ Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
-					return fault.Prepare(mk, cfg)
-				}
-			}
-			p, err := prep(c, mk, w.Spec.Fault)
-			if err != nil {
-				st.err = fmt.Errorf("campaign: %s: %w", c, err)
-				return
-			}
-			st.prepared = p
-			st.err = w.Prep(ci, p.FPRate())
-		})
-		return st
-	}
-
-	workers := w.Spec.WorkerCount()
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
-	taskCh := make(chan task)
+	workers := min(w.Spec.WorkerCount(), max(s.outstanding, 1))
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -350,17 +293,24 @@ func (e *Engine) execLocal(ctx context.Context, w *Work) error {
 			// switches (mismatched golden state just falls back to fresh
 			// allocation once).
 			fw := fault.NewWorker(wsink)
-			for t := range taskCh {
-				st := prepare(t.cell, wsink)
-				if st.err != nil {
-					fail(st.err)
+			for {
+				t, ok := s.next()
+				if !ok {
 					return
+				}
+				if t.p == nil {
+					p, err := e.prepareCell(w, t.cell, wsink)
+					if err != nil {
+						fail(err)
+					}
+					s.prepared(t.cell, p)
+					continue
 				}
 				// RunOne polls runCtx inside the faulty run, so a drain
 				// (SIGTERM) aborts promptly even mid-injection; the
 				// partial injection is simply not journaled.
 				began := obs.Begin(wsink, "injection", w.Cells[t.cell].String())
-				res, rerr := st.prepared.RunOne(runCtx, injs[t.inj], fw)
+				res, rerr := t.p.RunOne(runCtx, injs[t.inj], fw)
 				if rerr != nil {
 					obs.End(wsink, "injection", began, "cancelled")
 					return
@@ -370,19 +320,158 @@ func (e *Engine) execLocal(ctx context.Context, w *Work) error {
 					fail(err)
 					return
 				}
+				s.finished(t.cell)
 			}
 		}(wi)
 	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
 
-feed:
-	for _, t := range tasks {
-		select {
-		case taskCh <- t:
-		case <-runCtx.Done():
-			break feed
+// prepareCell runs cell ci's golden phase and records its fault-free
+// FP rate. The "prepare" span lands on sink, the track of the worker
+// that pays for the golden run.
+func (e *Engine) prepareCell(w *Work, ci int, sink obs.Sink) (*fault.Prepared, error) {
+	c := w.Cells[ci]
+	began := obs.Begin(sink, "prepare", c.String())
+	defer obs.End(sink, "prepare", began, "")
+	mk, err := e.Factory(c.Bench, c.Scheme)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", c, err)
+	}
+	prep := e.Prepare
+	if prep == nil {
+		prep = func(_ Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			return fault.Prepare(mk, cfg)
 		}
 	}
-	close(taskCh)
-	wg.Wait()
-	return firstErr
+	p, err := prep(c, mk, w.Spec.Fault)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", c, err)
+	}
+	if err := w.Prep(ci, p.FPRate()); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// schedule hands out execLocal's work under one lock. A worker asking
+// for work gets, in order of preference:
+//
+//  1. the next outstanding injection of the earliest prepared cell;
+//  2. the next unprepared cell with outstanding injections, to prepare
+//     outside the lock;
+//  3. a wait, while another worker's preparation is in flight;
+//
+// and otherwise nothing: the run is done. A preparation starts only
+// when no prepared work is left, so at most one per worker is in
+// flight and prepared cells never pile up ahead of the injections.
+// With one worker the order is the plan's: prepare a cell, run its
+// injections in index order, move to the next. A cell's Prepared is
+// dropped once its last injection completes, so its golden state can
+// be collected unless something else (a fault.PreparedCache) holds it.
+type schedule struct {
+	mu    sync.Mutex
+	wake  sync.Cond
+	cells []schedCell
+	// claimed counts the cells handed out for preparation, which go in
+	// plan order.
+	claimed     int
+	preparing   int
+	outstanding int
+	stopped     bool
+	err         error
+}
+
+// schedCell is one cell's share of a schedule.
+type schedCell struct {
+	todo  []int // outstanding injection indices, ascending
+	taken int   // todo[:taken] have been handed out
+	left  int   // outstanding injections not yet completed
+	p     *fault.Prepared
+}
+
+// task is a worker's unit of work: injection inj of cell on p, or, when
+// p is nil, the preparation of cell.
+type task struct {
+	cell, inj int
+	p         *fault.Prepared
+}
+
+func newSchedule(w *Work) *schedule {
+	s := &schedule{cells: make([]schedCell, len(w.Cells))}
+	s.wake.L = &s.mu
+	for _, r := range w.Ranges() {
+		c := &s.cells[r.Cell]
+		for i := r.From; i < r.To; i++ {
+			c.todo = append(c.todo, i)
+		}
+		c.left = len(c.todo)
+		s.outstanding += r.To - r.From
+	}
+	return s
+}
+
+// next blocks until it has a task for the calling worker; ok is false
+// when the run is done or stopped.
+func (s *schedule) next() (t task, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopped {
+		for ci := 0; ci < s.claimed; ci++ {
+			if c := &s.cells[ci]; c.p != nil && c.taken < len(c.todo) {
+				c.taken++
+				return task{cell: ci, inj: c.todo[c.taken-1], p: c.p}, true
+			}
+		}
+		for s.claimed < len(s.cells) && len(s.cells[s.claimed].todo) == 0 {
+			s.claimed++
+		}
+		if s.claimed < len(s.cells) {
+			s.claimed++
+			s.preparing++
+			return task{cell: s.claimed - 1}, true
+		}
+		if s.preparing == 0 {
+			break
+		}
+		s.wake.Wait()
+	}
+	return task{}, false
+}
+
+// prepared installs cell's preparation (nil when it failed) and wakes
+// the workers waiting for it.
+func (s *schedule) prepared(cell int, p *fault.Prepared) {
+	s.mu.Lock()
+	s.cells[cell].p = p
+	s.preparing--
+	s.mu.Unlock()
+	s.wake.Broadcast()
+}
+
+// finished records a completed injection of cell, dropping the cell's
+// Prepared after its last.
+func (s *schedule) finished(cell int) {
+	s.mu.Lock()
+	c := &s.cells[cell]
+	c.left--
+	if c.left == 0 {
+		c.p = nil
+	}
+	s.mu.Unlock()
+}
+
+// stop ends the run: next hands out nothing more, and every waiting
+// worker wakes. The first non-nil err is the run's error.
+func (s *schedule) stop(err error) {
+	s.mu.Lock()
+	s.stopped = true
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
+	s.wake.Broadcast()
 }

@@ -1,12 +1,13 @@
 //go:build !race
 
-// The race detector changes allocation counts, so these checks build
-// only without it.
+// The race detector changes allocation counts and heap sizes, so these
+// checks build only without it.
 
 package fault
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"faulthound/internal/core"
@@ -55,4 +56,45 @@ func TestRunOneAllocs(t *testing.T) {
 	if n > 22 {
 		t.Errorf("RunOne allocates %.1f times per injection, want <= 22", n)
 	}
+}
+
+// TestPreparedRetainedHeap: Prepare freezes each golden checkpoint to
+// its difference from the spread-start golden core, so the checkpoint
+// ring costs a fraction of the golden state instead of seven deep
+// copies of it. The heap a Prepared retains with checkpoints every 64
+// cycles must stay within twice what it retains with none (with deep
+// copies it was 3.4x on bzip2 and 5.4x on mcf).
+func TestPreparedRetainedHeap(t *testing.T) {
+	fh := core.DefaultConfig()
+	for _, bench := range []string{"bzip2", "mcf"} {
+		mk := mkCore(t, bench, &fh)
+		retained := func(ckpt uint64) int64 {
+			cfg := smallConfig()
+			cfg.CheckpointCycles = ckpt
+			before := liveHeap()
+			p, err := Prepare(mk, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := liveHeap() - before
+			runtime.KeepAlive(p)
+			return n
+		}
+		flat, ring := retained(0), retained(64)
+		t.Logf("%s: retained %d bytes without checkpoints, %d with", bench, flat, ring)
+		if ring > 2*flat {
+			t.Errorf("%s: a Prepared with checkpoints retains %d bytes, %.2fx the %d without; want <= 2x",
+				bench, ring, float64(ring)/float64(flat), flat)
+		}
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -269,8 +269,11 @@ type Prepared struct {
 	// injection offset, checkpoint index, and digest index is relative
 	// to.
 	baseCycle uint64
-	// ckpts[j] is a deep clone of the golden trace at baseCycle +
-	// (j+1)*cfg.CheckpointCycles; empty when forking is off.
+	// ckpts[j] is the golden trace at baseCycle +
+	// (j+1)*cfg.CheckpointCycles, frozen against golden: it keeps only
+	// the L2 lines that differ from golden's (SetCloneBaseline) and the
+	// memory words the trace wrote, over golden's image (Clone of the
+	// trace snapshot). Empty when forking is off.
 	ckpts []*pipeline.Core
 	// digestEvery is the golden-digest cadence in cycles (0 when
 	// EarlyExit is off); digests[i] is the golden trace's state at
@@ -330,10 +333,15 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	// Record, at every commit count the faulty runs can target, the
 	// golden architectural hash and the golden detector counters (the
 	// false-positive background against which fault-attributable
-	// activity is measured). The trace runs on a throwaway clone so the
-	// shared golden core itself is never stepped — and therefore never
-	// mutated — after this function returns.
-	gold := golden.Clone()
+	// activity is measured). The trace runs on a throwaway snapshot —
+	// a deep copy whose data memory is an overlay over golden's — so
+	// the shared golden core itself is never stepped, and therefore
+	// never mutated, after this function returns. From here on golden
+	// is a frozen fork origin and the baseline every checkpoint is
+	// stored against, so a worker's per-run hierarchy restore rewrites
+	// only the L2 lines its last window touched (mem.Cache.SetBaseline).
+	gold := golden.Snapshot(pipeline.NewSnapshotArena())
+	golden.SetCloneBaseline(golden)
 	p := &Prepared{
 		cfg:        cfg,
 		injs:       DrawInjections(cfg),
@@ -376,8 +384,8 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	// step advances the golden trace one cycle and records the
 	// reconvergence bookkeeping at end-of-cycle boundaries: a digest
 	// every digestCadence cycles, an endRec per retired instruction,
-	// and a deep checkpoint every CheckpointCycles cycles inside the
-	// injection spread.
+	// and a checkpoint every CheckpointCycles cycles inside the
+	// injection spread, frozen at once to its difference from golden.
 	step := func() {
 		gold.Step()
 		off := gold.Cycle() - p.baseCycle
@@ -399,7 +407,9 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 		}
 		pendingCommits = pendingCommits[:0]
 		if n := cfg.CheckpointCycles; n != 0 && off%n == 0 && off+1 <= cfg.SpreadCycles {
-			p.ckpts = append(p.ckpts, gold.Clone())
+			ck := gold.Clone()
+			ck.SetCloneBaseline(golden)
+			p.ckpts = append(p.ckpts, ck)
 		}
 	}
 	ds0 := gold.DetectorStats()
@@ -418,14 +428,6 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	ds := gold.DetectorStats()
 	if commits := gold.Committed(0) - commits0; commits > 0 {
 		p.fpRate = float64(actions(ds)-actions(ds0)) / float64(commits)
-	}
-	// Every fork origin is frozen from here on; anchor them all to the
-	// spread-start snapshot so a worker's per-run hierarchy restore
-	// rewrites only the L2 lines its last window touched instead of the
-	// whole tag store (mem.Cache.SetBaseline).
-	p.golden.SetCloneBaseline(p.golden)
-	for _, ck := range p.ckpts {
-		ck.SetCloneBaseline(p.golden)
 	}
 	return p, nil
 }

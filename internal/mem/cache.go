@@ -21,15 +21,24 @@ type Cache struct {
 
 	// Delta-clone support (SetBaseline). base is a frozen cache every
 	// fork origin shares; delta lists the lines where this (frozen)
-	// cache differs from base; journal lists the lines mutated since
-	// the last CloneInto restore. A restore from an origin sharing the
-	// same base then touches |journal|+|delta| lines instead of the
-	// whole tag store — for the L2 that is a few hundred lines versus
-	// half a megabyte. nil base disables all of it.
+	// cache differs from base and lines holds their contents; journal
+	// lists the lines mutated since the last CloneInto restore. A
+	// restore from an origin sharing the same base then touches
+	// |journal|+|delta| lines instead of the whole tag store — for the
+	// L2 that is a few hundred lines versus half a megabyte. A frozen
+	// cache other than its own base keeps only delta and lines: its
+	// tags, valid and age are nil. nil base disables all of it.
 	base    *Cache
 	delta   []int32
+	lines   []cacheLine
 	journal []int32
 	jovf    bool // journal overflowed; next CloneInto copies in full
+}
+
+// cacheLine is one line's state, as a frozen cache keeps its delta.
+type cacheLine struct {
+	tag, age uint64
+	valid    bool
 }
 
 // maxCacheJournal caps the mutation journal: a window that touches more
@@ -119,35 +128,39 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(n)
 }
 
-// Clone returns an independent copy of the cache state. The copy opts
-// out of the delta-clone machinery: it shares no baseline and journals
-// nothing.
+// Clone returns an independent copy of the cache state; a frozen
+// delta is materialized over its base. The copy opts out of the
+// delta-clone machinery: it shares no baseline and journals nothing.
 func (c *Cache) Clone() *Cache {
-	d := *c
-	d.tags = append([]uint64(nil), c.tags...)
-	d.valid = append([]bool(nil), c.valid...)
-	d.age = append([]uint64(nil), c.age...)
-	d.base, d.delta, d.journal, d.jovf = nil, nil, nil, false
-	return &d
+	d := &Cache{}
+	c.CloneInto(d)
+	d.base, d.journal = nil, nil
+	return d
 }
 
 // SetBaseline freezes c and registers base as its delta-clone anchor:
 // CloneInto from c can then restore a destination that shares the same
 // anchor by rewriting only the destination's journaled mutations and
-// c's precomputed divergence from the anchor. base must outlive c
-// unmodified; c itself must not be accessed after this call.
+// c's precomputed divergence from the anchor. Unless c is base itself,
+// c keeps only that divergence and drops its own tag store. base must
+// hold a full tag store and outlive c unmodified; c itself must not be
+// accessed after this call.
 func (c *Cache) SetBaseline(base *Cache) {
 	if len(c.tags) != len(base.tags) {
 		return
 	}
 	c.base = base
-	c.delta = c.delta[:0]
+	c.delta, c.lines = c.delta[:0], c.lines[:0]
 	for i := range c.tags {
 		if c.tags[i] != base.tags[i] || c.valid[i] != base.valid[i] || c.age[i] != base.age[i] {
 			c.delta = append(c.delta, int32(i))
+			c.lines = append(c.lines, cacheLine{c.tags[i], c.age[i], c.valid[i]})
 		}
 	}
 	c.journal, c.jovf = nil, false
+	if c != base {
+		c.tags, c.valid, c.age = nil, nil, nil
+	}
 }
 
 // CloneInto overwrites d with a deep copy of c, reusing d's tag arrays
@@ -155,33 +168,47 @@ func (c *Cache) SetBaseline(base *Cache) {
 // over half a megabyte of tag state, so reuse matters). When c carries
 // a baseline (SetBaseline) and d was last restored from an origin with
 // the same baseline, only the lines d mutated since plus c's divergence
-// from the baseline are rewritten — the flat copy is the fallback.
+// from the baseline are rewritten. Otherwise d gets a flat copy: of
+// c's tag store, or of the baseline's with c's divergence written over
+// it.
 func (c *Cache) CloneInto(d *Cache) {
-	if b := c.base; b != nil && d.base == b && !d.jovf && len(d.tags) == len(c.tags) {
+	if b := c.base; b != nil && d.base == b && !d.jovf && len(d.tags) == len(b.tags) {
 		for _, i := range d.journal {
 			d.tags[i], d.valid[i], d.age[i] = b.tags[i], b.valid[i], b.age[i]
 		}
-		for _, i := range c.delta {
-			d.tags[i], d.valid[i], d.age[i] = c.tags[i], c.valid[i], c.age[i]
-		}
+		c.applyDelta(d)
 		d.name, d.sets, d.ways, d.lineBits = c.name, c.sets, c.ways, c.lineBits
 		d.stamp, d.Hits, d.Misses = c.stamp, c.Hits, c.Misses
-		d.delta = nil
+		d.delta, d.lines = nil, nil
 		d.journal = append(d.journal[:0], c.delta...)
 		return
 	}
+	src := c
+	if c.tags == nil {
+		src = c.base
+	}
 	tags, valid, age, journal := d.tags, d.valid, d.age, d.journal
 	*d = *c
-	d.tags = append(tags[:0], c.tags...)
-	d.valid = append(valid[:0], c.valid...)
-	d.age = append(age[:0], c.age...)
-	// A flat copy leaves d byte-equal to c, so d's divergence from the
+	d.tags = append(tags[:0], src.tags...)
+	d.valid = append(valid[:0], src.valid...)
+	d.age = append(age[:0], src.age...)
+	c.applyDelta(d)
+	// A flat copy leaves d equal to c, so d's divergence from the
 	// baseline is exactly c's own delta.
-	d.delta = nil
+	d.delta, d.lines = nil, nil
 	d.journal = journal[:0]
 	d.jovf = false
 	if c.base != nil {
 		d.journal = append(d.journal, c.delta...)
+	}
+}
+
+// applyDelta writes c's divergence from its baseline into d's tag
+// store.
+func (c *Cache) applyDelta(d *Cache) {
+	for k, i := range c.delta {
+		l := &c.lines[k]
+		d.tags[i], d.valid[i], d.age[i] = l.tag, l.valid, l.age
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"faulthound/internal/stats"
 )
 
 func TestMemoryReadWrite(t *testing.T) {
@@ -398,5 +400,119 @@ func TestOverlayEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneLayer: a golden checkpoint is CloneLayer of a trace that
+// runs on an overlay over the golden image. Over words the trace
+// overwrote, added and zeroed, the checkpoint keeps only the trace's
+// own words over the shared base, equals the flat clone with the same
+// hash however the trace moves on, and an overlay over it reads as one
+// over the flat clone does. A root memory's CloneLayer is a full copy.
+func TestCloneLayer(t *testing.T) {
+	const lo, size = 0x1000, 0x200
+	base := NewMemory(lo, size, map[uint64]uint64{0x1000: 1, 0x1008: 2, 0x1010: 3})
+	trace := base.Overlay()
+	trace.Write(0x1000, 10) // overwritten
+	trace.Write(0x1100, 11) // new
+	trace.Write(0x1008, 0)  // zeroed
+	ck, flat := trace.CloneLayer(), trace.Clone()
+	if ck.parent != base || len(ck.words) != 3 {
+		t.Fatalf("checkpoint holds %d words over %p, want the trace's 3 over the base %p", len(ck.words), ck.parent, base)
+	}
+	trace.Write(0x1000, 99)
+	trace.Write(0x1010, 0)
+	if !ck.Equal(flat) || !flat.Equal(ck) || ck.Hash() != flat.Hash() {
+		t.Fatal("checkpoint differs from the flat clone")
+	}
+	a, b := ck.Overlay(), flat.Overlay()
+	for _, w := range []struct{ a, v uint64 }{{0x1000, 5}, {0x1008, 6}, {0x1010, 0}, {0x1180, 7}} {
+		a.Write(w.a, w.v)
+		b.Write(w.a, w.v)
+	}
+	for addr := uint64(lo); addr < lo+size; addr += 8 {
+		va, _ := a.Read(addr)
+		vb, _ := b.Read(addr)
+		if va != vb {
+			t.Fatalf("overlays read %#x = %d over the checkpoint, %d over the flat clone", addr, va, vb)
+		}
+	}
+	if a.Hash() != b.Hash() {
+		t.Fatal("overlays over the checkpoint and the flat clone hash differently")
+	}
+	if r := base.CloneLayer(); r.parent != nil || !r.Equal(base) || r.Hash() != base.Hash() {
+		t.Fatal("CloneLayer of a root memory is not a full copy")
+	}
+}
+
+// TestFrozenCacheRestore: a cache frozen against a base (SetBaseline)
+// keeps only its difference from the base, yet restores line for line
+// what its unfrozen copy holds, on every CloneInto path: into a fresh
+// cache (flat: the base with the delta written over it), into a
+// destination last restored from an origin with the same base (its
+// journal undone, the delta applied), again after that destination
+// ran, when switching between two origins, and after the journal
+// overflowed. Clone materializes the same.
+func TestFrozenCacheRestore(t *testing.T) {
+	rng := stats.NewRNG(7)
+	access := func(c *Cache, n int) {
+		for i := 0; i < n; i++ {
+			c.Access(rng.Uint64n(1<<18) &^ 63)
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		base := NewCache("l2", 64<<10, 4, 64) // 1024 lines
+		access(base, 3000)
+		base.SetBaseline(base)
+		if base.tags == nil {
+			t.Fatal("a self-baselined cache dropped its tag store")
+		}
+		// freeze returns an origin diverged from base and frozen
+		// against it, with an unfrozen copy of it.
+		freeze := func() (frozen, want *Cache) {
+			frozen = base.Clone()
+			access(frozen, rng.Intn(2000))
+			want = frozen.Clone()
+			frozen.SetBaseline(base)
+			if frozen.tags != nil || frozen.valid != nil || frozen.age != nil {
+				t.Fatal("a frozen cache kept its tag store")
+			}
+			return frozen, want
+		}
+		a, wantA := freeze()
+		b, wantB := freeze()
+		check := func(path string, got, want *Cache) {
+			t.Helper()
+			if got.stamp != want.stamp || got.Hits != want.Hits || got.Misses != want.Misses {
+				t.Fatalf("trial %d, %s: counters differ", trial, path)
+			}
+			for i := range want.tags {
+				if got.tags[i] != want.tags[i] || got.valid[i] != want.valid[i] || got.age[i] != want.age[i] {
+					t.Fatalf("trial %d, %s: line %d differs from the unfrozen copy", trial, path, i)
+				}
+			}
+		}
+
+		d := &Cache{}
+		a.CloneInto(d)
+		check("fresh", d, wantA)
+		b.CloneInto(d)
+		check("switch", d, wantB)
+		access(d, rng.Intn(2000))
+		b.CloneInto(d)
+		check("rerun", d, wantB)
+		a.CloneInto(d)
+		check("switch back", d, wantA)
+
+		access(d, maxCacheJournal+1)
+		if !d.jovf {
+			t.Fatal("journal did not overflow")
+		}
+		b.CloneInto(d)
+		check("overflow", d, wantB)
+		a.CloneInto(d)
+		check("after overflow", d, wantA)
+
+		check("Clone", a.Clone(), wantA)
 	}
 }

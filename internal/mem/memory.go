@@ -4,7 +4,10 @@
 // access counts only; architectural data lives in Memory.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Memory is the flat architectural data memory: a single mapped segment
 // of 64-bit words. Accesses outside the segment or unaligned accesses
@@ -110,6 +113,21 @@ func (m *Memory) Clone() *Memory {
 	w := make(map[uint64]uint64, m.Footprint())
 	m.flattenInto(w)
 	return &Memory{base: m.base, size: m.size, words: w, hash: m.hash}
+}
+
+// CloneLayer returns an independent copy of m that shares m's parent:
+// an overlay's copy holds its own copy of the overlay's dirty words
+// over the same parent, so it relies on that parent staying unwritten
+// exactly as m does. A root memory is copied in full (Clone). The
+// fault runner takes its golden checkpoints this way off a trace that
+// runs on an overlay over the frozen golden image, so a checkpoint
+// keeps only the words the trace wrote since the spread start, never a
+// copy of the whole image.
+func (m *Memory) CloneLayer() *Memory {
+	if m.parent == nil {
+		return m.Clone()
+	}
+	return &Memory{base: m.base, size: m.size, words: maps.Clone(m.words), hash: m.hash, parent: m.parent}
 }
 
 // flattenInto writes the chain's effective contents into w, oldest

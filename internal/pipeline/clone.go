@@ -8,11 +8,13 @@ import (
 )
 
 // Clone returns an independent deep copy of the core, preserving uop
-// identity across all internal queues. The tandem fault-injection
-// runner clones a warmed-up core once per injection instead of
-// replaying the warmup.
+// identity across all internal queues. A core whose data memory is a
+// copy-on-write overlay (a Snapshot) copies only the overlay's dirty
+// words and shares its frozen parent image (mem.Memory.CloneLayer):
+// the fault runner's golden checkpoints are Clones of a trace that
+// runs on a Snapshot of the golden core.
 func (c *Core) Clone() *Core {
-	return c.cloneWith(c.memory.Clone(), nil)
+	return c.cloneWith(c.memory.CloneLayer(), nil)
 }
 
 // CloneWithMemory is Clone with the data memory supplied by the caller
@@ -51,7 +53,9 @@ func NewSnapshotArena() *SnapshotArena { return &SnapshotArena{} }
 // delta-clone anchor for c's (mem.Hierarchy.SetBaseline): an arena
 // snapshot restored from c then rewrites only the L2 lines touched
 // since the destination's last restore instead of the full tag store.
-// Both cores must be frozen fork origins that are never stepped again.
+// With c != base, c's L2 also drops what it shares with base and keeps
+// only the lines that differ (mem.Cache.SetBaseline). Both cores must
+// be frozen fork origins that are never stepped again.
 func (c *Core) SetCloneBaseline(base *Core) { c.hier.SetBaseline(base.hier) }
 
 // cloneSeg records where one thread's ROB and fetch queue landed in the
