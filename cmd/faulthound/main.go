@@ -30,8 +30,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to also write per-table CSV files into")
 		jsonDir    = flag.String("json", "", "directory to also write per-table JSON files into")
 		injections = flag.Int("injections", 0, "override fault injections per campaign")
-		ckptCycles = flag.Uint64("checkpoint-cycles", harness.DefaultOptions().Fault.CheckpointCycles, "golden checkpoint interval in cycles for injection forking (0 disables)")
-		earlyExit  = flag.Bool("early-exit", harness.DefaultOptions().Fault.EarlyExit, "classify masked injections at provable reconvergence instead of simulating the full window")
 		replicates = flag.Int("replicates", 0, "repeat fault campaigns with distinct seeds and average")
 		commits    = flag.Uint64("commits", 0, "override per-thread commit budget of timing runs")
 		seed       = flag.Uint64("seed", 0, "override experiment seed")
@@ -49,8 +47,6 @@ func main() {
 	if *injections > 0 {
 		opts.Fault.Injections = *injections
 	}
-	opts.Fault.CheckpointCycles = *ckptCycles
-	opts.Fault.EarlyExit = *earlyExit
 	if *replicates > 0 {
 		opts.Replicates = *replicates
 	}

@@ -70,8 +70,6 @@ func main() {
 		retries    = flag.Int("retries", 4, "with -addr: retry transient daemon failures (connection resets, 5xx, 429) this many times with jittered exponential backoff")
 		traceDir   = flag.String("trace-dir", "", "write a Perfetto trace.json of the run's injection lifecycle into this directory")
 		quick      = flag.Bool("quick", false, "scaled-down fault config for smoke testing")
-		ckptCycles = flag.Uint64("checkpoint-cycles", fault.DefaultConfig().CheckpointCycles, "golden checkpoint interval in cycles for injection forking (0 disables)")
-		earlyExit  = flag.Bool("early-exit", fault.DefaultConfig().EarlyExit, "classify masked injections at provable reconvergence instead of simulating the full window")
 		verbose    = flag.Bool("v", false, "per-cell progress lines")
 
 		// Pareto search (docs/OPTIMIZE.md).
@@ -155,12 +153,6 @@ func main() {
 			dir = filepath.Join("results", "campaigns", spec.RunID)
 		}
 	}
-	// Execution-strategy knobs apply to fresh and resumed runs alike:
-	// they are excluded from the manifest (results don't depend on
-	// them), so a resume takes them from the flags, not the bundle.
-	spec.Fault.CheckpointCycles = *ckptCycles
-	spec.Fault.EarlyExit = *earlyExit
-
 	// Ctrl-C cancels cleanly: the journal keeps every completed
 	// injection and the run resumes with -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

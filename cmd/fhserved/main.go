@@ -27,8 +27,10 @@
 // Cluster modes (docs/CLUSTER.md): -coordinator accepts the same API
 // but shards each campaign's injections across joined workers, merging
 // the streamed results into a bundle byte-identical to a single-node
-// run; -join <addr> turns the daemon into a worker that registers with
-// a coordinator and executes leased descriptor ranges (while still
+// run; it routes leases by one fixed rule that keeps each worker to the
+// cells it already holds (docs/CLUSTER.md, "Lease routing"). -join
+// <addr> turns the daemon into a worker that registers with a
+// coordinator and executes leased descriptor ranges (while still
 // serving its own front door):
 //
 //	fhserved -coordinator -addr :8418 -data results/coord
@@ -78,7 +80,6 @@ func main() {
 		coordinator = flag.Bool("coordinator", false, "shard submitted campaigns across joined workers instead of running them locally")
 		join        = flag.String("join", "", "worker mode: register with the coordinator at this address and execute leased ranges")
 		advertise   = flag.String("advertise", "", "worker mode: base URL the coordinator dials back (default: derived from -addr)")
-		route       = flag.String("route", "round-robin", "coordinator routing policy: "+strings.Join(cluster.PolicyNames(), ", "))
 		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: re-lease a range after this much stream silence")
 		rangeSize   = flag.Int("range-size", cluster.DefaultRangeSize, "coordinator: max injection descriptors per lease")
 		slots       = flag.Int("slots", 2, "worker mode: shard leases executed concurrently")
@@ -106,8 +107,7 @@ func main() {
 		opts = harness.QuickOptions()
 	}
 	// One prepared-golden-state cache serves both the front door and
-	// leased shards, so a cell warmed by either path is warm for both —
-	// the locality the cache-aware routing policy advertises upstream.
+	// leased shards, so a cell warmed by either path is warm for both.
 	cache := fault.NewPreparedCache()
 	cfg := server.Config{
 		Root:          *data,
@@ -131,14 +131,9 @@ func main() {
 	)
 	switch {
 	case *coordinator:
-		pol, err := cluster.PolicyByName(*route)
-		if err != nil {
-			fatal("bad -route", "err", err)
-		}
 		reg := cluster.NewRegistry(nil)
 		coord = &cluster.Coordinator{
 			Registry:  reg,
-			Policy:    pol,
 			LeaseTTL:  *leaseTTL,
 			RangeSize: *rangeSize,
 			Log:       log,
@@ -147,7 +142,7 @@ func main() {
 		cfg.Runner = coord.RunCampaign
 		cfg.Ready = func() (bool, map[string]any) {
 			n := reg.AliveCount()
-			return n > 0, map[string]any{"workers_alive": n, "route": pol.Name()}
+			return n > 0, map[string]any{"workers_alive": n}
 		}
 	case *join != "":
 		coordURL := baseURL(*join)
@@ -183,17 +178,8 @@ func main() {
 		mux.Handle("/", handler)
 		mux.Handle("/v1/cluster/", coord.Handler())
 		handler = mux
-		log.Info("coordinator mode", "route", *route, "lease_ttl", *leaseTTL, "range_size", *rangeSize)
+		log.Info("coordinator mode", "lease_ttl", *leaseTTL, "range_size", *rangeSize)
 	case worker != nil:
-		worker.QueueDepth = func() int {
-			n := 0
-			for _, st := range s.Jobs() {
-				if st.State == server.StateQueued {
-					n++
-				}
-			}
-			return n
-		}
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
 		mux.Handle("/v1/cluster/", worker.Handler())

@@ -131,7 +131,7 @@ func (s Spec) validate() error {
 	if s.Fault.Injections <= 0 {
 		return fmt.Errorf("campaign: spec has no injections")
 	}
-	return nil
+	return s.Fault.Validate()
 }
 
 // equivalent reports whether two specs describe the same campaign for
@@ -147,14 +147,7 @@ func (s Spec) equivalent(o Spec) bool {
 			return false
 		}
 	}
-	// Execution-strategy knobs (checkpoint forking, reconvergence
-	// early-exit) don't change a campaign's results, are excluded from
-	// manifest JSON, and — like Workers — may differ between the
-	// original run and a resume.
-	sf, of := s.Fault, o.Fault
-	sf.CheckpointCycles, of.CheckpointCycles = 0, 0
-	sf.EarlyExit, of.EarlyExit = false, false
-	return sf == of
+	return s.Fault == o.Fault
 }
 
 // CoreFactory builds the deterministic core constructor for one cell.

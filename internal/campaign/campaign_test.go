@@ -374,7 +374,7 @@ func TestResumeTruncatedJournal(t *testing.T) {
 		Factory: o.CampaignFactory(),
 		Warnf:   func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) },
 	}
-	out, err := eng2.Resume(context.Background(), dir)
+	out, err := eng2.Run(context.Background(), dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,32 +105,6 @@ type Outcome struct {
 	Dir string
 }
 
-// Resume continues an interrupted campaign from dir: it loads the
-// manifest's spec into the engine (preserving a non-zero
-// e.Spec.Workers override — a resume may use a different pool size)
-// and replays the journal before executing the remainder. The
-// campaign-serving daemon and the cluster coordinator resume their
-// jobs through it; cmd/fhcampaign loads the manifest itself and calls
-// Run.
-func (e *Engine) Resume(ctx context.Context, dir string) (*Outcome, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	workers := e.Spec.Workers
-	// Execution-strategy knobs are JSON-excluded (zero in the manifest)
-	// and, like Workers, belong to this run rather than the campaign:
-	// keep the caller's settings.
-	ckpt, early := e.Spec.Fault.CheckpointCycles, e.Spec.Fault.EarlyExit
-	e.Spec = man.Spec
-	if workers != 0 {
-		e.Spec.Workers = workers
-	}
-	e.Spec.Fault.CheckpointCycles = ckpt
-	e.Spec.Fault.EarlyExit = early
-	return e.Run(ctx, dir, true)
-}
-
 // Run executes the campaign. With dir != "", the run journals into and
 // writes its artifact bundle under dir; with resume true, dir must hold
 // a prior run's manifest and journal, whose completed injections are

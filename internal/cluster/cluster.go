@@ -11,7 +11,7 @@
 // The protocol is three HTTP endpoints layered on the existing daemon:
 //
 //	POST /v1/cluster/register   worker announces itself (idempotent)
-//	POST /v1/cluster/heartbeat  periodic worker status (load, warm cells)
+//	POST /v1/cluster/heartbeat  periodic worker status
 //	GET  /v1/cluster/workers    registry snapshot (ops/debug)
 //
 // on the coordinator, plus one on each worker:
@@ -28,10 +28,11 @@
 // surviving worker (duplicate records from re-lease races are
 // idempotent — deterministic execution makes them byte-equal).
 //
-// Routing is a pluggable Policy: round-robin, least-loaded (from the
-// worker-reported inflight/queue depth), or cache-aware (prefer a
-// worker whose fault.PreparedCache already holds the cell's golden
-// state, reported as warm cells in heartbeats).
+// Routing is one rule, kept on the coordinator's own record of what it
+// leased to whom: a free worker slot gets the next range of a cell that
+// worker already holds, failing that a range of a cell no worker holds,
+// failing that the first pending range. Each worker prepares the cells
+// it holds once, and keeps them warm in its fault.PreparedCache.
 package cluster
 
 import (
@@ -70,7 +71,7 @@ func (r ShardRequest) Validate() error {
 	if r.From < 0 || r.To <= r.From || r.To > r.Fault.Injections {
 		return fmt.Errorf("cluster: shard range [%d,%d) out of bounds for %d injections", r.From, r.To, r.Fault.Injections)
 	}
-	return nil
+	return r.Fault.Validate()
 }
 
 // Stream record kinds. "prep" and "result" carry campaign journal
@@ -102,8 +103,8 @@ type StreamRecord struct {
 }
 
 // WorkerStatus is what a worker reports at registration and in every
-// heartbeat: identity, capacity, current load, and which cells its
-// prepared-golden-state cache already holds.
+// heartbeat: identity, capacity, the shards it is executing, and its
+// prepared-golden-state cache tallies.
 type WorkerStatus struct {
 	// ID is the worker's stable identity — its advertised base URL,
 	// which is also where the coordinator dials shards.
@@ -114,17 +115,8 @@ type WorkerStatus struct {
 	Slots int `json:"slots"`
 	// Inflight is the number of shards executing right now.
 	Inflight int `json:"inflight"`
-	// QueueDepth is the worker daemon's own pending-job count (a
-	// worker also serves its normal front door).
-	QueueDepth int `json:"queue_depth"`
-	// WarmCells lists "bench/scheme" cells whose golden preparation is
-	// cached (fault.PreparedCache.Keys), for locality-aware routing.
-	WarmCells []string `json:"warm_cells,omitempty"`
 	// CacheHits and CacheMisses are the prepared cache's cumulative
 	// tallies.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 }
-
-// CellKey renders the "bench/scheme" form WarmCells uses.
-func CellKey(bench, scheme string) string { return bench + "/" + scheme }

@@ -56,7 +56,9 @@ func readBundleFiles(t *testing.T, dir string) (results, summary []byte) {
 // merged bundle's results.csv and summary.json must be byte-identical
 // to the committed single-node bundle. Its quality report must equal
 // the committed one up to provenance, which shows the detection
-// latencies cross the shard stream, the merge and the re-lease.
+// latencies cross the shard stream, the merge and the re-lease. The
+// shards rebuild the fault config from JSON, and must still fork from
+// golden checkpoints and exit early at reconvergence.
 func TestShardedReference1kByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reference campaign; skipped with -short")
@@ -79,7 +81,7 @@ func TestShardedReference1kByteIdentical(t *testing.T) {
 	register(reg, w1, "w1", ts1.URL)
 	register(reg, w2, "w2", ts2.URL)
 
-	coord := &Coordinator{Registry: reg, Policy: &RoundRobin{}, RangeSize: 32}
+	coord := &Coordinator{Registry: reg, RangeSize: 32}
 	coord.RegisterMetrics(metrics.NewRegistry())
 
 	// Kill w1 (connection reset, no goodbye) once a tenth of the
@@ -146,6 +148,66 @@ func TestShardedReference1kByteIdentical(t *testing.T) {
 	wantQ, _ := campaign.MarshalJSON(&want)
 	if !bytes.Equal(gotQ, wantQ) {
 		t.Errorf("sharded quality report differs from the committed one:\n--- got ---\n%s\n--- want ---\n%s", gotQ, wantQ)
+	}
+
+	var pf fault.Perf
+	for _, w := range []*Worker{w1, w2} {
+		for _, k := range w.Cache.Keys() {
+			p, err := w.Cache.Get(k, nil) // present: Get returns the cached entry
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := p.Perf()
+			pf.Runs += got.Runs
+			pf.EarlyExits += got.EarlyExits
+			pf.ForkCyclesSaved += got.ForkCyclesSaved
+		}
+	}
+	if pf.EarlyExits == 0 || pf.ForkCyclesSaved == 0 {
+		t.Errorf("the workers' %d runs took %d early exits and saved %d fork cycles, want both > 0",
+			pf.Runs, pf.EarlyExits, pf.ForkCyclesSaved)
+	}
+}
+
+// TestLeaseAffinity: in a clean two-worker run of four cells, each
+// cell split into several leases, a worker keeps to the cells it
+// already holds, so the two workers together prepare fewer than twice
+// per cell. Routing every lease to the next free worker regardless of
+// cell prepared every cell on both.
+func TestLeaseAffinity(t *testing.T) {
+	opts := harness.QuickOptions()
+	spec := campaign.Spec{
+		RunID:      "affinity",
+		Benchmarks: []string{"bzip2", "mcf"},
+		Schemes:    []string{"faulthound"},
+		Fault:      opts.Fault,
+	}
+	spec.Fault.Injections = 40
+	cells := len(spec.Cells())
+
+	reg := NewRegistry(nil)
+	reg.ExpireAfter = time.Hour
+	var workers []*Worker
+	for _, id := range []string{"w1", "w2"} {
+		w := newTestWorker(t, opts, 1)
+		ts := httptest.NewServer(w.Handler())
+		defer ts.Close()
+		register(reg, w, id, ts.URL)
+		workers = append(workers, w)
+	}
+	coord := &Coordinator{Registry: reg, RangeSize: 8}
+	coord.RegisterMetrics(metrics.NewRegistry())
+	eng := &campaign.Engine{Spec: spec, Factory: opts.CampaignFactory()}
+	if _, err := coord.RunCampaign(context.Background(), eng, t.TempDir(), false); err != nil {
+		t.Fatal(err)
+	}
+	var misses uint64
+	for _, w := range workers {
+		_, m := w.Cache.Stats()
+		misses += m
+	}
+	if misses >= uint64(2*cells) {
+		t.Errorf("two workers prepared %d times for %d cells, want fewer than %d", misses, cells, 2*cells)
 	}
 }
 
@@ -375,10 +437,14 @@ func TestWorkerShardStream(t *testing.T) {
 		t.Fatalf("result indices %v, want %v", indices, want)
 	}
 
-	// Out-of-range and nameless shards are rejected before any work.
+	// Out-of-range, nameless and zero-spread shards are rejected before
+	// any work; a zero spread used to panic the worker's preparation.
+	noSpread := cfg
+	noSpread.SpreadCycles = 0
 	for _, bad := range []ShardRequest{
 		{LeaseID: "t", Bench: "bzip2", Scheme: "faulthound", From: 5, To: 99, Fault: cfg},
 		{LeaseID: "t", From: 0, To: 1, Fault: cfg},
+		{LeaseID: "t", Bench: "bzip2", Scheme: "faulthound", From: 0, To: 1, Fault: noSpread},
 	} {
 		bb, _ := json.Marshal(bad)
 		resp, err := http.Post(ts.URL+"/v1/cluster/run", "application/json", bytes.NewReader(bb))
@@ -443,49 +509,47 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// TestPolicies checks each routing policy against a fabricated fleet.
-func TestPolicies(t *testing.T) {
+// TestLeaseRule checks the lease rule on a fabricated fleet: a free
+// slot gets the next lease of a cell its worker holds, then the next
+// lease of a cell no worker holds, then the first pending lease; a
+// dead or full worker gets none.
+func TestLeaseRule(t *testing.T) {
 	cands := []Candidate{
-		{Status: WorkerStatus{ID: "a", Slots: 2, Inflight: 1}, Alive: true},                                        // load 1
-		{Status: WorkerStatus{ID: "b", Slots: 2}, Alive: true, Leases: 2},                                          // full
-		{Status: WorkerStatus{ID: "c", Slots: 2, QueueDepth: 3}, Alive: true},                                      // load 3
-		{Status: WorkerStatus{ID: "d", Slots: 2, WarmCells: []string{"mcf/faulthound"}, Inflight: 2}, Alive: true}, // load 2, warm
-		{Status: WorkerStatus{ID: "e", Slots: 4}, Alive: false},                                                    // dead
+		{Status: WorkerStatus{ID: "a", Slots: 2}, Alive: true},
+		{Status: WorkerStatus{ID: "b", Slots: 2}, Alive: true, Leases: 2}, // full
+		{Status: WorkerStatus{ID: "c", Slots: 1}, Alive: true},
+		{Status: WorkerStatus{ID: "d", Slots: 4}, Alive: false}, // dead
 	}
-
-	rr := &RoundRobin{}
-	var seq []string
-	for i := 0; i < 6; i++ {
-		seq = append(seq, cands[rr.Pick(cands, "x")].Status.ID)
+	var pending []*lease
+	for i, cell := range []int{0, 0, 1, 1, 2, 2} {
+		pending = append(pending, &lease{cell: cell, from: i})
 	}
-	want := []string{"a", "c", "d", "a", "c", "d"}
-	if fmt.Sprint(seq) != fmt.Sprint(want) {
-		t.Fatalf("round-robin sequence %v, want %v (b full, e dead)", seq, want)
-	}
-
-	if got := cands[LeastLoaded{}.Pick(cands, "x")].Status.ID; got != "a" {
-		t.Fatalf("least-loaded picked %s, want a", got)
-	}
-
-	if got := cands[CacheAware{}.Pick(cands, "mcf/faulthound")].Status.ID; got != "d" {
-		t.Fatalf("cache-aware picked %s for a warm cell, want d", got)
-	}
-	if got := cands[CacheAware{}.Pick(cands, "bzip2/faulthound")].Status.ID; got != "a" {
-		t.Fatalf("cache-aware picked %s for a cold cell, want least-loaded a", got)
-	}
-
-	if (LeastLoaded{}).Pick([]Candidate{{Status: WorkerStatus{ID: "z"}, Alive: false}}, "x") != -1 {
-		t.Fatal("policy picked a dead worker")
-	}
-
-	for _, name := range PolicyNames() {
-		p, err := PolicyByName(name)
-		if err != nil || p.Name() != name {
-			t.Fatalf("PolicyByName(%q) = %v, %v", name, p, err)
+	h := holdings{{"b": true}, {"a": true}, nil} // b holds cell 0, a cell 1
+	grants := func(round string, want string) {
+		t.Helper()
+		var gs []grant
+		gs, pending = h.assign(cands, pending)
+		var got []string
+		for _, g := range gs {
+			got = append(got, fmt.Sprintf("%s:%d@%d", g.w.ID, g.l.cell, g.l.from))
+		}
+		if s := strings.Join(got, " "); s != want {
+			t.Fatalf("%s granted %q, want %q", round, s, want)
 		}
 	}
-	if _, err := PolicyByName("bogus"); err == nil {
-		t.Fatal("unknown policy name accepted")
+
+	// a takes both leases of cell 1, which it holds. c holds nothing
+	// and takes cell 2, which no worker holds, over cell 0, which the
+	// full worker b holds.
+	grants("first round", "a:1@2 a:1@3 c:2@4")
+
+	// One lease each of a and c finished. a holds no pending cell and
+	// every cell is held, so it takes the first pending lease; c takes
+	// its own cell 2 over the first pending lease.
+	cands[0].Leases = 1
+	grants("second round", "a:0@0 c:2@5")
+	if len(pending) != 1 || pending[0].from != 1 {
+		t.Fatalf("pending after two rounds: %d leases, want only cell 0's at 1", len(pending))
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 type Coordinator struct {
 	// Registry tracks the worker fleet. Required.
 	Registry *Registry
-	// Policy routes ranges to workers; nil means round-robin.
-	Policy Policy
+	// Deprecated: inert. Every lease is routed by one rule (see
+	// dispatch); nothing reads this field.
+	Policy any
 	// LeaseTTL is the maximum stream silence before a lease is
 	// declared stalled and re-leased (workers ping every second during
 	// golden preparation). Zero means DefaultLeaseTTL.
@@ -55,6 +56,12 @@ type Coordinator struct {
 	mMerged  *metrics.Value
 	mMerge   *metrics.Histogram
 }
+
+// RoundRobin is an inert stand-in for the routing policy that
+// Coordinator.Policy used to select.
+//
+// Deprecated: every lease is routed by one rule (see dispatch).
+type RoundRobin struct{}
 
 // Defaults for Coordinator knobs.
 const (
@@ -82,13 +89,6 @@ func (c *Coordinator) maxAttempts() int {
 		return c.MaxAttempts
 	}
 	return DefaultMaxAttempts
-}
-
-func (c *Coordinator) policy() Policy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	return &RoundRobin{}
 }
 
 func (c *Coordinator) client() *http.Client {
@@ -210,15 +210,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, eng *campaign.Engine, dir
 		defer func() { lastLease = time.Now() }()
 		return c.dispatch(ctx, work)
 	}
-	var (
-		out *campaign.Outcome
-		err error
-	)
-	if resume {
-		out, err = eng.Resume(ctx, dir)
-	} else {
-		out, err = eng.Run(ctx, dir, false)
-	}
+	out, err := eng.Run(ctx, dir, resume)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +222,8 @@ func (c *Coordinator) RunCampaign(ctx context.Context, eng *campaign.Engine, dir
 
 // dispatch is the engine's executor: it runs the lease scheduler until
 // every outstanding injection of work is merged or the context/attempt
-// budget ends.
+// budget ends. Free worker slots get leases by the rule holdings.assign
+// implements.
 func (c *Coordinator) dispatch(ctx context.Context, work *campaign.Work) error {
 	// Split the outstanding runs of each cell into contiguous leases of
 	// at most RangeSize descriptors, cell-major — the order the local
@@ -257,25 +250,18 @@ func (c *Coordinator) dispatch(ctx context.Context, work *campaign.Work) error {
 		}
 	}
 
+	held := make(holdings, len(work.Cells))
 	for (len(pending) > 0 || active > 0) && firstErr == nil {
 		// Grant as many leases as the fleet can take right now.
-		granted := true
-		for granted && len(pending) > 0 {
-			granted = false
-			cands := c.Registry.Snapshot()
-			l := pending[0]
-			cell := work.Cells[l.cell]
-			if i := c.policy().Pick(cands, CellKey(cell.Bench, cell.Scheme.String())); i >= 0 {
-				pending = pending[1:]
-				w := cands[i].Status
-				c.Registry.AddLeases(w.ID, 1)
-				if c.mLeases != nil {
-					c.mLeases.Inc()
-				}
-				active++
-				granted = true
-				go c.runLease(dctx, work, l, w, resCh)
+		var grants []grant
+		grants, pending = held.assign(c.Registry.Snapshot(), pending)
+		for _, g := range grants {
+			c.Registry.AddLeases(g.w.ID, 1)
+			if c.mLeases != nil {
+				c.mLeases.Inc()
 			}
+			active++
+			go c.runLease(dctx, work, g.l, g.w, resCh)
 		}
 
 		if active == 0 {
@@ -323,7 +309,7 @@ func (c *Coordinator) dispatch(ctx context.Context, work *campaign.Work) error {
 			cell := work.Cells[rest.cell]
 			if rest.attempts >= c.maxAttempts() {
 				fail(fmt.Errorf("cluster: range %s[%d,%d) failed %d times, last: %w",
-					CellKey(cell.Bench, cell.Scheme.String()), rest.from, rest.to, rest.attempts, r.err))
+					cell, rest.from, rest.to, rest.attempts, r.err))
 				continue
 			}
 			c.log().Warn("re-leasing range", "cell", cell.String(),
@@ -341,6 +327,69 @@ func (c *Coordinator) dispatch(ctx context.Context, work *campaign.Work) error {
 		active--
 	}
 	return firstErr
+}
+
+// holdings is the coordinator's record, for one run, of which workers
+// it has leased each cell to. A worker prepares a cell on its first
+// lease of it and keeps the preparation in its fault.PreparedCache, so
+// the record says where each cell's golden state is warm, exactly and
+// with no reporting delay.
+type holdings []map[string]bool
+
+// grant is one lease handed to one worker.
+type grant struct {
+	l *lease
+	w WorkerStatus
+}
+
+// assign gives every free slot of every alive worker in cands (the
+// registry snapshot, in ID order) a pending lease, chosen in this
+// order:
+//
+//  1. the next pending lease of a cell already leased to that worker;
+//  2. otherwise, the next lease of a cell no worker holds;
+//  3. otherwise, the first pending lease.
+//
+// A worker thus prepares each cell it holds once, and only at the tail
+// of a run does an idle worker take a cell someone else holds. It
+// returns the grants and the leases still pending.
+func (h holdings) assign(cands []Candidate, pending []*lease) ([]grant, []*lease) {
+	var grants []grant
+	for _, cand := range cands {
+		if !cand.Alive {
+			continue
+		}
+		id := cand.Status.ID
+		for free := cand.Free(); free > 0 && len(pending) > 0; free-- {
+			i := h.pick(id, pending)
+			l := pending[i]
+			pending = append(pending[:i], pending[i+1:]...)
+			if h[l.cell] == nil {
+				h[l.cell] = make(map[string]bool)
+			}
+			h[l.cell][id] = true
+			grants = append(grants, grant{l, cand.Status})
+		}
+	}
+	return grants, pending
+}
+
+// pick returns the index in pending of the lease assign gives worker
+// id.
+func (h holdings) pick(id string, pending []*lease) int {
+	unheld := -1
+	for i, l := range pending {
+		if h[l.cell][id] {
+			return i
+		}
+		if unheld < 0 && len(h[l.cell]) == 0 {
+			unheld = i
+		}
+	}
+	if unheld < 0 {
+		return 0
+	}
+	return unheld
 }
 
 // runLease executes one lease against one worker: POST the shard,

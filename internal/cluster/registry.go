@@ -116,8 +116,8 @@ func (r *Registry) AddLeases(id string, d int) {
 	}
 }
 
-// Candidate is a scheduling view of one worker, passed to routing
-// policies.
+// Candidate is a scheduling view of one worker, as the lease rule
+// sees it.
 type Candidate struct {
 	Status WorkerStatus
 	// Alive is true when the worker heartbeated within the expiry
@@ -137,25 +137,8 @@ func (c Candidate) Free() int {
 	return slots - c.Leases
 }
 
-// Load is the least-loaded ordering key: ranges the coordinator has
-// leased here plus the worker's own reported inflight shards and
-// queued front-door jobs.
-func (c Candidate) Load() int {
-	return c.Leases + c.Status.Inflight + c.Status.QueueDepth
-}
-
-// Warm reports whether the worker's prepared cache holds the cell.
-func (c Candidate) Warm(cell string) bool {
-	for _, w := range c.Status.WarmCells {
-		if w == cell {
-			return true
-		}
-	}
-	return false
-}
-
 // Snapshot lists every registered worker as a candidate, sorted by ID
-// for deterministic policy input.
+// so the lease rule walks the fleet in a fixed order.
 func (r *Registry) Snapshot() []Candidate {
 	r.mu.Lock()
 	defer r.mu.Unlock()

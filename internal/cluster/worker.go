@@ -19,7 +19,7 @@ import (
 // Worker executes shard leases on behalf of a coordinator. It shares
 // the daemon's fault.PreparedCache, so a cell prepared for one lease
 // (or for a direct front-door job) is warm for every later lease of
-// the same cell — the locality the cache-aware routing policy exploits.
+// the same cell — the locality the coordinator's lease rule keeps to.
 type Worker struct {
 	// Factory resolves cells to core constructors (the daemon's
 	// campaign factory).
@@ -28,9 +28,6 @@ type Worker struct {
 	Cache *fault.PreparedCache
 	// Slots is the advertised concurrent shard capacity (<= 0 means 1).
 	Slots int
-	// QueueDepth reports the daemon's own pending-job count for
-	// heartbeats; nil means 0.
-	QueueDepth func() int
 	// Log receives operational logs; nil discards them.
 	Log *slog.Logger
 
@@ -51,21 +48,15 @@ func (w *Worker) Status(id, addr string) WorkerStatus {
 	if slots <= 0 {
 		slots = 1
 	}
-	st := WorkerStatus{
-		ID:       id,
-		Addr:     addr,
-		Slots:    slots,
-		Inflight: int(w.inflight.Load()),
-	}
-	if w.QueueDepth != nil {
-		st.QueueDepth = w.QueueDepth()
-	}
 	hits, misses := w.Cache.Stats()
-	st.CacheHits, st.CacheMisses = hits, misses
-	for _, k := range w.Cache.Keys() {
-		st.WarmCells = append(st.WarmCells, CellKey(k.Bench, k.Scheme))
+	return WorkerStatus{
+		ID:          id,
+		Addr:        addr,
+		Slots:       slots,
+		Inflight:    int(w.inflight.Load()),
+		CacheHits:   hits,
+		CacheMisses: misses,
 	}
-	return st
 }
 
 // Joined reports whether the last registration/heartbeat round trip
@@ -88,13 +79,8 @@ func (w *Worker) Handler() http.Handler {
 // via the request context (fault.(*Prepared).RunOne polls it
 // mid-injection).
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		http.Error(rw, "bad shard request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := req.Validate(); err != nil {
+	req, err := decodeShard(http.MaxBytesReader(rw, r.Body, 1<<20))
+	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -107,7 +93,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	log := w.log().With("lease", req.LeaseID, "cell", CellKey(req.Bench, req.Scheme), "from", req.From, "to", req.To)
+	log := w.log().With("lease", req.LeaseID, "cell", req.Bench+"/"+req.Scheme, "from", req.From, "to", req.To)
 	log.Debug("shard starting")
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")
@@ -185,6 +171,15 @@ wait:
 	}
 	send(StreamRecord{Kind: KindDone})
 	log.Debug("shard done")
+}
+
+// decodeShard reads a POST /v1/cluster/run body and validates it.
+func decodeShard(body io.Reader) (ShardRequest, error) {
+	var req ShardRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, fmt.Errorf("bad shard request: %w", err)
+	}
+	return req, req.Validate()
 }
 
 // Joiner maintains a worker's membership in a coordinator's registry:

@@ -69,10 +69,8 @@ func TestPreparedRetainedHeap(t *testing.T) {
 	for _, bench := range []string{"bzip2", "mcf"} {
 		mk := mkCore(t, bench, &fh)
 		retained := func(ckpt uint64) int64 {
-			cfg := smallConfig()
-			cfg.CheckpointCycles = ckpt
 			before := liveHeap()
-			p, err := Prepare(mk, cfg)
+			p, err := prepare(mk, smallConfig(), ckpt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +78,7 @@ func TestPreparedRetainedHeap(t *testing.T) {
 			runtime.KeepAlive(p)
 			return n
 		}
-		flat, ring := retained(0), retained(64)
+		flat, ring := retained(0), retained(checkpointCadence)
 		t.Logf("%s: retained %d bytes without checkpoints, %d with", bench, flat, ring)
 		if ring > 2*flat {
 			t.Errorf("%s: a Prepared with checkpoints retains %d bytes, %.2fx the %d without; want <= 2x",

@@ -82,9 +82,8 @@ func (c *PreparedCache) Stats() (hits, misses uint64) {
 }
 
 // Keys lists the cached preparation keys, sorted by bench then scheme
-// (map order would not be deterministic). Cluster workers report them
-// in their heartbeat status so a locality-aware coordinator can route
-// a cell's shards to a worker whose golden state is already warm.
+// (map order would not be deterministic), so a caller can reach every
+// cached Prepared, for instance to sum their Perf counters.
 func (c *PreparedCache) Keys() []PreparedKey {
 	c.mu.Lock()
 	out := make([]PreparedKey, 0, len(c.m))

@@ -111,23 +111,21 @@ type Config struct {
 	// injection descriptor streams across schemes, pairing campaigns.
 	Seed uint64
 
-	// CheckpointCycles snapshots the golden trace every this-many
-	// cycles during Prepare; each faulty run then forks from the
-	// nearest checkpoint at or before its injection cycle instead of
-	// fast-forwarding from the spread-window start. 0 disables
-	// checkpoint forking. Results are bit-identical for every setting —
-	// only the fork distance (and Prepare's memory footprint) changes.
-	//
-	// Execution-strategy knob, not a campaign parameter: excluded from
-	// JSON so spec hashes, manifests, and journals are unaffected.
+	// Deprecated: inert. Prepare always checkpoints the golden trace
+	// every 64 cycles; nothing reads this field.
 	CheckpointCycles uint64 `json:"-"`
-	// EarlyExit enables reconvergence early-exit (divergence-bounded
-	// replay): a faulty run is classified Masked as soon as its state
-	// provably reconverges with the recorded golden trace, without
-	// simulating the rest of the window. Bit-identical to the full run
-	// by construction (see pipeline.StateDigest). Same JSON exclusion
-	// as CheckpointCycles.
+	// Deprecated: inert. RunOne always exits at provable reconvergence
+	// with the golden trace; nothing reads this field.
 	EarlyExit bool `json:"-"`
+}
+
+// Validate rejects a configuration DrawInjections cannot draw from: an
+// empty injection spread.
+func (c Config) Validate() error {
+	if c.SpreadCycles == 0 {
+		return fmt.Errorf("fault: SpreadCycles is 0: injections need a spread window of at least one cycle")
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's parameters with a scaled-down
@@ -144,8 +142,6 @@ func DefaultConfig() Config {
 		DetectorWarmupInstr: 1_000_000,
 		MaxCyclesPerRun:     60000,
 		Seed:                0xfa17,
-		CheckpointCycles:    64,
-		EarlyExit:           true,
 	}
 }
 
@@ -246,12 +242,12 @@ func (c *Campaign) Classification() (masked, noisy, sdc int) {
 
 // Prepared is a fault campaign after golden-run preparation: the
 // warmed golden core, the golden architectural-hash trace, the
-// detector's false-positive background, and (when enabled) the
-// golden-checkpoint ring and reconvergence digests. Every field except
-// the atomic perf counters is read-only after Prepare returns, so any
-// number of goroutines may call RunOne concurrently — each injection
-// snapshots the shared golden core into its Worker's arena and mutates
-// only that snapshot.
+// detector's false-positive background, the golden-checkpoint ring and
+// the reconvergence digests. Every field except the atomic perf
+// counters is read-only after Prepare returns, so any number of
+// goroutines may call RunOne concurrently — each injection snapshots
+// the shared golden core into its Worker's arena and mutates only that
+// snapshot.
 type Prepared struct {
 	cfg    Config
 	injs   []Injection
@@ -269,15 +265,16 @@ type Prepared struct {
 	// injection offset, checkpoint index, and digest index is relative
 	// to.
 	baseCycle uint64
-	// ckpts[j] is the golden trace at baseCycle +
-	// (j+1)*cfg.CheckpointCycles, frozen against golden: it keeps only
-	// the L2 lines that differ from golden's (SetCloneBaseline) and the
-	// memory words the trace wrote, over golden's image (Clone of the
-	// trace snapshot). Empty when forking is off.
-	ckpts []*pipeline.Core
-	// digestEvery is the golden-digest cadence in cycles (0 when
-	// EarlyExit is off); digests[i] is the golden trace's state at
-	// baseCycle + i*digestEvery.
+	// ckpts[j] is the golden trace at baseCycle + (j+1)*ckptEvery,
+	// frozen against golden: it keeps only the L2 lines that differ from
+	// golden's (SetCloneBaseline) and the memory words the trace wrote,
+	// over golden's image (Clone of the trace snapshot). Empty when
+	// ckptEvery is 0.
+	ckptEvery uint64
+	ckpts     []*pipeline.Core
+	// digestEvery is the golden-digest cadence in cycles (0 without
+	// early exit); digests[i] is the golden trace's state at baseCycle +
+	// i*digestEvery.
 	digestEvery uint64
 	digests     []digestRec
 	// endRecs maps a thread-0 commit count to the golden trace's state
@@ -314,12 +311,32 @@ type endRec struct {
 // post-reconvergence overshoot to 15 cycles.
 const digestCadence = 16
 
+// checkpointCadence is how many cycles apart Prepare checkpoints the
+// golden trace inside the injection spread. A faulty run forks from
+// the nearest checkpoint at or before its injection cycle, so it
+// fast-forwards at most checkpointCadence-1 cycles. Each checkpoint is
+// frozen to its difference from golden, so the ring at most doubles a
+// Prepared's retained heap (TestPreparedRetainedHeap).
+const checkpointCadence = 64
+
 // Prepare performs the golden-run phase of a campaign: detector
 // fast-forward, pipeline warmup, and the golden hash/background trace
-// over the injection spread plus run window. mk must build a fresh,
+// over the injection spread plus run window, with a golden checkpoint
+// every checkpointCadence cycles of the spread and a reconvergence
+// digest every digestCadence cycles. mk must build a fresh,
 // deterministic core (program + detector). The returned Prepared is
 // immutable and safe for concurrent RunOne calls.
 func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
+	return prepare(mk, cfg, checkpointCadence, true)
+}
+
+// prepare is Prepare with the replay acceleration spelled out: a
+// golden checkpoint every ckptEvery cycles (0: none, so every run
+// fast-forwards from the spread start) and, with early, the digests
+// reconvergence early exit matches against. Results do not depend on
+// either; the tests prepare without them for the reference the
+// accelerated runs must reproduce bit for bit.
+func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool) (*Prepared, error) {
 	golden := mk()
 	golden.WarmDetector(cfg.DetectorWarmupInstr)
 	golden.Run(cfg.WarmupCycles)
@@ -349,6 +366,7 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 		hashes:     make(map[uint64]uint64),
 		background: make(map[uint64]detect.Stats),
 		baseCycle:  golden.Cycle(),
+		ckptEvery:  ckptEvery,
 	}
 	hashes, background := p.hashes, p.background
 	// pendingCommits collects the thread-0 commit counts retired inside
@@ -372,7 +390,7 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	if d := golden.Detector(); d != nil {
 		background[golden.Committed(0)] = d.Stats()
 	}
-	if cfg.EarlyExit {
+	if early {
 		p.digestEvery = digestCadence
 		p.endRecs = make(map[uint64]endRec)
 		p.digests = append(p.digests, digestRec{
@@ -384,8 +402,8 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 	// step advances the golden trace one cycle and records the
 	// reconvergence bookkeeping at end-of-cycle boundaries: a digest
 	// every digestCadence cycles, an endRec per retired instruction,
-	// and a checkpoint every CheckpointCycles cycles inside the
-	// injection spread, frozen at once to its difference from golden.
+	// and a checkpoint every ckptEvery cycles inside the injection
+	// spread, frozen at once to its difference from golden.
 	step := func() {
 		gold.Step()
 		off := gold.Cycle() - p.baseCycle
@@ -406,7 +424,7 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 			}
 		}
 		pendingCommits = pendingCommits[:0]
-		if n := cfg.CheckpointCycles; n != 0 && off%n == 0 && off+1 <= cfg.SpreadCycles {
+		if n := ckptEvery; n != 0 && off%n == 0 && off+1 <= cfg.SpreadCycles {
 			ck := gold.Clone()
 			ck.SetCloneBaseline(golden)
 			p.ckpts = append(p.ckpts, ck)
@@ -567,12 +585,12 @@ func (t *actionTracer) Trace(ev pipeline.TraceEvent) {
 
 // RunOne executes one injection on w: it forks a faulty core off the
 // golden trace into w's arena (from the nearest checkpoint at or before
-// the injection cycle when forking is on), advances to the injection
-// cycle, flips the bit, runs the window, and classifies — exiting the
-// window early when the faulty state provably reconverges with the
-// recorded golden trace. Every Prepared field it reads is immutable and
-// the fork is w's private state, so any number of goroutines may call
-// RunOne on one Prepared concurrently, each with its own Worker.
+// the injection cycle), advances to the injection cycle, flips the bit,
+// runs the window, and classifies — exiting the window early when the
+// faulty state provably reconverges with the recorded golden trace.
+// Every Prepared field it reads is immutable and the fork is w's
+// private state, so any number of goroutines may call RunOne on one
+// Prepared concurrently, each with its own Worker.
 //
 // The run polls ctx every cancelPollSteps simulated cycles and aborts
 // mid-injection with ctx.Err() instead of running out the window (or
@@ -583,12 +601,12 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 
 	// Fork from the nearest golden checkpoint at or before the
 	// injection cycle: the fast-forward shrinks from O(CycleOffset) to
-	// O(CycleOffset mod CheckpointCycles). The checkpoint is a
-	// deterministic clone of the same trace the spread-start snapshot
-	// would have stepped through, so the forked run is bit-identical.
+	// O(CycleOffset mod ckptEvery). The checkpoint is a deterministic
+	// clone of the same trace the spread-start snapshot would have
+	// stepped through, so the forked run is bit-identical.
 	origin := p.golden
 	forkOff := uint64(0)
-	if n := cfg.CheckpointCycles; n != 0 {
+	if n := p.ckptEvery; n != 0 {
 		if j := inj.CycleOffset / n; j > 0 && len(p.ckpts) > 0 {
 			if j > uint64(len(p.ckpts)) {
 				j = uint64(len(p.ckpts))

@@ -4,24 +4,27 @@ import (
 	"testing"
 
 	"faulthound/internal/core"
+	"faulthound/internal/pipeline"
 )
 
-// legacyConfig is smallConfig with the replay-acceleration knobs off:
-// every run fast-forwards from the spread start and simulates its full
-// window — the path whose results the accelerated paths must reproduce
-// bit for bit.
-func legacyConfig() Config {
-	cfg := smallConfig()
-	cfg.CheckpointCycles = 0
-	cfg.EarlyExit = false
-	return cfg
+// prepareLegacy prepares without replay acceleration: every run
+// fast-forwards from the spread start and simulates its full window —
+// the path whose results the accelerated paths must reproduce bit for
+// bit.
+func prepareLegacy(t *testing.T, mk func() *pipeline.Core, cfg Config) *Prepared {
+	t.Helper()
+	p, err := prepare(mk, cfg, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
-// TestCheckpointForkEquivalence sweeps CheckpointCycles × EarlyExit and
-// asserts every Result — outcome, hang flag, detection flag, and all
-// five background-subtracted detector counters — is bit-identical to
-// the legacy path's, for both a FaultHound cell and a detector-less
-// baseline cell.
+// TestCheckpointForkEquivalence sweeps the checkpoint cadence × early
+// exit and asserts every Result — outcome, hang flag, detection flag,
+// and all five background-subtracted detector counters — is
+// bit-identical to the legacy path's, for both a FaultHound cell and a
+// detector-less baseline cell.
 func TestCheckpointForkEquivalence(t *testing.T) {
 	cells := []struct {
 		name string
@@ -36,21 +39,15 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
 			mk := mkCore(t, "bzip2", cell.fh)
-			ref, err := Prepare(mk, legacyConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := runAll(t, ref, false)
+			cfg := smallConfig()
+			want := runAll(t, prepareLegacy(t, mk, cfg), false)
 
 			for _, ckpt := range []uint64{0, 64, 256, 1024} {
 				for _, early := range []bool{false, true} {
 					if ckpt == 0 && !early {
 						continue // the reference itself
 					}
-					cfg := legacyConfig()
-					cfg.CheckpointCycles = ckpt
-					cfg.EarlyExit = early
-					p, err := Prepare(mk, cfg)
+					p, err := prepare(mk, cfg, ckpt, early)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -61,14 +58,14 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						}
 					}
 					pf := p.Perf()
-					// Any acceleration passes, except at the production
-					// setting ckpt=64 with early exit: there the floors are
+					// Any acceleration passes, except at Prepare's own
+					// setting, ckpt=64 with early exit: there the floors are
 					// half of today's counts, so halving either fails.
 					// Forking saves 17792/20269 = 0.878 of the fast-forward
 					// cycles on both cells.
 					var minEarly uint64
 					var minSaved float64
-					if ckpt == 64 && early {
+					if ckpt == checkpointCadence && early {
 						minEarly, minSaved = cell.minEarly, 0.44
 					}
 					// ckpt=1024 exceeds the 500-cycle spread, so no
@@ -88,22 +85,19 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestForkingArenaParallel drives the checkpoint-forked, early-exiting
-// path from 4 goroutines, each with its own Worker (consecutive forks
-// rebasing the worker's arena across different checkpoint origins),
-// and asserts bit-identity with the serial legacy run. The CI race job
-// runs this under -race, pinning that checkpoint cores and golden
-// digests are safely shared read-only.
+// TestForkingArenaParallel drives Prepare's checkpoint-forked,
+// early-exiting path from 4 goroutines, each with its own Worker
+// (consecutive forks rebasing the worker's arena across different
+// checkpoint origins), and asserts bit-identity with the serial legacy
+// run. The CI race job runs this under -race, pinning that checkpoint
+// cores and golden digests are safely shared read-only.
 func TestForkingArenaParallel(t *testing.T) {
 	fh := core.DefaultConfig()
 	mk := mkCore(t, "ocean", &fh)
 
-	want := runCampaign(t, mk, legacyConfig()).Results
+	want := runAll(t, prepareLegacy(t, mk, smallConfig()), true)
 
-	cfg := legacyConfig()
-	cfg.CheckpointCycles = 64
-	cfg.EarlyExit = true
-	p, err := Prepare(mk, cfg)
+	p, err := Prepare(mk, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

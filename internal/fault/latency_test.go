@@ -31,17 +31,14 @@ func obsLatency(evs []obs.Event) (lat uint64, ok bool) {
 }
 
 // TestDetectLatency pins Result.DetectLatency to the obs stream of the
-// same run, on FaultHound cells with checkpoint forking and early exit
-// on: every detected run carries its inject-to-detect cycle delta (at
+// same run, on FaultHound cells, which Prepare always checkpoints for
+// forking and early exit: every detected run carries its inject-to-detect cycle delta (at
 // least 1), and every undetected run carries 0. smallConfig's 80
 // injections detect only a handful of faults, so the cells run 250.
 func TestDetectLatency(t *testing.T) {
 	fh := core.DefaultConfig()
 	cfg := smallConfig()
 	cfg.Injections = 250
-	if cfg.CheckpointCycles == 0 || !cfg.EarlyExit {
-		t.Fatal("smallConfig no longer forks and early-exits")
-	}
 	for _, bench := range []string{"bzip2", "mcf"} {
 		t.Run(bench, func(t *testing.T) {
 			p, err := Prepare(mkCore(t, bench, &fh), cfg)

@@ -577,10 +577,7 @@ func (s *Server) runCampaign(j *job) error {
 	run := s.cfg.Runner
 	if run == nil {
 		run = func(ctx context.Context, eng *campaign.Engine, dir string, resume bool) (*campaign.Outcome, error) {
-			if resume {
-				return eng.Resume(ctx, dir)
-			}
-			return eng.Run(ctx, dir, false)
+			return eng.Run(ctx, dir, resume)
 		}
 	}
 	out, err := run(s.runCtx, eng, j.dir, j.resume)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"faulthound/internal/campaign"
+	"faulthound/internal/fault"
 	"faulthound/internal/harness"
 )
 
@@ -202,7 +203,9 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerDrainResume is the SIGTERM half of the acceptance
 // scenario: drain mid-campaign journals the in-flight job, a restarted
 // server requeues and resumes it, and the final bundle is
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. The restart rebuilds the
+// job's spec from status.json; its preparations must still fork from
+// golden checkpoints and exit early at reconvergence.
 func TestServerDrainResume(t *testing.T) {
 	spec := testSpec(40)
 
@@ -259,9 +262,11 @@ func TestServerDrainResume(t *testing.T) {
 		t.Fatalf("unfinished = %v, want [%s]", got, j1.id)
 	}
 
-	// Restart over the same root: the job requeues as a resume and
-	// completes without resubmission.
-	s2, err := New(cfg)
+	// Restart over the same root, with a cache of its own: the job
+	// requeues as a resume and completes without resubmission.
+	cfg2 := cfg
+	cfg2.Prepared = fault.NewPreparedCache()
+	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +292,21 @@ func TestServerDrainResume(t *testing.T) {
 	}
 	if string(readFile(t, j2.dir+"/"+campaign.SummaryName)) != string(refSum) {
 		t.Fatal("drained-and-resumed summary.json differs from the uninterrupted run")
+	}
+
+	keys := cfg2.Prepared.Keys()
+	if len(keys) == 0 {
+		t.Fatal("the resumed job prepared no cell")
+	}
+	for _, k := range keys {
+		p, err := cfg2.Prepared.Get(k, nil) // present: Get returns the cached entry
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf := p.Perf(); pf.EarlyExits == 0 || pf.ForkCyclesSaved == 0 {
+			t.Errorf("%s/%s: the resumed job's %d runs took %d early exits and saved %d fork cycles, want both > 0",
+				k.Bench, k.Scheme, pf.Runs, pf.EarlyExits, pf.ForkCyclesSaved)
+		}
 	}
 }
 

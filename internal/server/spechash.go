@@ -66,13 +66,6 @@ func NormalizeSpec(spec campaign.Spec, base fault.Config) (campaign.Spec, error)
 	if f.Seed == 0 {
 		f.Seed = base.Seed
 	}
-	// Execution-strategy knobs never survive JSON transport (they are
-	// excluded from serialization because results don't depend on
-	// them): the daemon always runs with its own configured strategy,
-	// and the knobs stay out of the spec hash.
-	f.CheckpointCycles = base.CheckpointCycles
-	f.EarlyExit = base.EarlyExit
-
 	// Canonicalize the scheme list through the registry: sweep values
 	// fan out into individual specs, parameter order and default-valued
 	// parameters collapse, unknown schemes and malformed specs fail.
