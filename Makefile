@@ -35,6 +35,7 @@ race:
 		./internal/pipeline/ ./internal/mem/ ./internal/campaign/ ./internal/fault/ \
 		./internal/obs/... ./internal/server/... ./internal/cluster/ \
 		./internal/contract/ ./internal/report/ ./internal/search/
+	$(GO) test -race -run TestFig9And10Quick ./internal/harness/
 
 # Regenerate the reference bundle's detector-quality report sidecar
 # (docs/CONTRACTS.md). The bundle's own artifacts are never touched;
@@ -49,9 +50,10 @@ report:
 # the quality report byte for byte, and diff clean against the
 # committed bundle; the one-worker order — the same re-simulation at
 # -workers 1 must reproduce the committed journal.jsonl too, which pins
-# that one worker runs the plan cell by cell; and a validator self-test
-# — a summary with a renamed required field must fail validation
-# (docs/CONTRACTS.md).
+# that one worker runs the plan cell by cell; a validator self-test —
+# a summary with a renamed required field must fail validation
+# (docs/CONTRACTS.md); and the paper gate — every committed table,
+# regenerated at the experiments' scale, must match byte for byte.
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
 		internal/server/testdata/spechash_golden.json \
@@ -85,6 +87,12 @@ gates:
 		echo "gates: injected schema break passed validation"; exit 1; \
 	fi
 	@echo "gates: injected schema break rejected"
+	rm -rf /tmp/fh-gate-paper && mkdir -p /tmp/fh-gate-paper
+	$(GO) run ./cmd/faulthound $(PAPER_FLAGS) -csv /tmp/fh-gate-paper -json /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_all.txt
+	$(GO) run ./cmd/faulthound $(EXT_FLAGS) -csv /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_ext.txt
+	cmp /tmp/fh-gate-paper/results_all.txt results_all.txt
+	cmp /tmp/fh-gate-paper/results_ext.txt results_ext.txt
+	for f in results/*.csv results/*.json; do cmp /tmp/fh-gate-paper/$${f#results/} $$f || exit 1; done
 
 # Parallel, resumable fault-injection campaign with an artifact bundle.
 campaign:
@@ -130,13 +138,23 @@ trace-demo:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x -run xxx .
 
-# Full-scale regeneration of every table and figure (tens of minutes).
+# The scale of the committed tables (EXPERIMENTS.md). experiments,
+# extensions and the paper gate all read these, so they cannot drift.
+PAPER_FLAGS = -experiment all -commits 60000 -injections 600
+EXT_FLAGS = -experiment extensions -commits 30000 -injections 400
+
+# Full-scale regeneration of every table and figure (about 45 s on a
+# 2-core machine). Output goes to the file first and is printed after,
+# so a failed run fails the target instead of hiding behind a pipe.
 experiments:
-	$(GO) run ./cmd/faulthound -experiment all -commits 60000 -injections 600 -csv results -json results | tee results_all.txt
+	$(GO) run ./cmd/faulthound $(PAPER_FLAGS) -csv results -json results >results_all.txt
+	@cat results_all.txt
 
 extensions:
-	$(GO) run ./cmd/faulthound -experiment extensions -commits 30000 -injections 400 | tee results_ext.txt
-	$(GO) run ./cmd/faulthound -experiment mp-scaling -commits 30000 | tee results_mp.txt
+	$(GO) run ./cmd/faulthound $(EXT_FLAGS) -csv results >results_ext.txt
+	$(GO) run ./cmd/faulthound -experiment mp-scaling -commits 30000 >results_mp.txt
+	$(GO) run ./cmd/faulthound -experiment mp-coverage -commits 30000 -injections 400 >>results_mp.txt
+	@cat results_ext.txt results_mp.txt
 
 # Smoke-scale versions of the experiments (a couple of minutes).
 quick:

@@ -30,7 +30,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to also write per-table CSV files into")
 		jsonDir    = flag.String("json", "", "directory to also write per-table JSON files into")
 		injections = flag.Int("injections", 0, "override fault injections per campaign")
-		replicates = flag.Int("replicates", 0, "repeat fault campaigns with distinct seeds and average")
 		commits    = flag.Uint64("commits", 0, "override per-thread commit budget of timing runs")
 		seed       = flag.Uint64("seed", 0, "override experiment seed")
 		verbose    = flag.Bool("v", false, "progress output")
@@ -46,9 +45,6 @@ func main() {
 	}
 	if *injections > 0 {
 		opts.Fault.Injections = *injections
-	}
-	if *replicates > 0 {
-		opts.Replicates = *replicates
 	}
 	if *commits > 0 {
 		opts.MeasureCommits = *commits

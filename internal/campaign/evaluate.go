@@ -12,11 +12,14 @@ import (
 )
 
 // TimingMetrics is one cell's fault-free timing run: total cycles to
-// the measurement horizon and the energy model's total for the run.
-// It feeds the execute layer's perf- and energy-overhead objectives.
+// the measurement horizon, the energy model's total for the run, and
+// its false-positive rate (detector actions per committed instruction
+// over the measured window). It feeds the execute layer's perf- and
+// energy-overhead objectives and the paper's timing figures.
 type TimingMetrics struct {
 	Cycles uint64  `json:"cycles"`
 	Energy float64 `json:"energy"`
+	FPRate float64 `json:"fp_rate"`
 }
 
 // TimingRunner measures one benchmark×scheme cell's fault-free timing

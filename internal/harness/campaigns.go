@@ -59,7 +59,13 @@ func (o Options) CampaignSpec(benchmarks []string, schemes []Scheme) campaign.Sp
 // RunCampaign executes a spec in memory (no artifact bundle) with this
 // Options' core factory, reporting per-cell progress when verbose.
 func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
-	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory()}
+	return o.runCells(spec, nil)
+}
+
+// runCells is RunCampaign over an explicit plan of cells; a nil source
+// runs the spec's own cross product.
+func (o Options) runCells(spec campaign.Spec, source campaign.CellSource) (*campaign.Outcome, error) {
+	eng := &campaign.Engine{Spec: spec, Source: source, Factory: o.CampaignFactory()}
 	if o.Verbose {
 		eng.Obs = obs.OnBegin("prepare", func(cell string) { o.progress("campaign: %s", cell) })
 	}
@@ -70,54 +76,20 @@ func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
 // Figure-8a shape) from a campaign summary: one row per benchmark, one
 // column per scheme, plus the overall mean.
 func CoverageTableFromSummary(id, title string, sum *campaign.Summary, benchmarks []string, schemes []Scheme) *Table {
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, string(s))
-	}
-	t := &Table{ID: id, Title: title, Columns: cols}
-	sums := make([]float64, len(schemes))
-	for _, bm := range benchmarks {
-		row := []string{bm}
-		for i, s := range schemes {
-			cov, _ := sum.Coverage(bm, string(s))
-			row = append(row, pct(cov))
-			sums[i] += cov
-		}
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(len(benchmarks))))
-	}
-	t.AddRow(mean...)
-	return t
+	return benchTable(id, title, benchmarks, schemeNames(schemes), func(bm string, i int) float64 {
+		cov, _ := sum.Coverage(bm, string(schemes[i]))
+		return cov
+	})
 }
 
 // FPTableFromSummary builds a per-benchmark false-positive table from
 // a campaign summary's fault-free golden-run FP rates — the campaign
 // counterpart of the Figure-8b timing-run measurement.
 func FPTableFromSummary(id, title string, sum *campaign.Summary, benchmarks []string, schemes []Scheme) *Table {
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, string(s))
-	}
-	t := &Table{ID: id, Title: title, Columns: cols}
-	sums := make([]float64, len(schemes))
-	for _, bm := range benchmarks {
-		row := []string{bm}
-		for i, s := range schemes {
-			fp, _ := sum.FPRate(bm, string(s))
-			row = append(row, pct(fp))
-			sums[i] += fp
-		}
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(len(benchmarks))))
-	}
-	t.AddRow(mean...)
-	return t
+	return benchTable(id, title, benchmarks, schemeNames(schemes), func(bm string, i int) float64 {
+		fp, _ := sum.FPRate(bm, string(schemes[i]))
+		return fp
+	})
 }
 
 // runPaired is the shared campaign path for experiments that need

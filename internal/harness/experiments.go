@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"faulthound/internal/campaign"
 	"faulthound/internal/detect"
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
@@ -86,64 +85,43 @@ func Fig6(o Options) (*Table, error) {
 
 // Fig7 reproduces Figure 7: masked / noisy / SDC fractions of injected
 // faults per benchmark, with suite means and the overall mean.
-func Fig7(o Options) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "fig7",
-		Title:   "Fault characterization: fraction of injected faults",
-		Columns: []string{"benchmark", "masked", "noisy", "sdc"},
-	}
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	// One baseline-only campaign over every benchmark — the same
-	// engine (and worker pool) cmd/fhcampaign uses.
-	out, err := o.RunCampaign(o.CampaignSpec(names, nil))
-	if err != nil {
-		return nil, err
-	}
-	suiteAgg := map[string][]([3]float64){}
-	var all [][3]float64
-	order := []string{}
-	for _, bm := range bms {
-		cell := out.Summary.Cell(bm.Name, campaign.BaselineScheme)
-		if cell == nil {
-			return nil, fmt.Errorf("harness: fig7 campaign missing cell %s", bm.Name)
+func Fig7(o Options) (*Table, error) { return o.renderOne(fig7) }
+
+func fig7(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{campaign: cells(benches, Baseline), render: func(p *plan) []*Table {
+		t := &Table{
+			ID:      "fig7",
+			Title:   "Fault characterization: fraction of injected faults",
+			Columns: []string{"benchmark", "masked", "noisy", "sdc"},
 		}
-		m, n, s := cell.Masked, cell.Noisy, cell.SDC
-		tot := float64(m + n + s)
-		fr := [3]float64{float64(m) / tot, float64(n) / tot, float64(s) / tot}
-		t.AddRow(bm.Name, pct(fr[0]), pct(fr[1]), pct(fr[2]))
-		if _, ok := suiteAgg[bm.Suite]; !ok {
-			order = append(order, bm.Suite)
-		}
-		suiteAgg[bm.Suite] = append(suiteAgg[bm.Suite], fr)
-		all = append(all, fr)
-	}
-	mean3 := func(xs [][3]float64) [3]float64 {
-		var m [3]float64
-		for _, x := range xs {
-			for i := range m {
-				m[i] += x[i]
+		// row adds the mean masked, noisy and SDC fractions over benches.
+		row := func(label string, benches []string) {
+			cols := []string{label}
+			for k := 0; k < 3; k++ {
+				cols = append(cols, pct(mean(benches, func(bm string) float64 {
+					c := p.cell(bm, Baseline)
+					return float64([3]int{c.Masked, c.Noisy, c.SDC}[k]) / float64(c.Masked+c.Noisy+c.SDC)
+				})))
 			}
+			t.AddRow(cols...)
 		}
-		for i := range m {
-			m[i] /= float64(len(xs))
+		var suites []string
+		bySuite := map[string][]string{}
+		for _, bm := range bms {
+			row(bm.Name, []string{bm.Name})
+			if _, ok := bySuite[bm.Suite]; !ok {
+				suites = append(suites, bm.Suite)
+			}
+			bySuite[bm.Suite] = append(bySuite[bm.Suite], bm.Name)
 		}
-		return m
-	}
-	for _, s := range order {
-		m := mean3(suiteAgg[s])
-		t.AddRow("mean("+s+")", pct(m[0]), pct(m[1]), pct(m[2]))
-	}
-	m := mean3(all)
-	t.AddRow("mean(all)", pct(m[0]), pct(m[1]), pct(m[2]))
-	t.Notes = append(t.Notes, "paper: ~85% masked, ~5% noisy, remainder SDC")
-	return t, nil
+		for _, s := range suites {
+			row("mean("+s+")", bySuite[s])
+		}
+		row("mean(all)", benches)
+		t.Notes = append(t.Notes, "paper: ~85% masked, ~5% noisy, remainder SDC")
+		return []*Table{t}
+	}}
 }
 
 // fig8Schemes are the detection schemes of Figure 8.
@@ -151,110 +129,34 @@ var fig8Schemes = []Scheme{PBFS, PBFSBiased, FHBackend, FaultHound}
 
 // Fig8a reproduces Figure 8(a): SDC coverage per benchmark for PBFS,
 // PBFS-biased, FaultHound-backend, and FaultHound.
-func Fig8a(o Options) (*Table, error) {
-	return coverageTable(o, "fig8a",
-		"SDC coverage (fraction of would-be-SDC faults corrected or detected)",
-		fig8Schemes)
-}
+func Fig8a(o Options) (*Table, error) { return o.renderOne(fig8a) }
 
-// coverageTable runs paired campaigns for the given schemes through
-// the campaign engine and builds the table from its summaries.
-func coverageTable(o Options, id, title string, schemes []Scheme) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	reps := o.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-	// covs[bench][scheme] accumulates coverage over replicates.
-	covs := make(map[string][]float64, len(names))
-	for _, bm := range names {
-		covs[bm] = make([]float64, len(schemes))
-	}
-	for r := 0; r < reps; r++ {
-		spec := o.CampaignSpec(names, schemes)
-		spec.Fault.Seed += uint64(r) * 7919
-		o.progress("%s: campaign rep %d (%d cells)", id, r, len(spec.Cells()))
-		out, err := o.RunCampaign(spec)
-		if err != nil {
-			return nil, err
-		}
-		for _, bm := range names {
-			for i, s := range schemes {
-				c, ok := out.Summary.Coverage(bm, string(s))
-				if !ok {
-					return nil, fmt.Errorf("harness: %s campaign missing cell %s/%s", id, bm, s)
-				}
-				covs[bm][i] += c
-			}
-		}
-	}
-	avg := &campaign.Summary{Injections: o.Fault.Injections}
-	for _, bm := range names {
-		for i, s := range schemes {
-			avg.Cells = append(avg.Cells, campaign.CellSummary{
-				Bench:  bm,
-				Scheme: string(s),
-				Coverage: &campaign.CoverageSummary{
-					Coverage: covs[bm][i] / float64(reps),
-				},
+func fig8a(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{campaign: cells(benches, fig8Schemes...), render: func(p *plan) []*Table {
+		t := benchTable("fig8a", "SDC coverage (fraction of would-be-SDC faults corrected or detected)",
+			benches, schemeNames(fig8Schemes), func(bm string, i int) float64 {
+				return p.coverage(bm, fig8Schemes[i]).Coverage
 			})
-		}
-	}
-	t := CoverageTableFromSummary(id, title, avg, names, schemes)
-	if reps > 1 {
-		t.Notes = append(t.Notes, fmt.Sprintf("each cell averages %d campaigns with distinct seeds", reps))
-	}
-	t.Notes = append(t.Notes, "paper means: PBFS ~30%, PBFS-biased ~75-80%, FaultHound ~75%")
-	return t, nil
+		t.Notes = append(t.Notes, "paper means: PBFS ~30%, PBFS-biased ~75-80%, FaultHound ~75%")
+		return []*Table{t}
+	}}
 }
 
 // Fig8b reproduces Figure 8(b): false-positive rates per benchmark (as
 // a fraction of committed instructions) in fault-free runs.
-func Fig8b(o Options) (*Table, error) {
-	return fpTable(o, "fig8b", "False-positive rate (fraction of instructions triggering recovery, fault-free run)", fig8Schemes)
-}
+func Fig8b(o Options) (*Table, error) { return o.renderOne(fig8b) }
 
-func fpTable(o Options, id, title string, schemes []Scheme) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, string(s))
-	}
-	t := &Table{ID: id, Title: title, Columns: cols}
-	sums := make([]float64, len(schemes))
-	n := 0
-	for _, bm := range bms {
-		row := []string{bm.Name}
-		for i, s := range schemes {
-			o.progress("%s: %s/%s", id, bm.Name, s)
-			run, err := o.TimingRun(bm, s)
-			if err != nil {
-				return nil, err
-			}
-			r := run.FPRate()
-			row = append(row, pct(r))
-			sums[i] += r
-		}
-		n++
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(n)))
-	}
-	t.AddRow(mean...)
-	t.Notes = append(t.Notes, "paper means: PBFS ~0%, PBFS-biased ~8%, FaultHound ~3%")
-	return t, nil
+func fig8b(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{timing: cells(benches, fig8Schemes...), render: func(p *plan) []*Table {
+		t := benchTable("fig8b", "False-positive rate (fraction of instructions triggering recovery, fault-free run)",
+			benches, schemeNames(fig8Schemes), func(bm string, i int) float64 {
+				return p.timing(bm, fig8Schemes[i]).FPRate
+			})
+		t.Notes = append(t.Notes, "paper means: PBFS ~0%, PBFS-biased ~8%, FaultHound ~3%")
+		return []*Table{t}
+	}}
 }
 
 // fig9Schemes are the performance-comparison schemes of Figure 9.
@@ -262,229 +164,97 @@ var fig9Schemes = []Scheme{PBFS, PBFSBiased, FHBackend, FaultHound, SRTIso}
 
 // Fig9 reproduces Figure 9: performance degradation over the
 // no-fault-tolerance baseline (log-scale in the paper).
-func Fig9(o Options) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	cols := []string{"benchmark"}
-	for _, s := range fig9Schemes {
-		cols = append(cols, string(s))
-	}
-	t := &Table{ID: "fig9", Title: "Performance degradation vs baseline", Columns: cols}
-	sums := make([]float64, len(fig9Schemes))
-	n := 0
-	for _, bm := range bms {
-		o.progress("fig9: %s", bm.Name)
-		base, err := o.TimingRun(bm, Baseline)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{bm.Name}
-		for i, s := range fig9Schemes {
-			run, err := o.TimingRun(bm, s)
-			if err != nil {
-				return nil, err
-			}
-			d := float64(run.Cycles)/float64(base.Cycles) - 1
-			row = append(row, pct(d))
-			sums[i] += d
-		}
-		n++
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(n)))
-	}
-	t.AddRow(mean...)
-	t.Notes = append(t.Notes,
-		"paper: PBFS ~1%, PBFS-biased ~97% (full rollbacks), FaultHound ~10%, SRT-iso slightly above FaultHound")
-	return t, nil
+func Fig9(o Options) (*Table, error) { return o.renderOne(fig9) }
+
+func fig9(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{timing: cells(benches, append([]Scheme{Baseline}, fig9Schemes...)...), render: func(p *plan) []*Table {
+		t := benchTable("fig9", "Performance degradation vs baseline", benches, schemeNames(fig9Schemes),
+			func(bm string, i int) float64 {
+				return slowdown(p.timing(bm, fig9Schemes[i]), p.timing(bm, Baseline))
+			})
+		t.Notes = append(t.Notes,
+			"paper: PBFS ~1%, PBFS-biased ~97% (full rollbacks), FaultHound ~10%, SRT-iso slightly above FaultHound")
+		return []*Table{t}
+	}}
 }
 
 // fig10Schemes are the energy-comparison schemes of Figure 10.
 var fig10Schemes = []Scheme{FHBackend, FaultHound, SRTIso}
 
 // Fig10 reproduces Figure 10: energy overhead over the baseline.
-func Fig10(o Options) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	model := energy.Default()
-	cols := []string{"benchmark"}
-	for _, s := range fig10Schemes {
-		cols = append(cols, string(s))
-	}
-	t := &Table{ID: "fig10", Title: "Energy overhead vs baseline", Columns: cols}
-	sums := make([]float64, len(fig10Schemes))
-	n := 0
-	for _, bm := range bms {
-		o.progress("fig10: %s", bm.Name)
-		base, err := o.TimingRun(bm, Baseline)
-		if err != nil {
-			return nil, err
-		}
-		baseE := model.Compute(base.Core.Stats(), base.Core.MemStats(), detect.Stats{}).Total()
-		row := []string{bm.Name}
-		for i, s := range fig10Schemes {
-			run, err := o.TimingRun(bm, s)
-			if err != nil {
-				return nil, err
-			}
-			e := model.Compute(run.Core.Stats(), run.Core.MemStats(), run.DetectorDelta).Total()
-			ov := energy.Overhead(e, baseE)
-			row = append(row, pct(ov))
-			sums[i] += ov
-		}
-		n++
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(n)))
-	}
-	t.AddRow(mean...)
-	t.Notes = append(t.Notes,
-		"paper: FaultHound-backend ~10%, FaultHound ~25%, SRT-iso high (extra copies cannot be hidden)")
-	return t, nil
+func Fig10(o Options) (*Table, error) { return o.renderOne(fig10) }
+
+func fig10(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{timing: cells(benches, append([]Scheme{Baseline}, fig10Schemes...)...), render: func(p *plan) []*Table {
+		t := benchTable("fig10", "Energy overhead vs baseline", benches, schemeNames(fig10Schemes),
+			func(bm string, i int) float64 {
+				return energy.Overhead(p.timing(bm, fig10Schemes[i]).Energy, p.timing(bm, Baseline).Energy)
+			})
+		t.Notes = append(t.Notes,
+			"paper: FaultHound-backend ~10%, FaultHound ~25%, SRT-iso high (extra copies cannot be hidden)")
+		return []*Table{t}
+	}}
 }
 
 // Fig11 reproduces Figure 11: the breakdown of would-be-SDC faults
 // under full FaultHound.
-func Fig11(o Options) (*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
+func Fig11(o Options) (*Table, error) { return o.renderOne(fig11) }
+
+func fig11(bms []workload.Benchmark) figure {
+	benches := names(bms)
 	bins := fault.BinNames()
-	cols := []string{"benchmark"}
-	for _, b := range bins {
-		cols = append(cols, b.String())
+	cols := make([]string, len(bins))
+	for i, b := range bins {
+		cols[i] = b.String()
 	}
-	t := &Table{ID: "fig11", Title: "SDC fault breakdown under FaultHound", Columns: cols}
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	out, err := o.RunCampaign(o.CampaignSpec(names, []Scheme{FaultHound}))
-	if err != nil {
-		return nil, err
-	}
-	sums := make([]float64, len(bins))
-	n := 0
-	for _, bm := range bms {
-		cell := out.Summary.Cell(bm.Name, string(FaultHound))
-		if cell == nil || cell.Coverage == nil {
-			return nil, fmt.Errorf("harness: fig11 campaign missing cell %s/%s", bm.Name, FaultHound)
-		}
-		cov := cell.Coverage
-		row := []string{bm.Name}
-		for i, b := range bins {
-			f := 0.0
-			if cov.SDCBase > 0 {
-				f = float64(cov.Bins[b.String()]) / float64(cov.SDCBase)
-			}
-			row = append(row, pct(f))
-			sums[i] += f
-		}
-		n++
-		t.AddRow(row...)
-	}
-	mean := []string{"mean(all)"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(n)))
-	}
-	t.AddRow(mean...)
-	t.Notes = append(t.Notes,
-		"paper: non-triggering faults ~10% of SDC; completed/committed-register faults a modest fraction; rename late-read faults uncovered")
-	return t, nil
+	return figure{campaign: cells(benches, FaultHound), render: func(p *plan) []*Table {
+		t := benchTable("fig11", "SDC fault breakdown under FaultHound", benches, cols,
+			func(bm string, i int) float64 {
+				cov := p.coverage(bm, FaultHound)
+				if cov.SDCBase == 0 {
+					return 0
+				}
+				return float64(cov.Bins[cols[i]]) / float64(cov.SDCBase)
+			})
+		t.Notes = append(t.Notes,
+			"paper: non-triggering faults ~10% of SDC; completed/committed-register faults a modest fraction; rename late-read faults uncovered")
+		return []*Table{t}
+	}}
 }
+
+// The Figure-12 ablations: false-positive rate (left), replay vs full
+// rollback performance (middle), and LSQ coverage (right).
+var (
+	fig12Left   = []Scheme{FHBENoClust, FHBENo2Level, FHBackend}
+	fig12Middle = []Scheme{FHBEFullRB, FHBackend}
+	fig12Right  = []Scheme{FHBENoLSQ, FHBackend}
+)
 
 // Fig12 reproduces Figure 12: the isolation of FaultHound's back-end
 // mechanisms — false-positive rates (left), replay vs full rollback
 // performance (middle), and LSQ-coverage impact (right), overall means.
-func Fig12(o Options) ([]*Table, error) {
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
+func Fig12(o Options) ([]*Table, error) { return o.render(fig12) }
 
-	// Left: FP rates for FH-BE-nocluster-no2level -> FH-BE-no2level -> FH-BE.
-	left := &Table{
-		ID:      "fig12-left",
-		Title:   "Impact of clustering and 2nd-level filter on false-positive rate (mean over benchmarks)",
-		Columns: []string{"config", "fp-rate"},
-	}
-	for _, s := range []Scheme{FHBENoClust, FHBENo2Level, FHBackend} {
-		var sum float64
-		for _, bm := range bms {
-			o.progress("fig12-left: %s/%s", bm.Name, s)
-			run, err := o.TimingRun(bm, s)
-			if err != nil {
-				return nil, err
-			}
-			sum += run.FPRate()
-		}
-		left.AddRow(string(s), pct(sum/float64(len(bms))))
-	}
-	left.Notes = append(left.Notes, "paper: each mechanism significantly lowers the rate")
-
-	// Middle: performance of full rollback vs replay (both backend-only).
-	middle := &Table{
-		ID:      "fig12-middle",
-		Title:   "Impact of predecessor replay on performance degradation (mean over benchmarks)",
-		Columns: []string{"config", "perf-degradation"},
-	}
-	for _, s := range []Scheme{FHBEFullRB, FHBackend} {
-		var sum float64
-		for _, bm := range bms {
-			o.progress("fig12-middle: %s/%s", bm.Name, s)
-			base, err := o.TimingRun(bm, Baseline)
-			if err != nil {
-				return nil, err
-			}
-			run, err := o.TimingRun(bm, s)
-			if err != nil {
-				return nil, err
-			}
-			sum += float64(run.Cycles)/float64(base.Cycles) - 1
-		}
-		middle.AddRow(string(s), pct(sum/float64(len(bms))))
-	}
-	middle.Notes = append(middle.Notes,
-		"paper: ~100-200 instructions per rollback vs 6-8 per replay; replay dramatically cheaper")
-
-	// Right: SDC coverage with and without the LSQ mechanism.
-	right := &Table{
-		ID:      "fig12-right",
-		Title:   "Impact of covering the LSQ on SDC coverage (mean over benchmarks)",
-		Columns: []string{"config", "coverage"},
-	}
-	lsqSchemes := []Scheme{FHBENoLSQ, FHBackend}
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	out, err := o.RunCampaign(o.CampaignSpec(names, lsqSchemes))
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range lsqSchemes {
-		var sum float64
-		for _, bm := range bms {
-			cov, ok := out.Summary.Coverage(bm.Name, string(s))
-			if !ok {
-				return nil, fmt.Errorf("harness: fig12-right campaign missing cell %s/%s", bm.Name, s)
-			}
-			sum += cov
-		}
-		right.AddRow(string(s), pct(sum/float64(len(bms))))
-	}
-	right.Notes = append(right.Notes, "paper: LSQ coverage makes a significant difference")
-
-	return []*Table{left, middle, right}, nil
+func fig12(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	timing := append(cells(benches, fig12Left...), cells(benches, append([]Scheme{Baseline}, fig12Middle...)...)...)
+	return figure{campaign: cells(benches, fig12Right...), timing: timing, render: func(p *plan) []*Table {
+		left := meanTable("fig12-left", "Impact of clustering and 2nd-level filter on false-positive rate (mean over benchmarks)",
+			"fp-rate", benches, fig12Left, func(bm string, s Scheme) float64 { return p.timing(bm, s).FPRate })
+		left.Notes = append(left.Notes, "paper: each mechanism significantly lowers the rate")
+		middle := meanTable("fig12-middle", "Impact of predecessor replay on performance degradation (mean over benchmarks)",
+			"perf-degradation", benches, fig12Middle, func(bm string, s Scheme) float64 {
+				return slowdown(p.timing(bm, s), p.timing(bm, Baseline))
+			})
+		middle.Notes = append(middle.Notes,
+			"paper: ~100-200 instructions per rollback vs 6-8 per replay; replay dramatically cheaper")
+		right := meanTable("fig12-right", "Impact of covering the LSQ on SDC coverage (mean over benchmarks)",
+			"coverage", benches, fig12Right, func(bm string, s Scheme) float64 { return p.coverage(bm, s).Coverage })
+		right.Notes = append(right.Notes, "paper: LSQ coverage makes a significant difference")
+		return []*Table{left, middle, right}
+	}}
 }
 
 // Table1 renders the benchmark table.
@@ -524,21 +294,20 @@ func Table2() *Table {
 	return t
 }
 
-// All runs every experiment and returns the tables in paper order.
+// paperFigures are the evaluation's figures after Fig6, in paper order.
+var paperFigures = []figureFunc{fig7, fig8a, fig8b, fig9, fig10, fig11, fig12}
+
+// All runs every experiment and returns the tables in paper order. The
+// figures after Fig6 render from one plan, so each distinct campaign
+// cell and timing run executes once.
 func All(o Options) ([]*Table, error) {
-	var out []*Table
-	out = append(out, Table1(), Table2())
-	steps := []func(Options) (*Table, error){Fig6, Fig7, Fig8a, Fig8b, Fig9, Fig10, Fig11}
-	for _, f := range steps {
-		t, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	f12, err := Fig12(o)
+	f6, err := Fig6(o)
 	if err != nil {
 		return nil, err
 	}
-	return append(out, f12...), nil
+	figs, err := o.render(paperFigures...)
+	if err != nil {
+		return nil, err
+	}
+	return append([]*Table{Table1(), Table2(), f6}, figs...), nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"faulthound/internal/core"
-	"faulthound/internal/detect"
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
 	"faulthound/internal/filter"
@@ -29,44 +28,29 @@ func (o Options) customFaultHound(bm workload.Benchmark, cfg core.Config, thread
 
 // ExtFilterSize sweeps the TCAM entry count on leslie3d (the paper's
 // low-coverage outlier) and a locality-friendly reference benchmark.
-func ExtFilterSize(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "ext-filters",
-		Title:   "TCAM size sensitivity: SDC coverage (Section 5.2: leslie improves with larger filters)",
-		Columns: []string{"benchmark", "8 entries", "16", "32 (paper)", "64"},
-	}
-	sizes := []int{8, 16, 32, 64}
-	for _, name := range []string{"leslie3d", "bzip2"} {
-		bm, err := workload.Get(name)
-		if err != nil {
-			return nil, err
+func ExtFilterSize(o Options) (*Table, error) { return o.renderOne(extFilters) }
+
+// filterSizes are ext-filters' TCAM sweep, one column each.
+var filterSizes = []Scheme{"faulthound?tcam=8", "faulthound?tcam=16", "faulthound?tcam=32", "faulthound?tcam=64"}
+
+func extFilters([]workload.Benchmark) figure {
+	benches := []string{"leslie3d", "bzip2"}
+	return figure{campaign: cells(benches, filterSizes...), render: func(p *plan) []*Table {
+		t := &Table{
+			ID:      "ext-filters",
+			Title:   "TCAM size sensitivity: SDC coverage (Section 5.2: leslie improves with larger filters)",
+			Columns: []string{"benchmark", "8 entries", "16", "32 (paper)", "64"},
 		}
-		base, err := o.runPaired(o.MakeCore(bm, Baseline), o.Fault)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for _, n := range sizes {
-			o.progress("ext-filters: %s/%d", name, n)
-			cfg := core.DefaultConfig()
-			cfg.Addr.Entries = n
-			cfg.Value.Entries = n
-			det, err := o.runPaired(func() *pipeline.Core {
-				c, e := o.customFaultHound(bm, cfg, 1)
-				if e != nil {
-					panic(e)
-				}
-				return c
-			}, o.Fault)
-			if err != nil {
-				return nil, err
+		for _, bm := range benches {
+			row := []string{bm}
+			for _, s := range filterSizes {
+				row = append(row, pct(p.coverage(bm, s).Coverage))
 			}
-			row = append(row, pct(fault.PairCoverage(base, det).Coverage()))
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes, "paper: coverage grows with filter count, most sharply for leslie3d")
-	return t, nil
+		t.Notes = append(t.Notes, "paper: coverage grows with filter count, most sharply for leslie3d")
+		return []*Table{t}
+	}}
 }
 
 // ExtStateDepth compares the biased two-bit machine against the
@@ -135,51 +119,37 @@ func ExtStateDepth(o Options) (*Table, error) {
 // ExtFullSRT reproduces the introduction's full-redundancy numbers:
 // "full-redundancy schemes incur high performance and energy overheads
 // (our simulations show 13% and 56%, respectively)".
-func ExtFullSRT(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "ext-srt",
-		Title:   "Full-redundancy SRT overheads (Section 1: ~13% performance, ~56% energy)",
-		Columns: []string{"benchmark", "perf overhead", "energy overhead"},
-	}
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	model := energy.Default()
-	var perfSum, enSum float64
-	for _, bm := range bms {
-		o.progress("ext-srt: %s", bm.Name)
-		base, err := o.TimingRun(bm, Baseline)
-		if err != nil {
-			return nil, err
-		}
-		srt, err := o.TimingRun(bm, SRTFull)
-		if err != nil {
-			return nil, err
-		}
-		perf := float64(srt.Cycles)/float64(base.Cycles) - 1
-		baseE := model.Compute(base.Core.Stats(), base.Core.MemStats(), detect.Stats{}).Total()
-		srtE := model.Compute(srt.Core.Stats(), srt.Core.MemStats(), detect.Stats{}).Total()
-		en := energy.Overhead(srtE, baseE)
-		t.AddRow(bm.Name, pct(perf), pct(en))
-		perfSum += perf
-		enSum += en
-	}
-	n := float64(len(bms))
-	t.AddRow("mean(all)", pct(perfSum/n), pct(enSum/n))
-	t.Notes = append(t.Notes, "redundant copies consume issue/FU bandwidth and energy; energy cannot be hidden")
-	return t, nil
+func ExtFullSRT(o Options) (*Table, error) { return o.renderOne(extSRT) }
+
+func extSRT(bms []workload.Benchmark) figure {
+	benches := names(bms)
+	return figure{timing: cells(benches, Baseline, SRTFull), render: func(p *plan) []*Table {
+		t := benchTable("ext-srt", "Full-redundancy SRT overheads (Section 1: ~13% performance, ~56% energy)",
+			benches, []string{"perf overhead", "energy overhead"}, func(bm string, i int) float64 {
+				srt, base := p.timing(bm, SRTFull), p.timing(bm, Baseline)
+				if i == 0 {
+					return slowdown(srt, base)
+				}
+				return energy.Overhead(srt.Energy, base.Energy)
+			})
+		t.Notes = append(t.Notes, "redundant copies consume issue/FU bandwidth and energy; energy cannot be hidden")
+		return []*Table{t}
+	}}
 }
+
+// extFigures are the extension experiments that render from a plan.
+// ext-depth builds custom cores outside it.
+var extFigures = []figureFunc{extFilters, extSRT}
 
 // Extensions runs all extension experiments.
 func Extensions(o Options) ([]*Table, error) {
-	var out []*Table
-	for _, f := range []func(Options) (*Table, error){ExtFilterSize, ExtStateDepth, ExtFullSRT} {
-		t, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
+	ts, err := o.render(extFigures...)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	depth, err := ExtStateDepth(o)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{ts[0], depth, ts[1]}, nil
 }

@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/detect"
@@ -66,12 +67,10 @@ type Options struct {
 	Seed uint64
 	// Benchmarks restricts the run (nil = all of Table 1).
 	Benchmarks []string
-	// Workers sizes the fault-campaign worker pool (<= 0 means
-	// GOMAXPROCS). Campaign results are bit-identical for any value.
+	// Workers sizes the worker pools of fault campaigns and of the
+	// figures' timing runs (<= 0 means GOMAXPROCS). Results are
+	// bit-identical for any value.
 	Workers int
-	// Replicates repeats each fault campaign with incremented seeds and
-	// averages (coverage experiments only); 0 or 1 means a single run.
-	Replicates int
 	// Verbose enables progress lines on stderr.
 	Verbose bool
 }
@@ -250,8 +249,9 @@ func (o Options) TimingRunSpec(bm workload.Benchmark, sp scheme.Spec) (Run, erro
 	}, nil
 }
 
-// TimingRunner adapts the harness's timing and energy recipes (the
-// Figure 9/10 measurement loop) to the campaign execute layer. The
+// TimingRunner is the harness's one timing recipe: a TimingRunSpec
+// reduced to cycles, energy and false-positive rate. The paper's timing
+// figures and the optimizer's overhead objectives both read it. The
 // energy model's TCAM sizing follows the spec's tcam/entries parameter
 // when it declares one, so the search's energy objective actually
 // varies across table sizes.
@@ -280,13 +280,13 @@ func (o Options) TimingRunner() campaign.TimingRunner {
 			}
 		}
 		e := model.Compute(run.Core.Stats(), run.Core.MemStats(), run.DetectorDelta).Total()
-		return campaign.TimingMetrics{Cycles: run.Cycles, Energy: e}, nil
+		return campaign.TimingMetrics{Cycles: run.Cycles, Energy: e, FPRate: run.FPRate()}, nil
 	}
 }
 
 // progress emits a progress line when verbose.
 func (o Options) progress(format string, args ...interface{}) {
 	if o.Verbose {
-		fmt.Printf("# "+format+"\n", args...)
+		fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 	}
 }

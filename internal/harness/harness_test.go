@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"faulthound/internal/campaign"
 	"faulthound/internal/scheme"
+	"faulthound/internal/workload"
 )
 
 // quick returns small options over a 3-benchmark subset spanning the
@@ -139,6 +142,98 @@ func TestFig11And12Quick(t *testing.T) {
 	}
 	if len(ts) != 3 {
 		t.Fatalf("fig12 should produce 3 panels, got %d", len(ts))
+	}
+}
+
+// TestPlanCells pins the plans without simulating: over the 14 kernels,
+// All's figures need 84 distinct campaign cells and 126 distinct timing
+// runs, and the extensions 10 and 28, each exactly once. Each
+// benchmark's baseline campaign cell precedes its scheme cells, since
+// coverage pairs against it.
+func TestPlanCells(t *testing.T) {
+	bms := workload.All()
+	benches := names(bms)
+	for _, tc := range []struct {
+		name             string
+		figs             []figureFunc
+		campaign, timing []campaign.Cell
+	}{
+		{"paper", paperFigures,
+			cells(benches, Baseline, PBFS, PBFSBiased, FHBackend, FaultHound, FHBENoLSQ),
+			cells(benches, Baseline, PBFS, PBFSBiased, FHBackend, FaultHound, SRTIso, FHBENoClust, FHBENo2Level, FHBEFullRB)},
+		{"extensions", extFigures,
+			cells([]string{"leslie3d", "bzip2"}, append([]Scheme{Baseline}, filterSizes...)...),
+			cells(benches, Baseline, SRTFull)},
+	} {
+		figs := make([]figure, len(tc.figs))
+		for i, fn := range tc.figs {
+			figs[i] = fn(bms)
+		}
+		camp, timing := union(figs)
+		sameSet := func(kind string, got, want []campaign.Cell) {
+			if len(got) != len(want) {
+				t.Errorf("%s: %d %s cells, want %d", tc.name, len(got), kind, len(want))
+			}
+			set := map[campaign.Cell]bool{}
+			for _, c := range want {
+				set[c] = true
+			}
+			for _, c := range got {
+				if !set[c] {
+					t.Errorf("%s: %s cell %s twice or not wanted", tc.name, kind, c)
+				}
+				delete(set, c)
+			}
+			for c := range set {
+				t.Errorf("%s: %s cell %s missing", tc.name, kind, c)
+			}
+		}
+		sameSet("campaign", camp, tc.campaign)
+		sameSet("timing", timing, tc.timing)
+		based := map[string]bool{}
+		for _, c := range camp {
+			if c.Scheme == campaign.BaselineSpec {
+				based[c.Bench] = true
+			} else if !based[c.Bench] {
+				t.Errorf("%s: campaign cell %s precedes its baseline", tc.name, c)
+			}
+		}
+	}
+}
+
+// TestSingleFigureMatchesAll checks that every table renders the same
+// from All's shared plan as from its own figure's plan, and at one
+// worker as at three. A figure that reads a cell it does not declare
+// fails its own plan here.
+func TestSingleFigureMatchesAll(t *testing.T) {
+	o := quick()
+	o.Benchmarks = []string{"bzip2"}
+	o.Workers = 1
+	all, err := All(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Workers = 3
+	single := []*Table{Table1(), Table2()}
+	for _, fig := range []func(Options) (*Table, error){Fig6, Fig7, Fig8a, Fig8b, Fig9, Fig10, Fig11} {
+		tb, err := fig(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single = append(single, tb)
+	}
+	f12, err := Fig12(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single = append(single, f12...)
+	if len(all) != len(single) {
+		t.Fatalf("All returned %d tables, the figures %d", len(all), len(single))
+	}
+	for i := range all {
+		if !reflect.DeepEqual(all[i], single[i]) {
+			t.Errorf("table %s from All differs from its own figure's:\n%s\nvs\n%s", all[i].ID, all[i].Render(), single[i].Render())
+		}
 	}
 }
 

@@ -225,8 +225,24 @@ func TestServerDrainResume(t *testing.T) {
 	refCSV := readFile(t, refJob.dir+"/"+campaign.ResultsName)
 	refSum := readFile(t, refJob.dir+"/"+campaign.SummaryName)
 
-	// Interrupted run: drain once a few injections have completed.
+	// Interrupted run: the runner holds the engine at its 8th result
+	// until the drain cancels the run. Work.Result calls Progress under
+	// its lock, so the journal stops at 8 results plus at most one
+	// in-flight result per other worker, and every cell keeps most of
+	// its runs for the resume.
 	cfg := testConfig(t)
+	held := make(chan struct{})
+	cfg.Runner = func(ctx context.Context, eng *campaign.Engine, dir string, resume bool) (*campaign.Outcome, error) {
+		progress := eng.Progress
+		eng.Progress = func(done, total int) {
+			progress(done, total)
+			if done == 8 {
+				close(held)
+				<-ctx.Done()
+			}
+		}
+		return eng.Run(ctx, dir, resume)
+	}
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,22 +252,11 @@ func TestServerDrainResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := j1.subscribe()
-	progressed := false
-	deadline := time.After(2 * time.Minute)
-	for !progressed {
-		select {
-		case ev := <-ch:
-			if ev.Type == "progress" && ev.Done >= 8 {
-				progressed = true
-			} else if ev.State == StateDone {
-				t.Fatal("job finished before the drain could interrupt it")
-			}
-		case <-deadline:
-			t.Fatal("no progress before deadline")
-		}
+	select {
+	case <-held:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("no progress before deadline")
 	}
-	cancel()
 	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +270,7 @@ func TestServerDrainResume(t *testing.T) {
 	// Restart over the same root, with a cache of its own: the job
 	// requeues as a resume and completes without resubmission.
 	cfg2 := cfg
+	cfg2.Runner = nil
 	cfg2.Prepared = fault.NewPreparedCache()
 	s2, err := New(cfg2)
 	if err != nil {
