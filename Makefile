@@ -50,7 +50,11 @@ report:
 # the quality report byte for byte, and diff clean against the
 # committed bundle; the one-worker order — the same re-simulation at
 # -workers 1 must reproduce the committed journal.jsonl too, which pins
-# that one worker runs the plan cell by cell; a validator self-test —
+# that one worker runs the plan cell by cell, and it audits every early
+# exit against full-window simulation (-audit 1): its acceleration line
+# must show one audit per early exit and no violation, so the gate
+# proves the audit ran rather than trusting a clean exit; a validator
+# self-test —
 # a summary with a renamed required field must fail validation
 # (docs/CONTRACTS.md); and the paper gate — every committed table,
 # regenerated at the experiments' scale, must match byte for byte.
@@ -75,11 +79,18 @@ gates:
 	$(GO) run ./cmd/fhreport diff results/campaigns/reference-1k /tmp/fh-gate-repro
 	rm -rf /tmp/fh-gate-w1 && mkdir -p /tmp/fh-gate-w1
 	cp results/campaigns/reference-1k/manifest.json /tmp/fh-gate-w1/
-	$(GO) run ./cmd/fhcampaign -resume /tmp/fh-gate-w1 -workers 1 >/tmp/fh-gate-w1.log 2>&1 || \
+	$(GO) run ./cmd/fhcampaign -resume /tmp/fh-gate-w1 -workers 1 -audit 1 >/tmp/fh-gate-w1.log 2>&1 || \
 		{ cat /tmp/fh-gate-w1.log; exit 1; }
 	cmp /tmp/fh-gate-w1/journal.jsonl results/campaigns/reference-1k/journal.jsonl
 	cmp /tmp/fh-gate-w1/results.csv results/campaigns/reference-1k/results.csv
 	cmp /tmp/fh-gate-w1/summary.json results/campaigns/reference-1k/summary.json
+	@line=$$(grep '^acceleration:' /tmp/fh-gate-w1.log); echo "gates: $$line"; \
+	exits=$$(echo "$$line" | sed -n 's/.* early_exits=\([0-9]*\) .*/\1/p'); \
+	audits=$$(echo "$$line" | sed -n 's/.* audits=\([0-9]*\) .*/\1/p'); \
+	if [ -z "$$exits" ] || [ "$$exits" -eq 0 ] || [ "$$audits" != "$$exits" ] || \
+		! echo "$$line" | grep -q ' audit_violations=0$$'; then \
+		echo "gates: the one-worker run did not audit every early exit cleanly"; exit 1; \
+	fi
 	rm -rf /tmp/fh-gate-break && mkdir -p /tmp/fh-gate-break
 	cp results/campaigns/reference-1k/manifest.json results/campaigns/reference-1k/results.csv /tmp/fh-gate-break/
 	sed 's/"run_id"/"runid"/' results/campaigns/reference-1k/summary.json > /tmp/fh-gate-break/summary.json
@@ -160,5 +171,8 @@ extensions:
 quick:
 	$(GO) run ./cmd/faulthound -experiment all -quick
 
+# Generated, untracked output only. results/ and results_*.txt are
+# committed (make experiments and make extensions regenerate them, and
+# make gates re-simulates results/campaigns/reference-1k).
 clean:
-	rm -rf results results_all.txt results_ext.txt results_mp.txt test_output.txt bench_output.txt
+	rm -rf .bench_build test_output.txt bench_output.txt results/trace-demo.json results/server

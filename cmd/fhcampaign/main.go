@@ -15,6 +15,14 @@
 // campaign (Ctrl-C) resumes from its journal with -resume, reproducing
 // the uninterrupted bundle byte for byte.
 //
+// With -audit p a local campaign re-simulates a seeded fraction p of
+// its early-exiting runs to the end of their window and fails on any
+// Result that differs; the end line reports the run's acceleration
+// counters (runs, early exits, fork-saved fraction, audits and
+// violations). Results never depend on p:
+//
+//	fhcampaign -resume results/campaigns/sweep1 -workers 1 -audit 1
+//
 // With -addr the campaign is submitted to a running fhserved daemon
 // instead of executing locally: identical specs deduplicate against
 // the daemon's spec-hash cache, and the rendered tables come from the
@@ -39,7 +47,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -48,6 +58,7 @@ import (
 	"faulthound/internal/harness"
 	"faulthound/internal/obs"
 	"faulthound/internal/obs/metrics"
+	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 	"faulthound/internal/search"
 	"faulthound/internal/server"
@@ -71,6 +82,7 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "write a Perfetto trace.json of the run's injection lifecycle into this directory")
 		quick      = flag.Bool("quick", false, "scaled-down fault config for smoke testing")
 		verbose    = flag.Bool("v", false, "per-cell progress lines")
+		audit      = flag.Float64("audit", 0, "local campaigns: re-simulate this fraction of early-exiting runs to the end of their window and fail on any Result that differs (0 = none, 1 = all); results do not depend on it")
 
 		// Pareto search (docs/OPTIMIZE.md).
 		optimize   = flag.Bool("optimize", false, "run a Pareto search over the base schemes' parameters instead of a fixed campaign")
@@ -79,6 +91,12 @@ func main() {
 		optParams  = flag.String("opt-params", "", "with -optimize: comma-separated parameter names to mutate (default: every mutable parameter)")
 	)
 	flag.Parse()
+	if !(*audit >= 0 && *audit <= 1) {
+		fatal(fmt.Errorf("-audit %v: want a fraction in [0, 1]", *audit))
+	}
+	if *audit != 0 && (*optimize || *addr != "") {
+		fatal(fmt.Errorf("-audit applies to local campaigns only, not to -optimize or -addr"))
+	}
 
 	opts := harness.DefaultOptions()
 	if *quick {
@@ -177,10 +195,13 @@ func main() {
 	if *verbose {
 		cellLog = obs.OnBegin("prepare", func(cell string) { fmt.Fprintf(os.Stderr, "# preparing %s\n", cell) })
 	}
+	tally := &perfTally{}
 	eng := &campaign.Engine{
 		Spec:     spec,
 		Factory:  opts.CampaignFactory(),
 		Progress: progressLine(),
+		Prepare:  tally.prepare,
+		Audit:    *audit,
 		Obs:      obs.Tee(latencySink{wallHist}, perfettoSink(perf), cellLog),
 	}
 
@@ -213,6 +234,9 @@ func main() {
 		fmt.Printf("injection wall time: p50=%s p95=%s max=%s (n=%d)\n",
 			secs(wallHist.Quantile(0.5)), secs(wallHist.Quantile(0.95)), secs(wallHist.Max()), n)
 	}
+	pf := tally.total()
+	fmt.Printf("acceleration: runs=%d early_exits=%d fork_saved_frac=%.3f audits=%d audit_violations=%d\n",
+		pf.Runs, pf.EarlyExits, pf.ForkSavedFrac(), pf.Audits, pf.AuditViolations)
 	if perf != nil {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal(err)
@@ -232,6 +256,48 @@ func main() {
 	fmt.Printf("bundle: %s (%d cells, %d injections/cell, %d resumed, wall clock %s%s)\n",
 		dir, len(outcome.Cells), sum.Injections, outcome.Resumed, outcome.Elapsed.Round(time.Millisecond), injRate)
 	fmt.Printf("report: %s\n", filepath.Join(dir, campaign.ReportName))
+}
+
+// perfTally sums fault.Perf over every cell a local run prepares, for
+// the acceleration line. It hooks Engine.Prepare, and it folds a
+// cell's counters into the sum once all of the cell's runs are in,
+// at the next preparation, so it keeps no finished cell's golden state
+// alive. A cell resumed in part never completes here; it is folded at
+// the end.
+type perfTally struct {
+	mu   sync.Mutex
+	sum  fault.Perf
+	live []*fault.Prepared
+}
+
+func (t *perfTally) prepare(_ campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+	p, err := fault.Prepare(mk, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.live = slices.DeleteFunc(t.live, func(q *fault.Prepared) bool {
+		pf := q.Perf()
+		if pf.Runs < uint64(q.Config().Injections) {
+			return false
+		}
+		t.sum = t.sum.Add(pf)
+		return true
+	})
+	t.live = append(t.live, p)
+	return p, nil
+}
+
+// total is the sum over every cell prepared; call it after the run.
+func (t *perfTally) total() fault.Perf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sum := t.sum
+	for _, p := range t.live {
+		sum = sum.Add(p.Perf())
+	}
+	return sum
 }
 
 // latencySink folds closed injection spans into a histogram for the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -149,6 +150,43 @@ func TestPreparedReleased(t *testing.T) {
 		}}
 	if _, err := eng.Run(context.Background(), "", false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineAudit: Engine.Audit reaches the local pool's workers. At
+// rate 1 every early exit of every cell is audited, with no violation,
+// and the bundle is the unaudited run's.
+func TestEngineAudit(t *testing.T) {
+	spec, o := testSpec(t, 16)
+	spec.Workers = 2
+	want, err := runEngine(t, spec, o, "", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var prepared []*fault.Prepared
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory(), Audit: 1,
+		Prepare: func(_ campaign.Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {
+			p, err := fault.Prepare(mk, cfg)
+			mu.Lock()
+			prepared = append(prepared, p)
+			mu.Unlock()
+			return p, err
+		}}
+	got, err := eng.Run(context.Background(), "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf fault.Perf
+	for _, p := range prepared {
+		pf = pf.Add(p.Perf())
+	}
+	if pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
+		t.Errorf("%d audits and %d violations over %d early exits, want one audit each and none",
+			pf.Audits, pf.AuditViolations, pf.EarlyExits)
+	}
+	if !reflect.DeepEqual(got.Campaigns, want.Campaigns) {
+		t.Error("the audited run's results differ from the unaudited run's")
 	}
 }
 

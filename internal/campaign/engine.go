@@ -69,6 +69,12 @@ type Engine struct {
 	// Warnf receives non-fatal diagnostics (a truncated journal record
 	// skipped during resume); nil logs them to os.Stderr.
 	Warnf func(format string, args ...any)
+	// Audit is the fraction of early-exiting runs the local pool's
+	// workers re-check against full-window simulation
+	// (fault.Worker.Audit); 0 audits none. It changes no Result and is
+	// not part of the spec, so it never reaches the manifest. Another
+	// executor (Exec) ignores it.
+	Audit float64
 	// Obs receives injection-lifecycle events from the local pool: a
 	// "prepare" span around each cell's golden phase (its Begin event's
 	// Arg names the cell), an "injection" span around every faulty run
@@ -267,6 +273,7 @@ func (e *Engine) execLocal(ctx context.Context, w *Work) error {
 			// switches (mismatched golden state just falls back to fresh
 			// allocation once).
 			fw := fault.NewWorker(wsink)
+			fw.Audit = e.Audit
 			for {
 				t, ok := s.next()
 				if !ok {
@@ -282,11 +289,15 @@ func (e *Engine) execLocal(ctx context.Context, w *Work) error {
 				}
 				// RunOne polls runCtx inside the faulty run, so a drain
 				// (SIGTERM) aborts promptly even mid-injection; the
-				// partial injection is simply not journaled.
+				// partial injection is simply not journaled. Any other
+				// error (an audit violation) fails the run.
 				began := obs.Begin(wsink, "injection", w.Cells[t.cell].String())
 				res, rerr := t.p.RunOne(runCtx, injs[t.inj], fw)
 				if rerr != nil {
 					obs.End(wsink, "injection", began, "cancelled")
+					if runCtx.Err() == nil {
+						fail(fmt.Errorf("campaign: %s injection %d: %w", w.Cells[t.cell], t.inj, rerr))
+					}
 					return
 				}
 				obs.End(wsink, "injection", began, res.Outcome.String())

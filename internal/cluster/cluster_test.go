@@ -157,10 +157,7 @@ func TestShardedReference1kByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := p.Perf()
-			pf.Runs += got.Runs
-			pf.EarlyExits += got.EarlyExits
-			pf.ForkCyclesSaved += got.ForkCyclesSaved
+			pf = pf.Add(p.Perf())
 		}
 	}
 	if pf.EarlyExits == 0 || pf.ForkCyclesSaved == 0 {

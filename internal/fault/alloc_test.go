@@ -34,7 +34,7 @@ func TestSnapshotZeroAlloc(t *testing.T) {
 
 // TestRunOneAllocs bounds the allocations of one accelerated injection
 // on a Worker that has already run the cell once, as in a campaign:
-// 11 per run today, so the ceiling of 22 fails when they double.
+// 8 per run today, so the ceiling of 16 fails when they double.
 func TestRunOneAllocs(t *testing.T) {
 	fh := core.DefaultConfig()
 	p, err := Prepare(mkCore(t, "bzip2", &fh), smallConfig())
@@ -53,8 +53,9 @@ func TestRunOneAllocs(t *testing.T) {
 	}
 	i := 0
 	n := testing.AllocsPerRun(len(injs), func() { run(i); i++ })
-	if n > 22 {
-		t.Errorf("RunOne allocates %.1f times per injection, want <= 22", n)
+	t.Logf("RunOne allocates %.1f times per injection", n)
+	if n > 16 {
+		t.Errorf("RunOne allocates %.1f times per injection, want <= 16", n)
 	}
 }
 

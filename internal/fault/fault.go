@@ -473,6 +473,12 @@ func (p *Prepared) FPRate() float64 { return p.fpRate }
 type Worker struct {
 	arena *pipeline.SnapshotArena
 	sink  obs.Sink
+	// Audit is the fraction of early-exiting runs, in [0, 1], that the
+	// worker re-checks against full-window simulation (see RunOne). It
+	// is a property of the worker, not of the campaign: it never
+	// reaches a Config, a spec hash or a manifest, and no Result
+	// depends on it. Zero, the default, audits nothing.
+	Audit float64
 }
 
 // NewWorker returns a Worker whose runs emit injection-lifecycle
@@ -502,6 +508,24 @@ type Perf struct {
 	// they would have simulated from the spread start.
 	ForkCyclesSaved uint64
 	OffsetCycles    uint64
+	// Audits counts early-exiting runs re-simulated to the end of their
+	// window by a Worker's audit; AuditViolations counts those whose
+	// full-window Result differed (each failed its run).
+	Audits          uint64
+	AuditViolations uint64
+}
+
+// Add returns the counters of pf and o summed, as for the cells of
+// one campaign.
+func (pf Perf) Add(o Perf) Perf {
+	return Perf{
+		Runs:            pf.Runs + o.Runs,
+		EarlyExits:      pf.EarlyExits + o.EarlyExits,
+		ForkCyclesSaved: pf.ForkCyclesSaved + o.ForkCyclesSaved,
+		OffsetCycles:    pf.OffsetCycles + o.OffsetCycles,
+		Audits:          pf.Audits + o.Audits,
+		AuditViolations: pf.AuditViolations + o.AuditViolations,
+	}
 }
 
 // EarlyExitFrac returns the fraction of runs ended by reconvergence
@@ -529,15 +553,20 @@ type perfCounters struct {
 	earlyExits      atomic.Uint64
 	forkCyclesSaved atomic.Uint64
 	offsetCycles    atomic.Uint64
+	audits          atomic.Uint64
+	auditViolations atomic.Uint64
 }
 
-// Perf returns a snapshot of the acceleration counters.
+// Perf returns a snapshot of the acceleration counters. It reads Runs
+// first (see the end of RunOne).
 func (p *Prepared) Perf() Perf {
 	return Perf{
 		Runs:            p.perf.runs.Load(),
 		EarlyExits:      p.perf.earlyExits.Load(),
 		ForkCyclesSaved: p.perf.forkCyclesSaved.Load(),
 		OffsetCycles:    p.perf.offsetCycles.Load(),
+		Audits:          p.perf.audits.Load(),
+		AuditViolations: p.perf.auditViolations.Load(),
 	}
 }
 
@@ -591,6 +620,15 @@ func (t *actionTracer) Trace(ev pipeline.TraceEvent) {
 // Every Prepared field it reads is immutable and the fork is w's
 // private state, so any number of goroutines may call RunOne on one
 // Prepared concurrently, each with its own Worker.
+//
+// An early exit rests on a proof, not on simulation, so a Worker with
+// a nonzero Audit rate re-checks a seeded share of them: an audited
+// early exit keeps stepping the same core to the end of the window
+// (or the watchdog, or a halt) with early exit off and classifies it
+// the legacy way. Both Results come from one classify step, and they
+// must be identical field for field, DetectLatency included. A
+// mismatch counts in Perf.AuditViolations and fails the run with an
+// *AuditError that carries both.
 //
 // The run polls ctx every cancelPollSteps simulated cycles and aborts
 // mid-injection with ctx.Err() instead of running out the window (or
@@ -658,7 +696,6 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		}
 	})
 
-	res := Result{Injection: inj}
 	start := f.Cycle()
 	// Reconvergence early-exit precondition: the golden trace retired
 	// this run's target commit at er.cycle, and a run that rejoins the
@@ -674,7 +711,6 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		er, erOK = p.endRecs[target]
 	}
 	canEarly := erOK && er.cycle-start <= cfg.MaxCyclesPerRun
-	earlyExit := false
 	// Failed reconvergence checks back off exponentially (capped): a
 	// run whose divergence is sticky — a flipped stale field that
 	// neither propagates nor gets overwritten — would otherwise pay a
@@ -683,102 +719,155 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// golden trajectory and keeps matching at every later boundary, so
 	// a delayed check fires with the identical result.
 	nextIdx, stride := uint64(0), uint64(1)
-	for !done {
-		cyc := f.Cycle()
-		if cyc-start >= cfg.MaxCyclesPerRun || f.AllHalted() {
-			break
-		}
-		if err := pollCancel(ctx, cyc-start); err != nil {
-			return Result{}, err
-		}
-		if canEarly && (cyc-p.baseCycle)%p.digestEvery == 0 {
-			if idx := (cyc - p.baseCycle) / p.digestEvery; idx >= nextIdx && idx < uint64(len(p.digests)) {
-				rec := &p.digests[idx]
-				if rec.pd.Cycle == cyc && f.DetectorStats() == rec.det &&
-					f.Stats().FaultsDeclared == rec.fd && f.MatchesDigest(&rec.pd) {
-					earlyExit = true
-					break
-				}
-				nextIdx = idx + stride
-				if stride < 16 {
-					stride <<= 1
+	// window steps the faulty core until the window's target commit,
+	// the hang watchdog or a halt. With early it also stops at the
+	// first golden digest the core matches, and reports that it did.
+	window := func(early bool) (bool, error) {
+		for !done {
+			cyc := f.Cycle()
+			if cyc-start >= cfg.MaxCyclesPerRun || f.AllHalted() {
+				break
+			}
+			if err := pollCancel(ctx, cyc-start); err != nil {
+				return false, err
+			}
+			if early && (cyc-p.baseCycle)%p.digestEvery == 0 {
+				if idx := (cyc - p.baseCycle) / p.digestEvery; idx >= nextIdx && idx < uint64(len(p.digests)) {
+					rec := &p.digests[idx]
+					if rec.pd.Cycle == cyc && f.DetectorStats() == rec.det &&
+						f.Stats().FaultsDeclared == rec.fd && f.MatchesDigest(&rec.pd) {
+						return true, nil
+					}
+					nextIdx = idx + stride
+					if stride < 16 {
+						stride <<= 1
+					}
 				}
 			}
+			f.Step()
+			if firstAction == 0 && det != nil && actions(det.Stats()) != acts0 {
+				firstAction = f.Cycle()
+			}
 		}
-		f.Step()
-		if firstAction == 0 && det != nil && actions(det.Stats()) != acts0 {
-			firstAction = f.Cycle()
+		return false, nil
+	}
+
+	// The golden run's background detector activity over the run's
+	// commit range, which the Result's counters exclude so they reflect
+	// fault-attributable work.
+	var bg detect.Stats
+	if b1, ok := p.background[target]; ok {
+		b0 := p.background[injCount]
+		bg = detect.Stats{
+			Triggers:   b1.Triggers - b0.Triggers,
+			Suppressed: b1.Suppressed - b0.Suppressed,
+			Replays:    b1.Replays - b0.Replays,
+			Rollbacks:  b1.Rollbacks - b0.Rollbacks,
+			Singletons: b1.Singletons - b0.Singletons,
 		}
+	}
+	// classify builds the Result of the window stepped so far. A run
+	// that early exited (early) matched the golden digest counters
+	// exactly, so it takes its final counters from the golden trace's
+	// end-of-window record er, and its outcome is Masked: the rest of
+	// its trajectory is the golden trace's, whose hash at target equals
+	// goldenHash[target] by construction, and which neither excepts nor
+	// hangs in the window (Prepare errors out otherwise).
+	classify := func(early bool) Result {
+		res := Result{Injection: inj}
+		if det != nil {
+			ds := det.Stats()
+			if early {
+				ds = er.det
+			}
+			res.Triggers = sub(ds.Triggers-ds0.Triggers, bg.Triggers)
+			res.Suppressed = sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed)
+			res.Replays = sub(ds.Replays-ds0.Replays, bg.Replays)
+			res.Rollbacks = sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks)
+			res.Singletons = sub(ds.Singletons-ds0.Singletons, bg.Singletons)
+		}
+		fd := f.Stats().FaultsDeclared
+		if early {
+			fd = er.fd
+		}
+		res.Detected = fd > ps0.FaultsDeclared
+		if res.Detected && firstAction != 0 {
+			res.DetectLatency = firstAction - start
+		}
+		exc, _ := f.Excepted(0)
+		want, ok := p.hashes[target]
+		switch {
+		case early:
+			res.Outcome = Masked
+		case exc:
+			res.Outcome = Noisy
+		case !done:
+			res.Outcome, res.Hung = Noisy, true
+		case ok && hash == want:
+			res.Outcome = Masked
+		default:
+			res.Outcome = SDC
+		}
+		return res
+	}
+
+	earlyExit, err := window(canEarly)
+	if err != nil {
+		return Result{}, err
 	}
 	if earlyExit && sink != nil {
 		obs.Instant(sink, "early-exit", f.Cycle(), strconv.FormatUint(er.cycle-f.Cycle(), 10))
 	}
-
-	if det != nil {
-		ds := det.Stats()
-		if earlyExit {
-			// The run matched the golden digest counters exactly, so its
-			// window finishes with exactly the golden trace's end-of-run
-			// counters.
-			ds = er.det
+	res := classify(earlyExit)
+	// The audit: an audited early exit keeps stepping the same core to
+	// the end of the window with early exit off, classifies it the
+	// legacy way, and must arrive at the identical Result.
+	if earlyExit && w.Audit > 0 && auditDraw(inj) < w.Audit {
+		if _, err := window(false); err != nil {
+			return Result{}, err
 		}
-		// Subtract the golden run's background activity over the same
-		// commit range so the counters reflect fault-attributable work.
-		var bg detect.Stats
-		if b1, ok := p.background[target]; ok {
-			b0 := p.background[injCount]
-			bg = detect.Stats{
-				Triggers:   b1.Triggers - b0.Triggers,
-				Suppressed: b1.Suppressed - b0.Suppressed,
-				Replays:    b1.Replays - b0.Replays,
-				Rollbacks:  b1.Rollbacks - b0.Rollbacks,
-				Singletons: b1.Singletons - b0.Singletons,
-			}
+		p.perf.audits.Add(1)
+		if full := classify(false); full != res {
+			p.perf.auditViolations.Add(1)
+			return Result{}, &AuditError{Early: res, Full: full}
 		}
-		res.Triggers = sub(ds.Triggers-ds0.Triggers, bg.Triggers)
-		res.Suppressed = sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed)
-		res.Replays = sub(ds.Replays-ds0.Replays, bg.Replays)
-		res.Rollbacks = sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks)
-		res.Singletons = sub(ds.Singletons-ds0.Singletons, bg.Singletons)
-	}
-	fd := f.Stats().FaultsDeclared
-	if earlyExit {
-		fd = er.fd
-	}
-	res.Detected = fd > ps0.FaultsDeclared
-	if res.Detected && firstAction != 0 {
-		res.DetectLatency = firstAction - start
 	}
 
-	p.perf.runs.Add(1)
 	p.perf.forkCyclesSaved.Add(forkOff)
 	p.perf.offsetCycles.Add(inj.CycleOffset)
-
 	if earlyExit {
-		// Reconverged: the run's remaining trajectory is the golden
-		// trace's, whose hash at target equals goldenHash[target] by
-		// construction, and which neither excepts nor hangs in the
-		// window (Prepare errors out otherwise).
 		p.perf.earlyExits.Add(1)
-		res.Outcome = Masked
-		return res, nil
 	}
-	if exc, _ := f.Excepted(0); exc {
-		res.Outcome = Noisy
-		return res, nil
-	}
-	if !done {
-		res.Outcome = Noisy
-		res.Hung = true
-		return res, nil
-	}
-	want, ok := p.hashes[target]
-	if ok && hash == want {
-		res.Outcome = Masked
-	} else {
-		res.Outcome = SDC
-	}
+	// Runs last: a Perf that counts this run counts all of its
+	// counters, so one read once Runs covers every descriptor is final.
+	p.perf.runs.Add(1)
 	return res, nil
+}
+
+// auditDraw maps a descriptor to a point in [0, 1) by a hash of its
+// SiteSeed. A Worker audits an early-exiting run when the point falls
+// below its rate, so the same runs are audited at any worker count and
+// across resume.
+func auditDraw(inj Injection) float64 {
+	x := inj.SiteSeed ^ 0x9e3779b97f4a7c15
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return float64(x>>11) / (1 << 53)
+}
+
+// AuditError is an audit violation: an audited run's early-exit Result
+// differs from the Result of the same run simulated to the end of its
+// window.
+type AuditError struct {
+	Early, Full Result
+}
+
+func (e *AuditError) Error() string {
+	return fmt.Sprintf("fault: audit violation on injection %+v: early exit gave %+v, the full window %+v",
+		e.Early.Injection, e.Early, e.Full)
 }
 
 // noopInjections suppresses the actual flip (tandem-determinism test
@@ -813,19 +902,16 @@ func applyInjection(c *pipeline.Core, inj Injection) {
 		}
 		// fall through to the register file
 	}
-	// The register-file population is the whole physical file (the
-	// paper's Section-4 model): flips in free registers are overwritten
-	// at the next allocation and classify as masked. The InFlight share
-	// emulates back-end datapath faults by targeting live in-flight
-	// destination values instead.
-	regs := c.AllRegs()
+	// The register-file population is the whole physical file but the
+	// zero register (the paper's Section-4 model): flips in free
+	// registers are overwritten at the next allocation and classify as
+	// masked. The InFlight share emulates back-end datapath faults by
+	// targeting live in-flight destination values instead.
 	if inj.InFlight {
 		if inflight := c.InFlightDestRegs(); len(inflight) > 0 {
-			regs = inflight
+			c.FlipRegisterBit(inflight[rng.Intn(len(inflight))], inj.Bit)
+			return
 		}
 	}
-	if len(regs) == 0 {
-		return
-	}
-	c.FlipRegisterBit(regs[rng.Intn(len(regs))], inj.Bit)
+	c.FlipRegisterBit(uint16(1+rng.Intn(c.PhysRegs()-1)), inj.Bit)
 }

@@ -11,11 +11,11 @@ import (
 	"faulthound/internal/workload"
 )
 
-// mkCore builds a single-thread core running a workload kernel, with an
-// optional FaultHound config.
+// mkCore builds a single-thread core running a workload (a kernel or
+// a generated spec), with an optional FaultHound config.
 func mkCore(t *testing.T, bench string, fh *core.Config) func() *pipeline.Core {
 	t.Helper()
-	bm, err := workload.Get(bench)
+	bm, err := workload.Resolve(bench)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,16 @@
 package fault
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"faulthound/internal/core"
+	"faulthound/internal/isa"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/prog"
+	"faulthound/internal/stats"
+	"faulthound/internal/workload"
 )
 
 // prepareLegacy prepares without replay acceleration: every run
@@ -20,27 +26,85 @@ func prepareLegacy(t *testing.T, mk func() *pipeline.Core, cfg Config) *Prepared
 	return p
 }
 
+// unnamedSites returns two descriptors at cycle offset off whose sites
+// belong to the first integer register bench's code never names: a
+// register-file flip in its physical register (NewShared maps thread
+// 0's integer register r to physical register r, and no instruction
+// ever redefines an unnamed register), and a flip in its rename-table
+// entry. Each SiteSeed is searched for the draw applyInjection makes.
+func unnamedSites(t *testing.T, bench string, off uint64) []Injection {
+	t.Helper()
+	bm, err := workload.Resolve(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var named uint64
+	for _, in := range bm.Build(prog.DefaultDataBase, 3).Code {
+		if in.HasDest() {
+			named |= 1 << in.Rd
+		}
+		for _, r := range in.SrcRegs() {
+			named |= 1 << r
+		}
+	}
+	r := isa.Reg(1)
+	for r < isa.NumIntRegs && named>>r&1 != 0 {
+		r++
+	}
+	if r == isa.NumIntRegs {
+		t.Fatalf("%s names every integer register", bench)
+	}
+	seed := func(n int) uint64 {
+		s := uint64(1)
+		for stats.NewRNG(s).Intn(n) != int(r)-1 {
+			s++
+		}
+		return s
+	}
+	cfg := pipeline.DefaultConfig(1)
+	return []Injection{
+		{Structure: RegFile, CycleOffset: off, Bit: 17, SiteSeed: seed(cfg.IntPhysRegs + cfg.FPPhysRegs - 1)},
+		{Structure: RenameTable, CycleOffset: off, Bit: 2, SiteSeed: seed(isa.NumArchRegs - 1)},
+	}
+}
+
 // TestCheckpointForkEquivalence sweeps the checkpoint cadence × early
 // exit and asserts every Result — outcome, hang flag, detection flag,
-// and all five background-subtracted detector counters — is
-// bit-identical to the legacy path's, for both a FaultHound cell and a
-// detector-less baseline cell.
+// all five background-subtracted detector counters and the detection
+// latency — is bit-identical to the legacy path's, for a FaultHound
+// and a detector-less baseline cell on bzip2 and a FaultHound cell on
+// a generated program, whose register usage differs from the kernels'.
+// Each cell also runs two descriptors that flip an unnamed register
+// (unnamedSites); with early exit on, both must exit early.
 func TestCheckpointForkEquivalence(t *testing.T) {
+	fh := core.DefaultConfig()
 	cells := []struct {
-		name string
-		fh   *core.Config
+		name, bench string
+		fh          *core.Config
 		// minEarly floors the early exits at ckpt=64 with early exit:
-		// half of today's 68 (FaultHound) and 42 (baseline) of 80 runs.
+		// half of today's 73 (FaultHound), 64 (baseline) and 71
+		// (generated) of 80 runs.
 		minEarly uint64
 	}{
-		{"faulthound", func() *core.Config { c := core.DefaultConfig(); return &c }(), 34},
-		{"baseline", nil, 21},
+		{"faulthound", "bzip2", &fh, 37},
+		{"baseline", "bzip2", nil, 32},
+		{"generated", "gen?vlocal=0.5", &fh, 36},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			mk := mkCore(t, "bzip2", cell.fh)
+			mk := mkCore(t, cell.bench, cell.fh)
 			cfg := smallConfig()
-			want := runAll(t, prepareLegacy(t, mk, cfg), false)
+			legacy := prepareLegacy(t, mk, cfg)
+			want := runAll(t, legacy, false)
+			sites := unnamedSites(t, cell.bench, 200)
+			wantSites := make([]Result, len(sites))
+			for i, inj := range sites {
+				res, err := legacy.RunOne(context.Background(), inj, NewWorker(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSites[i] = res
+			}
 
 			for _, ckpt := range []uint64{0, 64, 256, 1024} {
 				for _, early := range []bool{false, true} {
@@ -58,11 +122,12 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						}
 					}
 					pf := p.Perf()
+					t.Logf("ckpt=%d early=%v: %d of %d runs exited early", ckpt, early, pf.EarlyExits, pf.Runs)
 					// Any acceleration passes, except at Prepare's own
 					// setting, ckpt=64 with early exit: there the floors are
 					// half of today's counts, so halving either fails.
 					// Forking saves 17792/20269 = 0.878 of the fast-forward
-					// cycles on both cells.
+					// cycles on both bzip2 cells.
 					var minEarly uint64
 					var minSaved float64
 					if ckpt == checkpointCadence && early {
@@ -79,9 +144,84 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						t.Errorf("ckpt=%d early=%v: %d of %d runs took the reconvergence early-exit, want some and >= %d",
 							ckpt, early, pf.EarlyExits, pf.Runs, minEarly)
 					}
+
+					for i, inj := range sites {
+						before := p.Perf().EarlyExits
+						got, err := p.RunOne(context.Background(), inj, NewWorker(nil))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != wantSites[i] {
+							t.Fatalf("ckpt=%d early=%v unnamed site %+v: got %+v, want %+v",
+								ckpt, early, inj, got, wantSites[i])
+						}
+						if early && p.Perf().EarlyExits == before {
+							t.Errorf("ckpt=%d early=%v unnamed site %+v simulated its whole window, want an early exit",
+								ckpt, early, inj)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestAudit: a Worker at audit rate 1 re-simulates every early exit of
+// an intact cell to the end of its window and finds no violation, and
+// a rate of one half audits some early exits but not all. With one
+// golden end-of-window record corrupted, the audited run that reads
+// it fails with an AuditError that carries both Results, and counts
+// one violation.
+func TestAudit(t *testing.T) {
+	cfg := smallConfig()
+	p, err := Prepare(mkCore(t, "bzip2", nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAudited := func(rate float64) {
+		w := NewWorker(nil)
+		w.Audit = rate
+		for i, inj := range p.Injections() {
+			if _, err := p.RunOne(context.Background(), inj, w); err != nil {
+				t.Fatalf("rate %g, injection %d: %v", rate, i, err)
+			}
+		}
+	}
+	runAudited(1)
+	pf := p.Perf()
+	if pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
+		t.Fatalf("rate 1: %d audits and %d violations over %d early exits, want one audit each and none",
+			pf.Audits, pf.AuditViolations, pf.EarlyExits)
+	}
+	runAudited(0.5)
+	if half := p.Perf().Audits - pf.Audits; half == 0 || half >= pf.EarlyExits {
+		t.Errorf("rate 0.5: %d audits over %d early exits, want some but not all", half, pf.EarlyExits)
+	}
+
+	// A run injected at offset 0 forks from golden itself, so its window
+	// ends at a known commit; its flip in an unnamed register exits
+	// early at the first digest check.
+	inj := unnamedSites(t, "bzip2", 0)[0]
+	target := p.golden.Committed(0) + cfg.WindowInstr
+	er, ok := p.endRecs[target]
+	if !ok {
+		t.Fatalf("no end record at commit %d", target)
+	}
+	er.fd++
+	p.endRecs[target] = er
+	w := NewWorker(nil)
+	w.Audit = 1
+	before := p.Perf().AuditViolations
+	_, err = p.RunOne(context.Background(), inj, w)
+	var ae *AuditError
+	if !errors.As(err, &ae) {
+		t.Fatalf("run on a corrupted end record: error %v, want an *AuditError", err)
+	}
+	if ae.Early.Injection != inj || ae.Full.Injection != inj || !ae.Early.Detected || ae.Full.Detected {
+		t.Errorf("audit error %v: want both Results of %+v, detected only by the early exit", ae, inj)
+	}
+	if n := p.Perf().AuditViolations - before; n != 1 {
+		t.Errorf("%d audit violations counted, want 1", n)
 	}
 }
 

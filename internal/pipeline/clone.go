@@ -316,6 +316,7 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 			rob:               ptrsInto(dt.rob, segs[i].robDst),
 			lsq:               remapInto(dt.lsq, t.lsq),
 			committed:         t.committed,
+			named:             t.named,
 			writtenRegs:       t.writtenRegs,
 			archHistory:       t.archHistory,
 			exemptUntil:       t.exemptUntil,

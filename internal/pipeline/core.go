@@ -35,6 +35,12 @@ type threadState struct {
 	lsq    []*uop // loads/stores in program order (oldest first)
 
 	committed uint64
+	// named is a bitmask of the architectural registers the thread's
+	// program names anywhere in its code, as a destination or a source
+	// (namedRegs). Set at build, copied on clone, never written after:
+	// no instruction can read or redefine an unnamed register, so the
+	// reconvergence digest treats its rename entries as dead state.
+	named uint64
 	// writtenRegs is a bitmask of architectural registers the program
 	// has committed a write to; ArchHash covers only these (a flip in a
 	// never-written register is dead state, not program state).
@@ -266,13 +272,14 @@ func NewShared(cfg Config, programs []*prog.Program, detector detect.Detector, s
 	nextFP := physID(cfg.IntPhysRegs)
 	for tid := 0; tid < cfg.Threads; tid++ {
 		t := &threadState{
-			id:   tid,
-			prog: programs[tid],
-			pc:   programs[tid].Entry,
-			aPC:  programs[tid].Entry,
-			rat:  make([]physID, isa.NumArchRegs),
-			aRAT: make([]physID, isa.NumArchRegs),
-			pred: branch.New(cfg.Branch),
+			id:    tid,
+			prog:  programs[tid],
+			pc:    programs[tid].Entry,
+			aPC:   programs[tid].Entry,
+			rat:   make([]physID, isa.NumArchRegs),
+			aRAT:  make([]physID, isa.NumArchRegs),
+			pred:  branch.New(cfg.Branch),
+			named: namedRegs(programs[tid]),
 		}
 		t.rat[isa.RZero] = 0
 		for r := isa.Reg(1); r < isa.NumIntRegs; r++ {
@@ -294,6 +301,24 @@ func NewShared(cfg Config, programs []*prog.Program, detector detect.Detector, s
 		c.rf.freeFP = append(c.rf.freeFP, p)
 	}
 	return c, nil
+}
+
+// namedRegs returns the bitmask of architectural registers p's code
+// names: the destination of every instruction that has one, and every
+// source operand. Fetch reads only p.Code, so no instruction any run
+// of the core executes, on the right path or the wrong one, names a
+// register outside the mask.
+func namedRegs(p *prog.Program) uint64 {
+	var m uint64
+	for _, in := range p.Code {
+		if in.HasDest() {
+			m |= 1 << in.Rd
+		}
+		for _, r := range in.SrcRegs() {
+			m |= 1 << r
+		}
+	}
+	return m
 }
 
 // Config returns the core configuration.

@@ -19,17 +19,25 @@ import "math"
 //     word compares.
 //  2. The physical register file, element by element against a full
 //     copy of the golden values. A mismatched register is tolerated
-//     only when it is provably dead in the current core: on a free
-//     list and referenced by no RAT, architectural RAT, in-flight uop
-//     operand, or RAT checkpoint. A dead register is overwritten at
-//     its next allocation before any read can reach it, so its value
-//     cannot influence future behavior (and the architectural hash
-//     reads only aRAT-mapped registers, so it cannot leak into the
-//     final comparison either).
+//     only when it is provably dead in the current core (see
+//     regProvablyDead): no in-flight uop operand and no rename entry of
+//     a named register references it, and it is either on a free list
+//     or held only by rename entries of registers the program never
+//     names. A free register is overwritten at its next allocation
+//     before any read can reach it; a register held only by unnamed
+//     registers is never read, never freed and never reallocated.
+//     Either way its value cannot influence future behavior (and the
+//     architectural hash reads only registers the program has written,
+//     so it cannot leak into the final comparison either).
 //  3. A structural fold of everything else: per-thread scalars and
-//     rename tables, every in-flight uop's full contents, the
-//     positional IQ/LSQ/delay-buffer/executing-set ordering, free
-//     lists, ready bits, and MSHR timing.
+//     the rename entries of named registers (RAT, architectural RAT,
+//     and every uop's RAT checkpoint), every in-flight uop's full
+//     contents, the positional IQ/LSQ/delay-buffer/executing-set
+//     ordering, free lists, ready bits, and MSHR timing. An unnamed
+//     register's entries are left out: no instruction reads or
+//     redefines the register, so its entry is never used to rename,
+//     and rollback, exception recovery and checkpoint restore only
+//     copy it from one table to another.
 //
 // Stages 1 and 3 are hash compares, so a match is "equal with
 // overwhelming probability" rather than a bitwise proof — the same
@@ -80,30 +88,43 @@ func (c *Core) MatchesDigest(d *StateDigest) bool {
 	return c.structFold() == d.StructHash
 }
 
-// regProvablyDead reports whether physical register p is free and
-// referenced by nothing that could read it before its next allocation
-// rewrites it. Called only for a value mismatch, so the O(free+rob)
-// scans run a handful of times per digest check at most.
+// regProvablyDead reports whether physical register p can never be
+// read again, so a flip in it cannot change the run. It rejects p when
+// an in-flight uop's operand (destination, previous mapping or source)
+// or a named register's RAT, architectural-RAT or RAT-checkpoint entry
+// references it. Otherwise it accepts p when p is free or when
+// entries of unnamed registers (named is the thread's mask) hold it.
+//
+// Why the second case is sound: no instruction reads or redefines an
+// unnamed register, so no rename ever sources its physical register,
+// and no commit or squash ever frees it; rollback, exception recovery
+// and checkpoint restore only copy its entry between tables. The
+// architectural hash zeroes the register (LiveArchRegs covers only
+// written registers, and it is never written). The detectors see only
+// the load/store operand stream (detect.Detector), which never carries
+// the value. Golden digests (CaptureDigest) and faulty checks go
+// through the same rule and the same structFold.
+//
+// Called only for a value mismatch, so the O(rob) scans run a handful
+// of times per digest check at most.
 func (c *Core) regProvablyDead(p physID) bool {
-	free := false
-	for _, f := range c.rf.freeInt {
-		if f == p {
-			free = true
-			break
-		}
-	}
-	if !free {
-		for _, f := range c.rf.freeFP {
-			if f == p {
-				free = true
-				break
+	held := false
+	// named reports whether a rename table indexed by architectural
+	// register (a RAT, an architectural RAT or a RAT checkpoint)
+	// references p through a named register's entry, and notes a
+	// reference through an unnamed one in held.
+	named := func(tab []physID, mask uint64) bool {
+		for r, q := range tab {
+			if q == p {
+				if mask>>uint(r)&1 != 0 {
+					return true
+				}
+				held = true
 			}
 		}
-	}
-	if !free {
 		return false
 	}
-	refs := func(u *uop) bool {
+	refs := func(u *uop, mask uint64) bool {
 		if u.dst == p || u.oldDst == p {
 			return true
 		}
@@ -112,42 +133,30 @@ func (c *Core) regProvablyDead(p physID) bool {
 				return true
 			}
 		}
-		for _, q := range u.ratCkpt {
-			if q == p {
-				return true
-			}
-		}
-		return false
+		return named(u.ratCkpt, mask)
 	}
 	for _, t := range c.threads {
-		for _, q := range t.rat {
-			if q == p {
-				return false
-			}
-		}
-		for _, q := range t.aRAT {
-			if q == p {
-				return false
-			}
+		if named(t.rat, t.named) || named(t.aRAT, t.named) {
+			return false
 		}
 		for _, u := range t.rob {
-			if refs(u) {
+			if refs(u, t.named) {
 				return false
 			}
 		}
 		for _, u := range t.fetchQ {
-			if refs(u) {
+			if refs(u, t.named) {
 				return false
 			}
 		}
 	}
-	return true
+	return held || c.rf.isFree(p)
 }
 
 // structFold hashes every piece of core state not covered by the
-// digest's scalar and register-file stages: thread scalars, rename
-// tables, in-flight uop contents, queue orderings, free lists, ready
-// bits, and MSHR/stall/shadow bookkeeping.
+// digest's scalar and register-file stages: thread scalars, the rename
+// entries of named registers, in-flight uop contents, queue orderings,
+// free lists, ready bits, and MSHR/stall/shadow bookkeeping.
 func (c *Core) structFold() uint64 {
 	h := uint64(0x5f4bf2c7a9d3e681)
 	fold := func(x uint64) {
@@ -160,7 +169,16 @@ func (c *Core) structFold() uint64 {
 			fold(5)
 		}
 	}
-	foldUop := func(u *uop) {
+	// foldRenames folds a rename table's named entries; mask is the
+	// owning thread's named-register mask.
+	foldRenames := func(tab []physID, mask uint64) {
+		for r, q := range tab {
+			if mask>>uint(r)&1 != 0 {
+				fold(uint64(q))
+			}
+		}
+	}
+	foldUop := func(u *uop, mask uint64) {
 		fold(u.seq)
 		fold(uint64(u.thread)<<32 | uint64(u.state)<<24 | uint64(uint8(u.nsrc))<<16 | uint64(uint8(u.lsqIndex&0xff))<<8)
 		fold(u.pc)
@@ -182,9 +200,7 @@ func (c *Core) structFold() uint64 {
 		fold(u.target)
 		fold(u.readyAt)
 		fold(u.completeAt)
-		for _, q := range u.ratCkpt {
-			fold(uint64(q))
-		}
+		foldRenames(u.ratCkpt, mask)
 		fold(uint64(len(u.ratCkpt)))
 	}
 
@@ -200,19 +216,15 @@ func (c *Core) structFold() uint64 {
 		foldBool(t.halted)
 		foldBool(t.fetchStopped)
 		foldBool(t.excepted)
-		for _, q := range t.rat {
-			fold(uint64(q))
-		}
-		for _, q := range t.aRAT {
-			fold(uint64(q))
-		}
+		foldRenames(t.rat, t.named)
+		foldRenames(t.aRAT, t.named)
 		fold(uint64(len(t.fetchQ)))
 		for _, u := range t.fetchQ {
-			foldUop(u)
+			foldUop(u, t.named)
 		}
 		fold(uint64(len(t.rob)))
 		for _, u := range t.rob {
-			foldUop(u)
+			foldUop(u, t.named)
 		}
 		// LSQ/IQ/delay-buffer/executing-set entries alias ROB uops whose
 		// contents are folded above; here only membership and order

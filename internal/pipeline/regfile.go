@@ -29,6 +29,20 @@ func newRegFile(numInt, numFP int) *regFile {
 	return rf
 }
 
+// isFree reports whether p is on its class's free list.
+func (rf *regFile) isFree(p physID) bool {
+	free := rf.freeInt
+	if rf.isFP(p) {
+		free = rf.freeFP
+	}
+	for _, f := range free {
+		if f == p {
+			return true
+		}
+	}
+	return false
+}
+
 // isFP reports whether p is an FP physical register.
 func (rf *regFile) isFP(p physID) bool { return int(p) >= rf.numInt }
 

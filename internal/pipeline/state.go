@@ -50,38 +50,9 @@ func (c *Core) ArchHash(tid int) uint64 {
 
 // --- Fault injection sites (Section 4 of the paper) ---
 
-// AllocatedRegs returns the physical registers currently holding live
-// state (not on a free list, excluding the zero register).
-func (c *Core) AllocatedRegs() []uint16 {
-	total := c.cfg.IntPhysRegs + c.cfg.FPPhysRegs
-	free := make([]bool, total)
-	for _, p := range c.rf.freeInt {
-		free[p] = true
-	}
-	for _, p := range c.rf.freeFP {
-		free[p] = true
-	}
-	out := make([]uint16, 0, total)
-	for p := 1; p < total; p++ {
-		if !free[p] {
-			out = append(out, uint16(p))
-		}
-	}
-	return out
-}
-
-// AllRegs returns every physical register id except the zero register —
-// the paper's register-file injection population (Section 4 injects
-// uniformly over the physical register file, where flips in free
-// registers are overwritten at the next allocation and masked).
-func (c *Core) AllRegs() []uint16 {
-	total := c.cfg.IntPhysRegs + c.cfg.FPPhysRegs
-	out := make([]uint16, 0, total-1)
-	for p := 1; p < total; p++ {
-		out = append(out, uint16(p))
-	}
-	return out
-}
+// PhysRegs returns the size of the physical register file, integer
+// and FP together; register 0 is the shared zero register.
+func (c *Core) PhysRegs() int { return len(c.rf.val) }
 
 // FlipRegisterBit flips one bit of a physical register value. It
 // reports false for the zero register or an out-of-range id.
@@ -185,15 +156,4 @@ func (c *Core) FlipRATBit(tid int, r isa.Reg, bit uint) bool {
 	local %= uint64(classSize)
 	t.rat[r] = physID(classBase + int(local))
 	return true
-}
-
-// RATEntries returns the architectural registers of thread tid whose
-// speculative rename-table entries are valid injection targets (all
-// but the zero register).
-func (c *Core) RATEntries(tid int) []isa.Reg {
-	out := make([]isa.Reg, 0, isa.NumArchRegs-1)
-	for r := isa.Reg(1); r < isa.NumArchRegs; r++ {
-		out = append(out, r)
-	}
-	return out
 }
