@@ -462,7 +462,7 @@ func runOptimize(opts harness.Options, of optimizeFlags) {
 			Weights: weights,
 			Base:    base,
 			Params:  params,
-			Eval:    search.CampaignEval(opts.NewEvaluator(fault.NewPreparedCache(), progressLine()), benches),
+			Eval:    search.CampaignEval(opts.NewEvaluator(nil, progressLine()), benches),
 		}
 		if of.verbose {
 			cfg.Log = func(format string, args ...any) {

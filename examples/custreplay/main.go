@@ -55,7 +55,7 @@ func main() {
 	// --- Predecessor replay: corrupt an in-flight destination register.
 	f := mk(p)
 	f.RunUntilCommits(0, 2000, 10_000_000)
-	regs := f.InFlightDestRegs()
+	regs := f.InFlightDestRegs(nil)
 	f.FlipRegisterBit(regs[len(regs)/2], 17)
 	before := f.Stats().ReplayTriggers
 	f.RunUntilCommits(0, 4000, 10_000_000)
@@ -75,7 +75,7 @@ func main() {
 	found := false
 	for i := 0; i < 10000 && !found; i++ {
 		f2.Step()
-		for _, s := range f2.LSQSites() {
+		for _, s := range f2.LSQSites(nil) {
 			if s.IsStore {
 				site, found = s, true
 				break

@@ -41,7 +41,7 @@ func main() {
 		return func() *pipeline.Core {
 			var det detect.Detector
 			if d != nil {
-				det = d.Clone() // fresh detector per core
+				det = d.CloneInto(nil) // fresh detector per core
 			}
 			c, err := pipeline.New(pipeline.DefaultConfig(1), []*prog.Program{program}, det)
 			if err != nil {

@@ -49,7 +49,7 @@ func main() {
 
 	// Inject a register-file fault into core 1 and keep running.
 	victim := s.Core(1 % cores)
-	if regs := victim.InFlightDestRegs(); len(regs) > 0 {
+	if regs := victim.InFlightDestRegs(nil); len(regs) > 0 {
 		victim.FlipRegisterBit(regs[0], 21)
 		fmt.Println("injected a bit flip into an in-flight register of core 1")
 	}

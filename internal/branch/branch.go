@@ -202,23 +202,18 @@ func (p *Predictor) MispredictRate() float64 {
 	return float64(p.Mispredicts) / float64(p.Lookups)
 }
 
-// Clone returns an independent copy (for tandem fault injection).
-func (p *Predictor) Clone() *Predictor {
-	d := *p
-	d.pht = append([]uint8(nil), p.pht...)
-	d.btb = append([]btbEntry(nil), p.btb...)
-	d.ras = append([]uint64(nil), p.ras...)
-	return &d
-}
-
-// CloneInto overwrites d with a deep copy of p, reusing d's table
-// storage when the geometry matches (the snapshot-arena path).
-func (p *Predictor) CloneInto(d *Predictor) {
+// CloneInto returns a deep copy of p in d, reusing d's table storage
+// (the snapshot-arena path), or in a new predictor when d is nil.
+func (p *Predictor) CloneInto(d *Predictor) *Predictor {
+	if d == nil {
+		d = &Predictor{}
+	}
 	pht, btb, ras := d.pht, d.btb, d.ras
 	*d = *p
 	d.pht = append(pht[:0], p.pht...)
 	d.btb = append(btb[:0], p.btb...)
 	d.ras = append(ras[:0], p.ras...)
+	return d
 }
 
 func b2u(b bool) uint64 {

@@ -148,7 +148,7 @@ func TestCloneIndependence(t *testing.T) {
 			p.RecoverMispredict(pred, true)
 		}
 	}
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	// Retrain the clone to not-taken.
 	for i := 0; i < 8; i++ {
 		pred := c.PredictCond(pc)

@@ -128,9 +128,6 @@ func (s Spec) validate() error {
 	if len(s.Benchmarks) == 0 {
 		return fmt.Errorf("campaign: spec has no benchmarks")
 	}
-	if s.Fault.Injections <= 0 {
-		return fmt.Errorf("campaign: spec has no injections")
-	}
 	return s.Fault.Validate()
 }
 

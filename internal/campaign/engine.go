@@ -160,8 +160,8 @@ func (e *Engine) open(dir string, resume bool) (*Work, error) {
 			return nil, err
 		}
 		source = e.Spec.Source()
-	} else if e.Spec.Fault.Injections <= 0 {
-		return nil, fmt.Errorf("campaign: spec has no injections")
+	} else if err := e.Spec.Fault.Validate(); err != nil {
+		return nil, err
 	}
 	if e.Factory == nil {
 		return nil, fmt.Errorf("campaign: engine has no core factory")

@@ -6,7 +6,6 @@ import (
 
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
-	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 )
@@ -73,8 +72,6 @@ type Evaluator struct {
 	Prepared *fault.PreparedCache
 	// Progress receives engine progress for cells actually executed.
 	Progress func(done, total int)
-	// Obs forwards injection-lifecycle events to the engine.
-	Obs obs.Sink
 
 	runs    map[Cell]cellRun
 	timings map[Cell]TimingMetrics
@@ -120,7 +117,6 @@ func (ev *Evaluator) Evaluate(ctx context.Context, cells []Cell) ([]CellMetrics,
 			Factory:  ev.Factory,
 			Source:   needed,
 			Progress: ev.Progress,
-			Obs:      ev.Obs,
 		}
 		if ev.Prepared != nil {
 			eng.Prepare = func(c Cell, mk func() *pipeline.Core, cfg fault.Config) (*fault.Prepared, error) {

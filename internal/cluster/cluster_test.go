@@ -434,14 +434,18 @@ func TestWorkerShardStream(t *testing.T) {
 		t.Fatalf("result indices %v, want %v", indices, want)
 	}
 
-	// Out-of-range, nameless and zero-spread shards are rejected before
-	// any work; a zero spread used to panic the worker's preparation.
+	// Out-of-range, nameless, zero-spread and oversized shards are
+	// rejected before any work; a zero spread, or an injection count
+	// past the ceiling, used to panic the worker's preparation.
 	noSpread := cfg
 	noSpread.SpreadCycles = 0
+	huge := cfg
+	huge.Injections = 1 << 62
 	for _, bad := range []ShardRequest{
 		{LeaseID: "t", Bench: "bzip2", Scheme: "faulthound", From: 5, To: 99, Fault: cfg},
 		{LeaseID: "t", From: 0, To: 1, Fault: cfg},
 		{LeaseID: "t", Bench: "bzip2", Scheme: "faulthound", From: 0, To: 1, Fault: noSpread},
+		{LeaseID: "t", Bench: "bzip2", Scheme: "faulthound", From: 0, To: 1, Fault: huge},
 	} {
 		bb, _ := json.Marshal(bad)
 		resp, err := http.Post(ts.URL+"/v1/cluster/run", "application/json", bytes.NewReader(bb))

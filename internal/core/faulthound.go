@@ -253,33 +253,21 @@ func (f *FaultHound) TCAMStats() (addr, value tcam.Stats) {
 	return f.addr.Stats(), f.value.Stats()
 }
 
-// Clone implements detect.Detector.
-func (f *FaultHound) Clone() detect.Detector {
-	c := &FaultHound{cfg: f.cfg, learnOnly: f.learnOnly, stats: f.stats}
-	if f.cfg.NoCluster {
-		c.addrTab = f.addrTab.Clone()
-		c.valueTab = f.valueTab.Clone()
-	} else {
-		c.addr = f.addr.Clone()
-		c.value = f.value.Clone()
-	}
-	return c
-}
-
-// CloneInto implements detect.InPlaceCloner: overwrite dst (a previous
-// Clone of this detector) reusing its filter-bank storage.
-func (f *FaultHound) CloneInto(dst detect.Detector) bool {
+// CloneInto implements detect.Detector: a deep copy of f in dst,
+// reusing its filter-bank storage when dst is a FaultHound of the same
+// clustering mode, or in a new detector otherwise.
+func (f *FaultHound) CloneInto(dst detect.Detector) detect.Detector {
 	c, ok := dst.(*FaultHound)
-	if !ok || c.cfg.NoCluster != f.cfg.NoCluster {
-		return false
+	if !ok || c == nil || c.cfg.NoCluster != f.cfg.NoCluster {
+		c = &FaultHound{}
 	}
 	c.cfg, c.learnOnly, c.stats = f.cfg, f.learnOnly, f.stats
 	if f.cfg.NoCluster {
-		f.addrTab.CloneInto(c.addrTab)
-		f.valueTab.CloneInto(c.valueTab)
+		c.addrTab = f.addrTab.CloneInto(c.addrTab)
+		c.valueTab = f.valueTab.CloneInto(c.valueTab)
 	} else {
-		f.addr.CloneInto(c.addr)
-		f.value.CloneInto(c.value)
+		c.addr = f.addr.CloneInto(c.addr)
+		c.value = f.value.CloneInto(c.value)
 	}
-	return true
+	return c
 }

@@ -164,7 +164,7 @@ func TestStatsConservation(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	f := New(DefaultConfig())
 	f.OnComplete(ev(detect.LoadAddr, 1, 100))
-	c := f.Clone()
+	c := f.CloneInto(nil)
 	c.OnComplete(ev(detect.LoadAddr, 1, 0xffffffffffffffff))
 	if f.Stats().Checks != 1 {
 		t.Fatal("clone leaked into original")

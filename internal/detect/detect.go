@@ -88,8 +88,8 @@ type Stats struct {
 }
 
 // Detector is a soft-fault detection scheme attached to the pipeline.
-// Implementations must be deterministic and support deep copy via Clone
-// for tandem fault-injection runs.
+// Implementations must be deterministic and support deep copy via
+// CloneInto for tandem fault-injection runs.
 type Detector interface {
 	// Name identifies the scheme in harness output.
 	Name() string
@@ -104,16 +104,10 @@ type Detector interface {
 	SetLearnOnly(on bool)
 	// Stats returns a snapshot of the detector counters.
 	Stats() Stats
-	// Clone returns an independent deep copy.
-	Clone() Detector
-}
-
-// InPlaceCloner is an optional Detector extension for the snapshot
-// arena: CloneInto overwrites dst (a detector of the same concrete type
-// and geometry, typically a previous Clone of the same source) with a
-// deep copy of the receiver, reusing dst's storage. It reports false —
-// without modifying dst — when dst is not a compatible target, in which
-// case the caller falls back to Clone.
-type InPlaceCloner interface {
-	CloneInto(dst Detector) bool
+	// CloneInto returns an independent deep copy of the detector. It
+	// overwrites dst, reusing its storage, when dst is a compatible
+	// detector (the same concrete type and mode, typically a previous
+	// copy of the same source: the snapshot arena's case); for a nil or
+	// incompatible dst it allocates a new one and leaves dst untouched.
+	CloneInto(dst Detector) Detector
 }

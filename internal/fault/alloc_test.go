@@ -59,6 +59,45 @@ func TestRunOneAllocs(t *testing.T) {
 	}
 }
 
+// TestApplyInjectionAllocs: once a Worker's candidate lists have
+// grown, drawing an in-flight destination register or an LSQ entry
+// allocates no more than drawing among all physical registers. The
+// injection step is measured on its own: a whole run's allocation count
+// moves with how far the flip diverges it (forced LSQ descriptors run
+// their full window and grow the core's queues), which would hide the
+// candidate lists. The flips land on one forked core that never steps,
+// so its sites stay live.
+func TestApplyInjectionAllocs(t *testing.T) {
+	fh := core.DefaultConfig()
+	p, err := Prepare(mkCore(t, "bzip2", &fh), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.golden.Snapshot(pipeline.NewSnapshotArena())
+	if len(f.InFlightDestRegs(nil)) == 0 || len(f.LSQSites(nil)) == 0 {
+		t.Fatal("the golden core holds no in-flight register or LSQ site: the check is vacuous")
+	}
+	var sc siteScratch
+	allocs := func(inj Injection) float64 {
+		return testing.AllocsPerRun(50, func() {
+			inj.SiteSeed++
+			applyInjection(f, inj, &sc)
+		})
+	}
+	regFile := allocs(Injection{Structure: RegFile})
+	for _, k := range []struct {
+		name string
+		inj  Injection
+	}{
+		{"in-flight register", Injection{Structure: RegFile, InFlight: true}},
+		{"LSQ entry", Injection{Structure: LSQ}},
+	} {
+		if n := allocs(k.inj); n > regFile {
+			t.Errorf("drawing an %s allocates %.1f times, drawing any register %.1f", k.name, n, regFile)
+		}
+	}
+}
+
 // TestPreparedRetainedHeap: Prepare freezes each golden checkpoint to
 // its difference from the spread-start golden core, so the checkpoint
 // ring costs a fraction of the golden state instead of seven deep

@@ -119,9 +119,20 @@ type Config struct {
 	EarlyExit bool `json:"-"`
 }
 
+// MaxInjections is the most injections one campaign cell may draw, far
+// above the paper's 15,000. DrawInjections allocates every descriptor
+// up front, so a fault config from outside (an HTTP body, a shard
+// request) must be bounded before anything draws from it.
+const MaxInjections = 1 << 20
+
 // Validate rejects a configuration DrawInjections cannot draw from: an
-// empty injection spread.
+// injection count outside [1, MaxInjections], or an empty injection
+// spread. Every path that takes a fault config from outside calls it
+// before allocating.
 func (c Config) Validate() error {
+	if c.Injections < 1 || c.Injections > MaxInjections {
+		return fmt.Errorf("fault: Injections is %d, want 1 to %d", c.Injections, MaxInjections)
+	}
 	if c.SpreadCycles == 0 {
 		return fmt.Errorf("fault: SpreadCycles is 0: injections need a spread window of at least one cycle")
 	}
@@ -472,6 +483,7 @@ func (p *Prepared) FPRate() float64 { return p.fpRate }
 // give every goroutine its own.
 type Worker struct {
 	arena *pipeline.SnapshotArena
+	sites siteScratch
 	sink  obs.Sink
 	// Audit is the fraction of early-exiting runs, in [0, 1], that the
 	// worker re-checks against full-window simulation (see RunOne). It
@@ -488,8 +500,9 @@ type Worker struct {
 // window ("replay", "rollback", "singleton"), a "detect" instant at the
 // first such action (Arg = the action kind), from which sinks derive
 // detection latency in cycles, and an "early-exit" instant on
-// reconvergence. A nil sink disables them; the disabled path costs one
-// pointer test.
+// reconvergence. The action instants come from the detector's counters,
+// compared after every window step; no tracer is attached to the core.
+// A nil sink disables them; the disabled path costs one pointer test.
 func NewWorker(sink obs.Sink) *Worker {
 	return &Worker{arena: pipeline.NewSnapshotArena(), sink: sink}
 }
@@ -588,27 +601,29 @@ func pollCancel(ctx context.Context, i uint64) error {
 	return nil
 }
 
-// actionTracer forwards the faulty run's detector actions (replay,
-// rollback, singleton) to an obs sink and marks the first one — the
-// detection point — with a "detect" instant. It is attached to the
-// clone only when a sink is present, so untraced runs never pay for
-// it.
-type actionTracer struct {
-	sink     obs.Sink
-	detected bool
-}
-
-// Trace implements pipeline.Tracer.
-func (t *actionTracer) Trace(ev pipeline.TraceEvent) {
-	switch ev.Stage {
-	case pipeline.TraceReplay, pipeline.TraceRollback, pipeline.TraceSingleton:
-	default:
-		return
-	}
-	obs.Instant(t.sink, ev.Stage.String(), ev.Cycle, "")
-	if !t.detected {
-		t.detected = true
-		obs.Instant(t.sink, "detect", ev.Cycle, ev.Stage.String())
+// emitActions reports one window step's detector actions, the counter
+// deltas from was to now, as "singleton", "replay" and "rollback"
+// instants at cycle, in the order a step takes them (commit-time checks
+// before completion-time ones). Each instant is one counted action: a
+// store whose address and value checks both trigger counts two, though
+// the pipeline acts once. With first, the step holds the run's first
+// action, which is also its "detect" instant (Arg = the action kind).
+func emitActions(sink obs.Sink, cycle uint64, was, now detect.Stats, first bool) {
+	for _, k := range [...]struct {
+		act detect.Action
+		n   uint64
+	}{
+		{detect.Singleton, now.Singletons - was.Singletons},
+		{detect.Replay, now.Replays - was.Replays},
+		{detect.Rollback, now.Rollbacks - was.Rollbacks},
+	} {
+		for i := uint64(0); i < k.n; i++ {
+			obs.Instant(sink, k.act.String(), cycle, "")
+			if first {
+				first = false
+				obs.Instant(sink, "detect", cycle, k.act.String())
+			}
+		}
 	}
 }
 
@@ -660,13 +675,12 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		}
 		f.Step()
 	}
-	applyInjection(f, inj)
+	applyInjection(f, inj, &w.sites)
 	if sink != nil {
 		obs.Instant(sink, "inject", f.Cycle(), inj.Structure.String())
 		if forkOff != 0 {
 			obs.Instant(sink, "fork", f.Cycle(), strconv.FormatUint(forkOff, 10))
 		}
-		f.SetTracer(&actionTracer{sink: sink})
 	}
 
 	det := f.Detector()
@@ -676,10 +690,11 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	}
 	ps0 := f.Stats()
 	// The first window step that raises the detector's action count is
-	// the step whose action the tracer marks "detect": detectors count
-	// an action exactly when they return one, and the pipeline acts on
-	// (and traces) every action it is returned.
-	acts0, firstAction := actions(ds0), uint64(0)
+	// the detection point: detectors count an action exactly when they
+	// return one. With a sink, every step's counter deltas are its
+	// action instants (emitActions); seen holds the counters last
+	// compared.
+	seen, firstAction := ds0, uint64(0)
 
 	injCount := f.Committed(0)
 	target := injCount + cfg.WindowInstr
@@ -745,8 +760,17 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 				}
 			}
 			f.Step()
-			if firstAction == 0 && det != nil && actions(det.Stats()) != acts0 {
-				firstAction = f.Cycle()
+			if det != nil && (firstAction == 0 || sink != nil) {
+				if ds := det.Stats(); actions(ds) != actions(seen) {
+					first := firstAction == 0
+					if first {
+						firstAction = f.Cycle()
+					}
+					if sink != nil {
+						emitActions(sink, f.Cycle(), seen, ds, first)
+					}
+					seen = ds
+				}
 			}
 		}
 		return false, nil
@@ -874,11 +898,19 @@ func (e *AuditError) Error() string {
 // hook).
 var noopInjections = false
 
+// siteScratch holds applyInjection's candidate lists between runs, so
+// a Worker's runs that draw among in-flight registers or LSQ entries
+// stop allocating once the lists have grown.
+type siteScratch struct {
+	regs []uint16
+	lsq  []pipeline.LSQSite
+}
+
 // applyInjection flips the descriptor's bit in the live structure.
 // When the preferred structure has no live site (an empty LSQ), the
 // fault falls back to the register file, keeping the campaign size
-// fixed.
-func applyInjection(c *pipeline.Core, inj Injection) {
+// fixed. The candidate lists are built in sc's storage.
+func applyInjection(c *pipeline.Core, inj Injection, sc *siteScratch) {
 	if noopInjections {
 		return
 	}
@@ -890,9 +922,9 @@ func applyInjection(c *pipeline.Core, inj Injection) {
 		c.FlipRATBit(0, r, inj.Bit)
 		return
 	case LSQ:
-		sites := c.LSQSites()
-		if len(sites) > 0 {
-			site := sites[rng.Intn(len(sites))]
+		sc.lsq = c.LSQSites(sc.lsq)
+		if n := len(sc.lsq); n > 0 {
+			site := sc.lsq[rng.Intn(n)]
 			field := pipeline.LSQAddr
 			if site.IsStore && rng.Bool(0.5) {
 				field = pipeline.LSQData
@@ -908,8 +940,9 @@ func applyInjection(c *pipeline.Core, inj Injection) {
 	// masked. The InFlight share emulates back-end datapath faults by
 	// targeting live in-flight destination values instead.
 	if inj.InFlight {
-		if inflight := c.InFlightDestRegs(); len(inflight) > 0 {
-			c.FlipRegisterBit(inflight[rng.Intn(len(inflight))], inj.Bit)
+		sc.regs = c.InFlightDestRegs(sc.regs)
+		if n := len(sc.regs); n > 0 {
+			c.FlipRegisterBit(sc.regs[rng.Intn(n)], inj.Bit)
 			return
 		}
 	}

@@ -64,7 +64,7 @@ func runOneSystem(golden *system.System, inj Injection, cfg Config, goldenHash m
 	// inject into it with the standard site logic.
 	rng := stats.NewRNG(inj.SiteSeed ^ 0xc0e)
 	victim := f.Core(rng.Intn(f.Cores()))
-	applyInjection(victim, inj)
+	applyInjection(victim, inj, new(siteScratch))
 
 	ps0 := aggregateFaultStats(f)
 

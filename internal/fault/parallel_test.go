@@ -7,6 +7,11 @@ import (
 	"time"
 
 	"faulthound/internal/core"
+	"faulthound/internal/detect"
+	"faulthound/internal/pbfs"
+	"faulthound/internal/pipeline"
+	"faulthound/internal/prog"
+	"faulthound/internal/workload"
 )
 
 // TestPreparedSharedState proves the Prepare/RunOne split's contract:
@@ -120,22 +125,56 @@ func TestRunOneArenaMatchesRunOne(t *testing.T) {
 }
 
 // TestArenaSurvivesCampaignSwitch: a campaign worker outlives cell
-// boundaries — reusing one Worker across two different prepared golden
-// runs (different benchmark, detector present vs absent) must fall
-// back to fresh allocation, not corrupt results.
+// boundaries. One Worker rotates through five cores on two benchmarks,
+// and each result must equal a fresh Worker's: FaultHound; FaultHound
+// with 8 TCAM entries and no second-level filter (a reused TCAM of
+// another geometry, whose nil second-level bank must stay nil); the
+// no-cluster FaultHound (PC-indexed tables, an incompatible
+// destination); PBFS (another detector type); and no detector. A
+// destination that cannot take the next detector is rebuilt, never
+// reused.
 func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 	fh := core.DefaultConfig()
-	pa, err := Prepare(mkCore(t, "bzip2", &fh), smallConfig())
-	if err != nil {
-		t.Fatal(err)
+	small := core.DefaultConfig()
+	small.Addr.Entries, small.Value.Entries = 8, 8
+	small.Addr.SecondLevel, small.Value.SecondLevel = false, false
+	noCluster := core.NoClusterNo2LevelConfig()
+	cells := []struct {
+		name, bench string
+		det         func() detect.Detector
+	}{
+		{"faulthound", "bzip2", func() detect.Detector { return core.New(fh) }},
+		{"faulthound-8-no2level", "mcf", func() detect.Detector { return core.New(small) }},
+		{"nocluster", "bzip2", func() detect.Detector { return core.New(noCluster) }},
+		{"pbfs", "mcf", func() detect.Detector { return pbfs.New(pbfs.Biased()) }},
+		{"none", "bzip2", nil},
 	}
-	pb, err := Prepare(mkCore(t, "mcf", nil), smallConfig())
-	if err != nil {
-		t.Fatal(err)
+	ps := make([]*Prepared, len(cells))
+	for i, c := range cells {
+		bm, err := workload.Resolve(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prg := bm.Build(prog.DefaultDataBase, 3)
+		newDet := c.det
+		ps[i], err = Prepare(func() *pipeline.Core {
+			var det detect.Detector
+			if newDet != nil {
+				det = newDet()
+			}
+			c, err := pipeline.New(pipeline.DefaultConfig(1), []*prog.Program{prg}, det)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	w := NewWorker(nil)
 	for round := 0; round < 3; round++ {
-		for _, p := range []*Prepared{pa, pb} {
+		for i, p := range ps {
 			inj := p.Injections()[round]
 			got, err := p.RunOne(context.Background(), inj, w)
 			if err != nil {
@@ -146,7 +185,7 @@ func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("round %d: worker after switch = %+v, want %+v", round, got, want)
+				t.Fatalf("round %d, %s: worker after switch = %+v, want %+v", round, cells[i].name, got, want)
 			}
 		}
 	}

@@ -160,9 +160,3 @@ func (f *Filter) FlashClear() {
 func (f *Filter) StateOf(i uint) uint8 {
 	return uint8((f.s1>>i&1)<<1 | f.s0>>i&1)
 }
-
-// Clone returns an independent copy.
-func (f *Filter) Clone() *Filter {
-	c := *f
-	return &c
-}

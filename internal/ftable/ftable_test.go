@@ -87,7 +87,7 @@ func TestPeriodicClearRestoresDetection(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tb := New(small(filter.Biased2))
 	tb.Lookup(7, 100)
-	c := tb.Clone()
+	c := tb.CloneInto(nil)
 	c.Lookup(7, 0xffffffff)
 	if tb.Stats().Lookups != 1 {
 		t.Fatal("clone lookup leaked into original")

@@ -128,16 +128,6 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(n)
 }
 
-// Clone returns an independent copy of the cache state; a frozen
-// delta is materialized over its base. The copy opts out of the
-// delta-clone machinery: it shares no baseline and journals nothing.
-func (c *Cache) Clone() *Cache {
-	d := &Cache{}
-	c.CloneInto(d)
-	d.base, d.journal = nil, nil
-	return d
-}
-
 // SetBaseline freezes c and registers base as its delta-clone anchor:
 // CloneInto from c can then restore a destination that shares the same
 // anchor by rewriting only the destination's journaled mutations and
@@ -163,15 +153,22 @@ func (c *Cache) SetBaseline(base *Cache) {
 	}
 }
 
-// CloneInto overwrites d with a deep copy of c, reusing d's tag arrays
-// when the geometry matches (the snapshot-arena path; the L2 alone is
-// over half a megabyte of tag state, so reuse matters). When c carries
-// a baseline (SetBaseline) and d was last restored from an origin with
-// the same baseline, only the lines d mutated since plus c's divergence
-// from the baseline are rewritten. Otherwise d gets a flat copy: of
-// c's tag store, or of the baseline's with c's divergence written over
-// it.
-func (c *Cache) CloneInto(d *Cache) {
+// CloneInto returns a deep copy of c in d, reusing d's tag arrays (the
+// snapshot-arena path; the L2 alone is over half a megabyte of tag
+// state, so reuse matters), or in a new cache when d is nil. When c
+// carries a baseline (SetBaseline) and d was last restored from an
+// origin with the same baseline, only the lines d mutated since plus
+// c's divergence from the baseline are rewritten. Otherwise d gets a
+// flat copy: of c's tag store, or of the baseline's with c's divergence
+// written over it. A frozen delta is materialized the same way into a
+// new cache, which opts out of the delta-clone machinery: it shares no
+// baseline and journals nothing, so a copy that runs on for long never
+// pays for a journal it cannot use.
+func (c *Cache) CloneInto(d *Cache) *Cache {
+	fresh := d == nil
+	if fresh {
+		d = &Cache{}
+	}
 	if b := c.base; b != nil && d.base == b && !d.jovf && len(d.tags) == len(b.tags) {
 		for _, i := range d.journal {
 			d.tags[i], d.valid[i], d.age[i] = b.tags[i], b.valid[i], b.age[i]
@@ -181,7 +178,7 @@ func (c *Cache) CloneInto(d *Cache) {
 		d.stamp, d.Hits, d.Misses = c.stamp, c.Hits, c.Misses
 		d.delta, d.lines = nil, nil
 		d.journal = append(d.journal[:0], c.delta...)
-		return
+		return d
 	}
 	src := c
 	if c.tags == nil {
@@ -198,9 +195,13 @@ func (c *Cache) CloneInto(d *Cache) {
 	d.delta, d.lines = nil, nil
 	d.journal = journal[:0]
 	d.jovf = false
-	if c.base != nil {
+	switch {
+	case fresh:
+		d.base, d.journal = nil, nil
+	case c.base != nil:
 		d.journal = append(d.journal, c.delta...)
 	}
+	return d
 }
 
 // applyDelta writes c's divergence from its baseline into d's tag
@@ -281,20 +282,16 @@ func (t *TLB) Access(addr uint64) bool {
 	return false
 }
 
-// Clone returns an independent copy of the TLB state.
-func (t *TLB) Clone() *TLB {
-	d := *t
-	d.pages = append([]uint64(nil), t.pages...)
-	d.valid = append([]bool(nil), t.valid...)
-	d.age = append([]uint64(nil), t.age...)
-	return &d
-}
-
-// CloneInto overwrites d with a deep copy of t, reusing d's storage.
-func (t *TLB) CloneInto(d *TLB) {
+// CloneInto returns a deep copy of t in d, reusing d's storage, or in
+// a new TLB when d is nil.
+func (t *TLB) CloneInto(d *TLB) *TLB {
+	if d == nil {
+		d = &TLB{}
+	}
 	pages, valid, age := d.pages, d.valid, d.age
 	*d = *t
 	d.pages = append(pages[:0], t.pages...)
 	d.valid = append(valid[:0], t.valid...)
 	d.age = append(age[:0], t.age...)
+	return d
 }

@@ -154,27 +154,19 @@ func (h *Hierarchy) SetBaseline(base *Hierarchy) {
 	h.l2.SetBaseline(base.l2)
 }
 
-// Clone returns an independent deep copy of the hierarchy state.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		cfg:  h.cfg,
-		l1i:  h.l1i.Clone(),
-		l1d:  h.l1d.Clone(),
-		l2:   h.l2.Clone(),
-		itlb: h.itlb.Clone(),
-		dtlb: h.dtlb.Clone(),
-		sh:   h.sh,
+// CloneInto returns a deep copy of h in dst, reusing dst's tag
+// storage, or in a new hierarchy when dst is nil. dst is typically a
+// previous copy of the same hierarchy.
+func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
+	if dst == nil {
+		dst = &Hierarchy{}
 	}
-}
-
-// CloneInto overwrites dst with a deep copy of h, reusing dst's tag
-// storage. dst is typically a previous Clone of the same hierarchy.
-func (h *Hierarchy) CloneInto(dst *Hierarchy) {
 	dst.cfg = h.cfg
 	dst.sh = h.sh
-	h.l1i.CloneInto(dst.l1i)
-	h.l1d.CloneInto(dst.l1d)
-	h.l2.CloneInto(dst.l2)
-	h.itlb.CloneInto(dst.itlb)
-	h.dtlb.CloneInto(dst.dtlb)
+	dst.l1i = h.l1i.CloneInto(dst.l1i)
+	dst.l1d = h.l1d.CloneInto(dst.l1d)
+	dst.l2 = h.l2.CloneInto(dst.l2)
+	dst.itlb = h.itlb.CloneInto(dst.itlb)
+	dst.dtlb = h.dtlb.CloneInto(dst.dtlb)
+	return dst
 }

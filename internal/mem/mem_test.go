@@ -201,7 +201,7 @@ func TestHierarchyInstructionPath(t *testing.T) {
 func TestHierarchyCloneIndependence(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig())
 	h.AccessD(0x10000, false)
-	c := h.Clone()
+	c := h.CloneInto(nil)
 	// Accessing through the clone must not warm the original.
 	c.AccessD(0x20000, false)
 	if h.Stats().L1DAccesses != 1 {
@@ -249,7 +249,7 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 
 func TestOverlayIndependence(t *testing.T) {
 	base := NewMemory(0x1000, 0x100, map[uint64]uint64{0x1000: 1, 0x1008: 2})
-	ov := base.Overlay()
+	ov := base.OverlayInto(nil)
 	// Overlay starts identical to the base.
 	if !ov.Equal(base) || ov.Hash() != base.Hash() {
 		t.Fatal("fresh overlay should equal its base")
@@ -288,7 +288,7 @@ func TestOverlayIndependence(t *testing.T) {
 func TestOverlayCloneMatchesEagerClone(t *testing.T) {
 	base := NewMemory(0x1000, 0x1000, map[uint64]uint64{0x1000: 3, 0x1100: 4})
 	eager := base.Clone()
-	ov := base.Overlay()
+	ov := base.OverlayInto(nil)
 	// Apply the same write sequence to the eager clone and the overlay.
 	writes := []struct{ a, v uint64 }{
 		{0x1000, 10}, {0x1200, 11}, {0x1100, 0}, {0x1000, 3}, {0x1ff8, 5},
@@ -318,27 +318,35 @@ func TestOverlayCloneMatchesEagerClone(t *testing.T) {
 	}
 }
 
+// TestOverlayReset: OverlayInto on an overlay empties it and re-points
+// it at the new base, in place, whether the base is the same or
+// another; a root destination is never emptied, and gets a new overlay.
 func TestOverlayReset(t *testing.T) {
 	base := NewMemory(0x1000, 0x100, map[uint64]uint64{0x1000: 1})
-	ov := base.Overlay()
+	ov := base.OverlayInto(nil)
 	ov.Write(0x1000, 2)
 	ov.Write(0x1008, 3)
-	ov.Reset()
+	if got := base.OverlayInto(ov); got != ov {
+		t.Fatal("an overlay destination was not reused")
+	}
 	if !ov.Equal(base) || ov.Hash() != base.Hash() {
-		t.Fatal("Reset should restore the overlay to its base")
+		t.Fatal("reuse should restore the overlay to its base")
 	}
-	if len(ov.words) != 0 {
-		t.Fatal("Reset should empty the dirty map")
+	if len(ov.words) != 0 || ov.parent != base {
+		t.Fatal("reuse should empty the dirty map and keep the base")
 	}
-	if !ov.IsOverlayOf(base) {
-		t.Fatal("Reset overlay should still belong to its base")
+	other := NewMemory(0x2000, 0x200, map[uint64]uint64{0x2008: 9})
+	ov.Write(0x1010, 4)
+	if got := other.OverlayInto(ov); got != ov || ov.parent != other || len(ov.words) != 0 {
+		t.Fatal("reuse onto another base should rebase the overlay in place")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on a root memory should panic")
-		}
-	}()
-	base.Reset()
+	if !ov.Equal(other) || ov.Hash() != other.Hash() || ov.Base() != other.Base() || ov.Size() != other.Size() {
+		t.Fatal("a rebased overlay should read as its new base")
+	}
+	hash := other.Hash()
+	if got := base.OverlayInto(other); got == other || got.parent != base || other.parent != nil || other.Hash() != hash || len(other.words) != 1 {
+		t.Fatal("a root destination should be left alone and a new overlay returned")
+	}
 }
 
 // Many goroutines each run a private overlay over one shared immutable
@@ -356,7 +364,7 @@ func TestOverlayConcurrentOverSharedBase(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ov := base.Overlay()
+			ov := base.OverlayInto(nil)
 			for iter := 0; iter < 4; iter++ {
 				for i := uint64(0); i < 512; i++ {
 					a := 0x10000 + i*8
@@ -367,10 +375,10 @@ func TestOverlayConcurrentOverSharedBase(t *testing.T) {
 					}
 					ov.Write(a, v+uint64(g)+1)
 				}
-				ov.Reset()
+				ov = base.OverlayInto(ov)
 			}
 			if ov.Hash() != wantHash || !ov.Equal(base) {
-				t.Errorf("g%d: overlay diverged from base after Reset", g)
+				t.Errorf("g%d: overlay diverged from base after reuse", g)
 			}
 		}(g)
 	}
@@ -386,7 +394,7 @@ func TestOverlayEquivalenceProperty(t *testing.T) {
 	f := func(offs []uint16, vals []uint64) bool {
 		base := NewMemory(0x10000, 1<<20, map[uint64]uint64{0x10000: 42})
 		eager := base.Clone()
-		ov := base.Overlay()
+		ov := base.OverlayInto(nil)
 		n := len(offs)
 		if len(vals) < n {
 			n = len(vals)
@@ -412,7 +420,7 @@ func TestOverlayEquivalenceProperty(t *testing.T) {
 func TestCloneLayer(t *testing.T) {
 	const lo, size = 0x1000, 0x200
 	base := NewMemory(lo, size, map[uint64]uint64{0x1000: 1, 0x1008: 2, 0x1010: 3})
-	trace := base.Overlay()
+	trace := base.OverlayInto(nil)
 	trace.Write(0x1000, 10) // overwritten
 	trace.Write(0x1100, 11) // new
 	trace.Write(0x1008, 0)  // zeroed
@@ -425,7 +433,7 @@ func TestCloneLayer(t *testing.T) {
 	if !ck.Equal(flat) || !flat.Equal(ck) || ck.Hash() != flat.Hash() {
 		t.Fatal("checkpoint differs from the flat clone")
 	}
-	a, b := ck.Overlay(), flat.Overlay()
+	a, b := ck.OverlayInto(nil), flat.OverlayInto(nil)
 	for _, w := range []struct{ a, v uint64 }{{0x1000, 5}, {0x1008, 6}, {0x1010, 0}, {0x1180, 7}} {
 		a.Write(w.a, w.v)
 		b.Write(w.a, w.v)
@@ -452,7 +460,7 @@ func TestCloneLayer(t *testing.T) {
 // destination last restored from an origin with the same base (its
 // journal undone, the delta applied), again after that destination
 // ran, when switching between two origins, and after the journal
-// overflowed. Clone materializes the same.
+// overflowed. CloneInto(nil) materializes the same.
 func TestFrozenCacheRestore(t *testing.T) {
 	rng := stats.NewRNG(7)
 	access := func(c *Cache, n int) {
@@ -470,9 +478,9 @@ func TestFrozenCacheRestore(t *testing.T) {
 		// freeze returns an origin diverged from base and frozen
 		// against it, with an unfrozen copy of it.
 		freeze := func() (frozen, want *Cache) {
-			frozen = base.Clone()
+			frozen = base.CloneInto(nil)
 			access(frozen, rng.Intn(2000))
-			want = frozen.Clone()
+			want = frozen.CloneInto(nil)
 			frozen.SetBaseline(base)
 			if frozen.tags != nil || frozen.valid != nil || frozen.age != nil {
 				t.Fatal("a frozen cache kept its tag store")
@@ -513,6 +521,6 @@ func TestFrozenCacheRestore(t *testing.T) {
 		a.CloneInto(d)
 		check("after overflow", d, wantA)
 
-		check("Clone", a.Clone(), wantA)
+		check("Clone", a.CloneInto(nil), wantA)
 	}
 }

@@ -152,56 +152,25 @@ func (m *Memory) Footprint() int {
 	return n
 }
 
-// Overlay returns a copy-on-write view of m: reads fall through to m,
-// writes stay in the overlay's private dirty map, and the incremental
-// hash carries over so Hash stays O(1). An overlay snapshot replaces a
-// full Clone in the per-injection hot path — cost is one small map
-// instead of a copy of the whole image. m must not be written while the
-// overlay is in use; m may be read concurrently by any number of
-// overlays (each overlay itself is single-goroutine, like Memory).
-func (m *Memory) Overlay() *Memory {
-	return &Memory{
-		base:   m.base,
-		size:   m.size,
-		words:  make(map[uint64]uint64),
-		hash:   m.hash,
-		parent: m,
+// OverlayInto returns a copy-on-write view of m: reads fall through to
+// m, writes stay in the overlay's private dirty map, and the
+// incremental hash carries over so Hash stays O(1). An overlay snapshot
+// replaces a full Clone in the per-injection hot path — cost is one
+// small map instead of a copy of the whole image. A dst that is itself
+// an overlay (of m or of any other base) is emptied and re-pointed at
+// m, keeping its dirty map's capacity; a nil or root dst gets a new
+// overlay, and a root dst is left untouched. m must not be written
+// while the overlay is in use; m may be read concurrently by any number
+// of overlays (each overlay itself is single-goroutine, like Memory).
+func (m *Memory) OverlayInto(dst *Memory) *Memory {
+	if dst == nil || dst.parent == nil {
+		dst = &Memory{words: make(map[uint64]uint64)}
+	} else {
+		clear(dst.words)
 	}
+	dst.base, dst.size, dst.hash, dst.parent = m.base, m.size, m.hash, m
+	return dst
 }
-
-// IsOverlayOf reports whether m is an overlay directly on base (the
-// snapshot arena uses this to decide between resetting and rebuilding).
-func (m *Memory) IsOverlayOf(base *Memory) bool { return m.parent == base }
-
-// Reset discards every overlay write, returning the overlay to its
-// parent's exact contents (and hash) without reallocating the dirty
-// map. It panics on a root memory.
-func (m *Memory) Reset() {
-	if m.parent == nil {
-		panic("mem: Reset on a non-overlay memory")
-	}
-	clear(m.words)
-	m.hash = m.parent.hash
-}
-
-// ResetOnto discards every overlay write and re-points the overlay at a
-// new parent, taking the parent's exact contents and hash — Reset plus
-// a rebase. The snapshot arena uses it when consecutive snapshots fork
-// from different golden checkpoints: the dirty map's capacity is kept
-// while the base swaps underneath. It panics on a root memory.
-func (m *Memory) ResetOnto(parent *Memory) {
-	if m.parent == nil {
-		panic("mem: ResetOnto on a non-overlay memory")
-	}
-	clear(m.words)
-	m.parent = parent
-	m.base = parent.base
-	m.size = parent.size
-	m.hash = parent.hash
-}
-
-// Overlaid reports whether m is a copy-on-write overlay (of any base).
-func (m *Memory) Overlaid() bool { return m.parent != nil }
 
 // Hash returns a 64-bit fingerprint of the memory contents for tandem
 // state comparison. It is maintained incrementally, so this is O(1).

@@ -85,26 +85,16 @@ func (p *PBFS) SetLearnOnly(on bool) { p.learnOnly = on }
 // Stats implements detect.Detector.
 func (p *PBFS) Stats() detect.Stats { return p.stats }
 
-// Clone implements detect.Detector.
-func (p *PBFS) Clone() detect.Detector {
-	return &PBFS{
-		cfg:       p.cfg,
-		addr:      p.addr.Clone(),
-		value:     p.value.Clone(),
-		learnOnly: p.learnOnly,
-		stats:     p.stats,
-	}
-}
-
-// CloneInto implements detect.InPlaceCloner: overwrite dst (a previous
-// Clone of this detector) reusing its filter-table storage.
-func (p *PBFS) CloneInto(dst detect.Detector) bool {
+// CloneInto implements detect.Detector: a deep copy of p in dst,
+// reusing its filter-table storage when dst is a PBFS, or in a new
+// detector otherwise.
+func (p *PBFS) CloneInto(dst detect.Detector) detect.Detector {
 	c, ok := dst.(*PBFS)
-	if !ok {
-		return false
+	if !ok || c == nil {
+		c = &PBFS{}
 	}
 	c.cfg, c.learnOnly, c.stats = p.cfg, p.learnOnly, p.stats
-	p.addr.CloneInto(c.addr)
-	p.value.CloneInto(c.value)
-	return true
+	c.addr = p.addr.CloneInto(c.addr)
+	c.value = p.value.CloneInto(c.value)
+	return c
 }

@@ -99,7 +99,7 @@ func TestStatsAndName(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	p := New(Biased())
 	p.OnComplete(ev(detect.LoadAddr, 10, 100))
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	c.OnComplete(ev(detect.LoadAddr, 10, 0xffffffff))
 	if p.Stats().Checks != 1 {
 		t.Fatal("clone check leaked into original")

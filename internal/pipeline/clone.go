@@ -3,7 +3,6 @@ package pipeline
 import (
 	"sort"
 
-	"faulthound/internal/detect"
 	"faulthound/internal/mem"
 )
 
@@ -66,27 +65,18 @@ type cloneSeg struct {
 }
 
 // Snapshot returns a copy of c built inside the arena. The copy's data
-// memory is a copy-on-write overlay over c's memory (reused and Reset
-// when the arena already holds one), so c must stay immutable while the
-// snapshot is in use — the fault runner's Prepared contract. The
-// returned core is valid until the next Snapshot on the same arena.
+// memory is a copy-on-write overlay over c's memory (the arena's
+// previous overlay, emptied and re-pointed at c's memory, so
+// checkpoint-forked snapshots stay allocation-free too), so c must stay
+// immutable while the snapshot is in use — the fault runner's Prepared
+// contract. The returned core is valid until the next Snapshot on the
+// same arena.
 func (c *Core) Snapshot(a *SnapshotArena) *Core {
-	var m *mem.Memory
-	switch {
-	case a.dst != nil && a.dst.memory != nil && a.dst.memory.IsOverlayOf(c.memory):
-		m = a.dst.memory
-		m.Reset()
-	case a.dst != nil && a.dst.memory != nil && a.dst.memory.Overlaid():
-		// The arena's overlay sits on a different base (the previous
-		// snapshot forked from another golden checkpoint, or another
-		// cell's golden core): rebase it instead of reallocating, so
-		// checkpoint-forked snapshots stay allocation-free too.
-		m = a.dst.memory
-		m.ResetOnto(c.memory)
-	default:
-		m = c.memory.Overlay()
+	var prev *mem.Memory
+	if a.dst != nil {
+		prev = a.dst.memory
 	}
-	return c.cloneWith(m, a)
+	return c.cloneWith(c.memory.OverlayInto(prev), a)
 }
 
 // ensureLen returns buf resized to n, reallocating only when the
@@ -99,9 +89,11 @@ func ensureLen[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// cloneWith builds the deep copy. With a nil arena every piece is
-// freshly allocated (Clone/CloneWithMemory); with an arena the
-// destination core and all its storage are reused.
+// cloneWith builds the deep copy. Every structure is copied with its
+// CloneInto into the destination's previous one, so the arena's
+// destination core and all its storage are reused; with a nil arena the
+// destination is a new core, every CloneInto gets nil, and every piece
+// is freshly allocated (Clone/CloneWithMemory).
 //
 // The copy leans on two container invariants of the pipeline:
 //
@@ -148,6 +140,9 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 		d.uopChunkPool = &a.uopPool
 		d.uopChunk = nil
 	} else {
+		// A fresh copy joins no uop pool: Clones can run for long (the
+		// multicore runner's golden trace), and a pooled core would keep
+		// every chunk it ever allocated alive in liveUopChunks.
 		d = &Core{}
 		slab = make([]uop, nUops)
 		ckpt = make([]physID, nCkpt)
@@ -226,11 +221,7 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	d.cfg = c.cfg
 	d.cycle = c.cycle
 	d.seq = c.seq
-	if d.rf != nil {
-		c.rf.cloneInto(d.rf)
-	} else {
-		d.rf = c.rf.clone()
-	}
+	d.rf = c.rf.cloneInto(d.rf)
 	d.iq = remapInto(d.iq, c.iq)
 	d.iqUsed = c.iqUsed
 	d.iqMask = c.iqMask
@@ -244,23 +235,15 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	d.delayBuf = remapInto(d.delayBuf, c.delayBuf)
 	if c.mshrFree == nil {
 		d.mshrFree = nil
-	} else if a != nil {
-		d.mshrFree = append(d.mshrFree[:0], c.mshrFree...)
 	} else {
-		d.mshrFree = append([]uint64(nil), c.mshrFree...)
+		d.mshrFree = append(d.mshrFree[:0], c.mshrFree...)
 	}
 	d.memory = shared
-	if d.hier != nil {
-		c.hier.CloneInto(d.hier)
-	} else {
-		d.hier = c.hier.Clone()
-	}
+	d.hier = c.hier.CloneInto(d.hier)
 	if c.detector == nil {
 		d.detector = nil
-	} else if ip, ok := c.detector.(detect.InPlaceCloner); ok && d.detector != nil && ip.CloneInto(d.detector) {
-		// reused in place
 	} else {
-		d.detector = c.detector.Clone()
+		d.detector = c.detector.CloneInto(d.detector)
 	}
 	d.detStream = c.detStream
 	// Observation hooks never carry over: the fault runner installs its
@@ -294,12 +277,7 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 		}
 		rat := append(dt.rat[:0], t.rat...)
 		aRAT := append(dt.aRAT[:0], t.aRAT...)
-		pred := dt.pred
-		if pred != nil {
-			t.pred.CloneInto(pred)
-		} else {
-			pred = t.pred.Clone()
-		}
+		pred := t.pred.CloneInto(dt.pred)
 		*dt = threadState{
 			id:                t.id,
 			prog:              t.prog, // immutable after build

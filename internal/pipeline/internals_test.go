@@ -140,7 +140,7 @@ func TestRollbackPenaltyDelaysFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cLow, err := New(DefaultConfig(1), []*prog.Program{p}, det.Clone())
+	cLow, err := New(DefaultConfig(1), []*prog.Program{p}, det.CloneInto(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,13 @@ func (f *fakeDetector) OnCommit(detect.Event) detect.Action {
 
 func (f *fakeDetector) SetLearnOnly(on bool) { f.learnOnly = on }
 func (f *fakeDetector) Stats() detect.Stats  { return f.stats }
-func (f *fakeDetector) Clone() detect.Detector {
-	c := *f
-	return &c
+func (f *fakeDetector) CloneInto(dst detect.Detector) detect.Detector {
+	c, ok := dst.(*fakeDetector)
+	if !ok || c == nil {
+		c = &fakeDetector{}
+	}
+	*c = *f
+	return c
 }
 
 // TestScriptedReplayTransparency drives replays constantly through a
@@ -157,7 +161,7 @@ func TestSingletonCorrectsLSQFault(t *testing.T) {
 	var flipped bool
 	for f.Cycle() < deadline && !flipped {
 		f.Step()
-		for _, s := range f.LSQSites() {
+		for _, s := range f.LSQSites(nil) {
 			if s.IsStore {
 				f.FlipLSQBit(s, LSQData, 13)
 				flipped = true

@@ -425,7 +425,7 @@ func TestLSQSitesAndFlip(t *testing.T) {
 	var sites []LSQSite
 	for i := 0; i < 20000 && len(sites) == 0; i++ {
 		core.Step()
-		sites = core.LSQSites()
+		sites = core.LSQSites(nil)
 	}
 	if len(sites) == 0 {
 		t.Fatal("no LSQ sites found")

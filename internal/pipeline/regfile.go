@@ -102,23 +102,16 @@ func (rf *regFile) read(p physID) uint64 {
 	return rf.val[p]
 }
 
-// clone returns an independent deep copy.
-func (rf *regFile) clone() *regFile {
-	return &regFile{
-		val:     append([]uint64(nil), rf.val...),
-		ready:   append([]bool(nil), rf.ready...),
-		numInt:  rf.numInt,
-		freeInt: append([]physID(nil), rf.freeInt...),
-		freeFP:  append([]physID(nil), rf.freeFP...),
+// cloneInto returns a deep copy of rf in d, reusing d's storage (the
+// snapshot-arena path), or in a new register file when d is nil.
+func (rf *regFile) cloneInto(d *regFile) *regFile {
+	if d == nil {
+		d = &regFile{}
 	}
-}
-
-// cloneInto overwrites d with a deep copy of rf, reusing d's storage
-// (the snapshot-arena path).
-func (rf *regFile) cloneInto(d *regFile) {
 	d.val = append(d.val[:0], rf.val...)
 	d.ready = append(d.ready[:0], rf.ready...)
 	d.numInt = rf.numInt
 	d.freeInt = append(d.freeInt[:0], rf.freeInt...)
 	d.freeFP = append(d.freeFP[:0], rf.freeFP...)
+	return d
 }

@@ -69,8 +69,10 @@ func (c *Core) FlipRegisterBit(p uint16, bit uint) bool {
 // instructions currently in flight (dispatched through completed, not
 // yet committed) — the population that emulates faults in the back-end
 // datapath (FU outputs, bypass latches), which land on young values.
-func (c *Core) InFlightDestRegs() []uint16 {
-	var out []uint16
+// It appends them to dst[:0], reusing dst's storage; a nil dst
+// allocates.
+func (c *Core) InFlightDestRegs(dst []uint16) []uint16 {
+	out := dst[:0]
 	for _, t := range c.threads {
 		for _, u := range t.rob {
 			if u.dst != physNone && u.state != stCommitted && u.state != stSquashed {
@@ -99,9 +101,10 @@ type LSQSite struct {
 
 // LSQSites returns the LSQ entries whose address (and, for stores,
 // value) have been computed but not yet committed — the population for
-// LSQ fault injection.
-func (c *Core) LSQSites() []LSQSite {
-	var out []LSQSite
+// LSQ fault injection. It appends them to dst[:0], reusing dst's
+// storage; a nil dst allocates.
+func (c *Core) LSQSites(dst []LSQSite) []LSQSite {
+	out := dst[:0]
 	for _, t := range c.threads {
 		for i, u := range t.lsq {
 			if u.state == stCompleted {

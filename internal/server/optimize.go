@@ -126,6 +126,11 @@ func (s *Server) normalizeOptimize(req OptimizeRequest) (OptimizeRequest, error)
 	if req.Injections <= 0 {
 		req.Injections = s.cfg.BaseFault.Injections
 	}
+	fc := s.cfg.BaseFault
+	fc.Injections = req.Injections
+	if err := fc.Validate(); err != nil {
+		return req, wrapBadSpec(err)
+	}
 	// Resolve every cell up front so an unknown bench or scheme is a
 	// 400 at submit time, not a failed search later.
 	for _, bm := range req.Benchmarks {

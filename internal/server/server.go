@@ -378,8 +378,8 @@ func (s *Server) Submit(spec campaign.Spec) (*job, bool, error) {
 	if len(norm.Benchmarks) == 0 {
 		return nil, false, errBadSpec("spec has no benchmarks")
 	}
-	if norm.Fault.Injections <= 0 {
-		return nil, false, errBadSpec("spec has no injections")
+	if err := norm.Fault.Validate(); err != nil {
+		return nil, false, wrapBadSpec(err)
 	}
 	cells := norm.Cells()
 	if s.cfg.MaxInjections > 0 && len(cells)*norm.Fault.Injections > s.cfg.MaxInjections {

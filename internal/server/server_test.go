@@ -323,6 +323,7 @@ func TestServerDrainResume(t *testing.T) {
 func TestServerRejections(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.QueueDepth = 1
+	cfg.Timing = harness.QuickOptions().TimingRunner() // serve /v1/optimize
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +342,22 @@ func TestServerRejections(t *testing.T) {
 	}
 	if _, err := cl.Submit(ctx, campaign.Spec{}); err == nil {
 		t.Fatal("empty spec accepted")
+	}
+	// An injection count past the ceiling is a 400 on both submission
+	// routes, before anything allocates its descriptors; the queue stays
+	// empty and the server keeps serving the requests below.
+	for _, sub := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/campaigns", testSpec(1 << 62)},
+		{"/v1/optimize", OptimizeRequest{Benchmarks: []string{"bzip2"}, Schemes: []string{"faulthound"}, Injections: 1 << 62}},
+	} {
+		if _, err := cl.submit(ctx, sub.path, sub.body); err == nil {
+			t.Fatalf("%s: %d injections accepted", sub.path, 1<<62)
+		} else if ae, ok := err.(*apiError); !ok || ae.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d injections: %v, want 400", sub.path, 1<<62, err)
+		}
 	}
 
 	first := testSpec(8)

@@ -372,35 +372,23 @@ func (t *TCAM) FlashClear() {
 }
 
 // Entry exposes filter i for diagnostics and tests. The pointer is into
-// the TCAM's filter bank and is invalidated by Clone/CloneInto.
+// the TCAM's filter bank and is invalidated by CloneInto.
 func (t *TCAM) Entry(i int) (f *filter.Filter, used bool) {
 	return &t.filters[i], t.used>>uint(i)&1 == 1
 }
 
-// Clone returns an independent deep copy. With all state in value
-// slices this is four bulk copies and no per-entry allocation.
-func (t *TCAM) Clone() *TCAM {
-	return &TCAM{
-		cfg:       t.cfg,
-		filters:   append([]filter.Filter(nil), t.filters...),
-		used:      t.used,
-		age:       append([]uint64(nil), t.age...),
-		stamp:     t.stamp,
-		second:    append([]sm.Suppressor(nil), t.second...),
-		squash:    append([]sm.Suppressor(nil), t.squash...),
-		stats:     t.stats,
-		learnOnly: t.learnOnly,
+// CloneInto returns a deep copy of t in dst, reusing dst's slice
+// capacity, or in a new TCAM when dst is nil — the per-injection
+// snapshot path. With all state in value slices this is four bulk
+// copies and no per-entry allocation. Nil slices stay nil: appending to
+// a reused dst's empty slice would turn a disabled second-level/squash
+// bank (nil in the source) into a non-nil empty one, and the `!= nil`
+// feature checks would then index out of range when an arena is reused
+// across differently-configured cells.
+func (t *TCAM) CloneInto(dst *TCAM) *TCAM {
+	if dst == nil {
+		dst = &TCAM{}
 	}
-}
-
-// CloneInto overwrites dst with a deep copy of t, reusing dst's slice
-// capacity when the geometry matches — the per-injection snapshot path.
-// Nil slices stay nil: appending to a reused dst's empty slice would
-// turn a disabled second-level/squash bank (nil in the source) into a
-// non-nil empty one, and the `!= nil` feature checks would then index
-// out of range when an arena is reused across differently-configured
-// cells.
-func (t *TCAM) CloneInto(dst *TCAM) {
 	filters, age, second, squash := dst.filters, dst.age, dst.second, dst.squash
 	*dst = *t
 	dst.filters = append(filters[:0], t.filters...)
@@ -412,4 +400,5 @@ func (t *TCAM) CloneInto(dst *TCAM) {
 	if t.squash != nil {
 		dst.squash = append(squash[:0], t.squash...)
 	}
+	return dst
 }

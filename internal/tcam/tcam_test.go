@@ -252,7 +252,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tc := New(DefaultConfig())
 	tc.Lookup(100)
-	c := tc.Clone()
+	c := tc.CloneInto(nil)
 	c.Lookup(0xffffffffffffffff)
 	if tc.Stats().Lookups != 1 {
 		t.Fatal("clone lookup leaked into original stats")
@@ -345,7 +345,7 @@ func TestProbeConsistencyProperty(t *testing.T) {
 		for _, w := range warm {
 			tc.Lookup(w)
 		}
-		before := tc.Clone()
+		before := tc.CloneInto(nil)
 		pt, _ := tc.Probe(v)
 		// Probe must not change any observable behavior.
 		if bt, _ := before.Probe(v); bt != pt {

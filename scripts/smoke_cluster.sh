@@ -1,8 +1,9 @@
 #!/bin/sh
 # Cluster fabric round trip (docs/CLUSTER.md): run a campaign locally
 # for the golden results.csv, then start a coordinator with two joined
-# workers, check that a malformed shard is rejected without taking a
-# worker down, submit the same spec sharded, SIGKILL one worker mid-run,
+# workers, check that a malformed shard (a zero spread, an injection
+# count past the ceiling) is rejected without taking a worker down,
+# submit the same spec sharded, SIGKILL one worker mid-run,
 # and verify the re-leased merge still produced a byte-identical
 # results.csv plus the expected cluster metrics and /healthz roles.
 # Exits non-zero on any failure.
@@ -48,12 +49,17 @@ curl -sf "http://$CADDR/healthz" | grep -q '"role": *"coordinator"' \
 curl -sf "http://$W2ADDR/healthz" | grep -q '"role": *"worker"' \
     || { echo "worker healthz lacks its role"; exit 1; }
 
-echo "== a malformed shard is rejected and leaves the worker up =="
-BAD='{"lease_id":"smoke","bench":"bzip2","scheme":"faulthound","from":0,"to":1,"fault":{"Injections":1,"SpreadCycles":0}}'
-code="$(curl -s -o /dev/null -w '%{http_code}' -d "$BAD" "http://$W2ADDR/v1/cluster/run" || true)"
-[ "$code" = 400 ] || { echo "zero-spread shard answered HTTP $code, want 400"; cat "$TMP/w2.log"; exit 1; }
-curl -sf "http://$W2ADDR/healthz" >/dev/null \
-    || { echo "worker 2 died after a malformed shard"; cat "$TMP/w2.log"; exit 1; }
+echo "== malformed shards are rejected and leave the worker up =="
+for bad in \
+    'zero-spread {"lease_id":"smoke","bench":"bzip2","scheme":"faulthound","from":0,"to":1,"fault":{"Injections":1,"SpreadCycles":0}}' \
+    'oversized {"lease_id":"smoke","bench":"bzip2","scheme":"faulthound","from":0,"to":1,"fault":{"Injections":4611686018427387904,"SpreadCycles":500}}' \
+; do
+    name="${bad%% *}"
+    code="$(curl -s -o /dev/null -w '%{http_code}' -d "${bad#* }" "http://$W2ADDR/v1/cluster/run" || true)"
+    [ "$code" = 400 ] || { echo "$name shard answered HTTP $code, want 400"; cat "$TMP/w2.log"; exit 1; }
+    curl -sf "http://$W2ADDR/healthz" >/dev/null \
+        || { echo "worker 2 died after a $name shard"; cat "$TMP/w2.log"; exit 1; }
+done
 
 echo "== submitting sharded campaign =="
 "$TMP/fhcampaign" -addr "$CADDR" $SPEC >"$TMP/submit.log" 2>&1 &

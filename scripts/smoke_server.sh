@@ -1,8 +1,9 @@
 #!/bin/sh
 # Daemon round trip: build fhserved + fhcampaign, start the daemon on
-# a scratch data root, submit a small campaign over HTTP twice (the
-# second must be a cache hit), verify the bundle artifacts, and drain
-# with SIGTERM. Exits non-zero on any failure.
+# a scratch data root, check that a campaign or optimize job past the
+# injection ceiling is rejected without taking the daemon down, submit a small campaign
+# over HTTP twice (the second must be a cache hit), verify the bundle
+# artifacts, and drain with SIGTERM. Exits non-zero on any failure.
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18419}"
@@ -20,6 +21,18 @@ for i in $(seq 1 50); do
     if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then break; fi
     [ "$i" = 50 ] && { echo "daemon never became healthy"; cat "$TMP/served.log"; exit 1; }
     sleep 0.1
+done
+
+echo "== oversized jobs are rejected and leave the daemon up =="
+for bad in \
+    'campaigns {"benchmarks":["bzip2"],"schemes":["faulthound"],"fault":{"Injections":4611686018427387904}}' \
+    'optimize {"benchmarks":["bzip2"],"schemes":["faulthound"],"injections":4611686018427387904}' \
+; do
+    route="${bad%% *}"
+    code="$(curl -s -o /dev/null -w '%{http_code}' -d "${bad#* }" "http://$ADDR/v1/$route" || true)"
+    [ "$code" = 400 ] || { echo "oversized POST /v1/$route answered HTTP $code, want 400"; cat "$TMP/served.log"; exit 1; }
+    curl -sf "http://$ADDR/healthz" >/dev/null \
+        || { echo "daemon died after an oversized POST /v1/$route"; cat "$TMP/served.log"; exit 1; }
 done
 
 echo "== submitting campaign =="
