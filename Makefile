@@ -145,9 +145,13 @@ trace-demo:
 	mkdir -p results
 	$(GO) run ./cmd/fhsim -bench bzip2 -scheme faulthound -trace results/trace-demo.json -trace-cycles 3000
 
-# One iteration of every paper-figure bench plus the ablations.
+# One iteration of every Go microbenchmark in the module: the
+# paper-figure benches and the ablations at the root, and the
+# profiling entry points in internal/ (pipeline, fault, tcam, ...). CI
+# runs it so none of them breaks unnoticed; the ablations' printed
+# rates double as a detector check.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime 1x -run xxx .
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # The scale of the committed tables (EXPERIMENTS.md). experiments,
 # extensions and the paper gate all read these, so they cannot drift.

@@ -98,6 +98,44 @@ func TestApplyInjectionAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmedCoreRecyclesChunks: a core recycles its own uop and RAT
+// checkpoint chunks by age, so once warmed as Prepare warms the golden
+// core (detector warm-up, then the pipeline warm-up) a 20,000-cycle
+// run allocates next to nothing. A fresh chunk every 256 fetches would
+// cost 4.5-8.7 MB over the same runs, far above the 1 MiB ceiling. A
+// Clone starts with no chunks and recycles by the same rule, so it
+// stays under the same ceiling.
+func TestWarmedCoreRecyclesChunks(t *testing.T) {
+	const ceiling = 1 << 20
+	fh := core.DefaultConfig()
+	cfg := DefaultConfig()
+	for _, bench := range []string{"bzip2", "mcf", "gamess"} {
+		c := mkCore(t, bench, &fh)()
+		c.WarmDetector(cfg.DetectorWarmupInstr)
+		c.Run(cfg.WarmupCycles)
+		clone := c.Clone()
+		for _, k := range []struct {
+			name string
+			c    *pipeline.Core
+		}{{"warmed core", c}, {"its clone", clone}} {
+			if n := allocatedBy(func() { k.c.Run(20_000) }); n >= ceiling {
+				t.Errorf("%s: %s allocates %d bytes over 20,000 cycles, want < %d", bench, k.name, n, ceiling)
+			} else {
+				t.Logf("%s: %s allocates %d bytes over 20,000 cycles", bench, k.name, n)
+			}
+		}
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestPreparedRetainedHeap: Prepare freezes each golden checkpoint to
 // its difference from the spread-start golden core, so the checkpoint
 // ring costs a fraction of the golden state instead of seven deep

@@ -233,19 +233,11 @@ func (o Options) TimingRunSpec(bm workload.Benchmark, sp scheme.Spec) (Run, erro
 		return Run{}, fmt.Errorf("harness: %s/%s did not reach %d commits (at %d)",
 			bm.Name, sp, target, c.Committed(0))
 	}
-	ds := c.DetectorStats()
 	return Run{
-		Core:      c,
-		Cycles:    c.Cycle() - startCycles,
-		Committed: c.CommittedTotal() - startCommits,
-		DetectorDelta: detect.Stats{
-			Checks:     ds.Checks - ds0.Checks,
-			Triggers:   ds.Triggers - ds0.Triggers,
-			Suppressed: ds.Suppressed - ds0.Suppressed,
-			Replays:    ds.Replays - ds0.Replays,
-			Rollbacks:  ds.Rollbacks - ds0.Rollbacks,
-			Singletons: ds.Singletons - ds0.Singletons,
-		},
+		Core:          c,
+		Cycles:        c.Cycle() - startCycles,
+		Committed:     c.CommittedTotal() - startCommits,
+		DetectorDelta: c.DetectorStats().Sub(ds0),
 	}, nil
 }
 

@@ -369,3 +369,46 @@ func TestValidScheme(t *testing.T) {
 		t.Error("bogus scheme accepted")
 	}
 }
+
+// TestTimingRunDetectorDelta: a timing run's DetectorDelta holds every
+// detector counter the measured window added — the energy model prices
+// TCAM searches and updates and table reads and writes from it, not
+// only the action counts. The test repeats the run's recipe on its own
+// core and compares each field of the delta with the counter after the
+// window minus before it.
+func TestTimingRunDetectorDelta(t *testing.T) {
+	o := QuickOptions()
+	bm, err := workload.Resolve("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scheme.Parse(string(FaultHound))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := o.TimingRunSpec(bm, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := o.BuildCoreSpec(bm, sp, o.Threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.WarmDetector(o.DetectorWarmupInstr)
+	c.Run(o.WarmupCycles)
+	before := reflect.ValueOf(c.DetectorStats())
+	if !c.RunUntilCommits(0, c.Committed(0)+o.MeasureCommits, o.MaxCycles) {
+		t.Fatal("the repeated run did not reach its commit budget")
+	}
+	after := reflect.ValueOf(c.DetectorStats())
+	delta := reflect.ValueOf(run.DetectorDelta)
+	for i := 0; i < delta.NumField(); i++ {
+		want := after.Field(i).Uint() - before.Field(i).Uint()
+		if got := delta.Field(i).Uint(); got != want {
+			t.Errorf("DetectorDelta.%s = %d, want %d", delta.Type().Field(i).Name, got, want)
+		}
+	}
+	if run.DetectorDelta.TCAMSearches == 0 {
+		t.Error("the window made no TCAM search: the check is vacuous")
+	}
+}

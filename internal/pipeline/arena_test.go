@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"testing"
+	"unsafe"
 
+	"faulthound/internal/isa"
 	"faulthound/internal/prog"
 )
 
@@ -99,4 +101,80 @@ func TestSnapshotRunsToCompletion(t *testing.T) {
 	if ref.ArchHash(0) != snap.ArchHash(0) {
 		t.Fatal("snapshot finished with different architectural state")
 	}
+}
+
+// TestChunkPoolsCoverLiveUops: a core recycles its uop and RAT
+// checkpoint chunks by age, so after every cycle each live uop, and
+// each live uop's checkpoint, must sit in a chunk its pool still counts
+// as handed out, with a recorded largest seq no smaller than the uop's.
+// Two threads interleave their dispatches, so a pool that recorded a
+// checkpoint chunk's last carve instead of its largest would recycle a
+// chunk under a younger thread's live checkpoint; this catches that.
+func TestChunkPoolsCoverLiveUops(t *testing.T) {
+	for seed := int32(1); seed <= 3; seed++ {
+		c, err := New(DefaultConfig(2), []*prog.Program{buildCoinLoop(seed, 3000), buildCoinLoop(seed+7, 2000)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < 200_000 && !c.AllHalted(); cycle++ {
+			c.Step()
+			for _, th := range c.threads {
+				for _, q := range [][]*uop{th.rob, th.fetchQ} {
+					for _, u := range q {
+						if !pooled(c.uops.live, unsafe.Pointer(u), u.seq) {
+							t.Fatalf("seed %d cycle %d: live uop %d outside the live uop chunks", seed, cycle, u.seq)
+						}
+						if u.ratCkpt != nil && !pooled(c.ckpts.live, unsafe.Pointer(&u.ratCkpt[0]), u.seq) {
+							t.Fatalf("seed %d cycle %d: uop %d's checkpoint outside the live checkpoint chunks", seed, cycle, u.seq)
+						}
+					}
+				}
+			}
+		}
+		if !c.AllHalted() {
+			t.Fatalf("seed %d: did not halt", seed)
+		}
+	}
+}
+
+// buildCoinLoop runs iters iterations of a loop that flips a
+// pseudo-random coin each time and, on heads, increments a
+// pseudo-randomly chosen word: a branch the predictor cannot learn, so
+// squashes keep interleaving with commits.
+func buildCoinLoop(seed, iters int32) *prog.Program {
+	b := prog.NewBuilder("coinloop", 4096)
+	b.MovU64(2, b.DataBase())
+	b.MovI(3, 0)
+	b.MovI(4, iters)
+	b.MovI(5, seed)
+	b.MovI(9, 1103515245)
+	b.Label("loop")
+	b.Op3(isa.MUL, 5, 5, 9)
+	b.OpI(isa.ADDI, 5, 5, 12345)
+	b.OpI(isa.SRLI, 6, 5, 16)
+	b.OpI(isa.ANDI, 6, 6, 1)
+	b.Br(isa.BEQ, 6, isa.RZero, "tails")
+	b.OpI(isa.ANDI, 7, 5, 0x1f8)
+	b.Op3(isa.ADD, 8, 2, 7)
+	b.Ld(10, 8, 0)
+	b.OpI(isa.ADDI, 10, 10, 1)
+	b.St(8, 0, 10)
+	b.Label("tails")
+	b.OpI(isa.ADDI, 3, 3, 1)
+	b.Br(isa.BLT, 3, 4, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// pooled reports whether p lies in one of live's chunks and that
+// chunk's largest carving seq covers seq.
+func pooled[T any](live []poolChunk[T], p unsafe.Pointer, seq uint64) bool {
+	for _, ch := range live {
+		lo := uintptr(unsafe.Pointer(&ch.buf[0]))
+		hi := lo + uintptr(len(ch.buf))*unsafe.Sizeof(ch.buf[0])
+		if a := uintptr(p); a >= lo && a < hi {
+			return seq <= ch.maxSeq
+		}
+	}
+	return false
 }

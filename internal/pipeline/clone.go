@@ -38,10 +38,6 @@ type SnapshotArena struct {
 	slab []uop
 	ckpt []physID
 	segs []cloneSeg
-	// uopPool holds dead fetch-time uop chunks recycled from previous
-	// snapshots; the snapshot core's allocator draws from it before
-	// asking the heap.
-	uopPool [][]uop
 }
 
 // NewSnapshotArena returns an empty arena; storage is grown on first
@@ -131,18 +127,12 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 		slab = ensureLen(&a.slab, nUops)
 		ckpt = ensureLen(&a.ckpt, nCkpt)
 		segs = ensureLen(&a.segs, len(c.threads))
-		// Recycle the previous run's fetch-time uop chunks: nothing
-		// references them once the queues are rebuilt from the slab
-		// below, and the next run's newUop calls reuse them (cleared on
-		// hand-out) instead of allocating.
-		a.uopPool = append(a.uopPool, d.liveUopChunks...)
-		d.liveUopChunks = d.liveUopChunks[:0]
-		d.uopChunkPool = &a.uopPool
-		d.uopChunk = nil
+		// The previous run's chunks are all free: nothing references
+		// them once the queues are rebuilt from the slab below.
+		d.uops.release()
+		d.ckpts.release()
 	} else {
-		// A fresh copy joins no uop pool: Clones can run for long (the
-		// multicore runner's golden trace), and a pooled core would keep
-		// every chunk it ever allocated alive in liveUopChunks.
+		// A fresh copy starts with no chunks.
 		d = &Core{}
 		slab = make([]uop, nUops)
 		ckpt = make([]physID, nCkpt)

@@ -158,59 +158,124 @@ type Core struct {
 	schedClean bool
 
 	// Chunked allocators for fetch-time uops and dispatch-time RAT
-	// checkpoints: carving from a chunk replaces one heap allocation
-	// per uop with one per chunk. Slots are handed out exactly once
-	// and never recycled (a chunk dies when no live uop references
-	// it), and chunks are never shared with clones — cloneWith copies
-	// every uop into its own slab and leaves these fields alone, so a
-	// clone starts with its own (possibly leftover) chunk.
-	uopChunk  []uop
-	ckptChunk []physID
-
-	// Arena chunk recycling (snapshot cores only; nil elsewhere):
-	// uopChunkPool points at the owning arena's free pool, and
-	// liveUopChunks records every chunk handed out since the last
-	// snapshot so cloneWith can return them — the previous run's uops
-	// are unreachable once the queues are rebuilt from the slab.
-	uopChunkPool  *[][]uop
-	liveUopChunks [][]uop
+	// checkpoints: carving from a chunk replaces one heap allocation per
+	// uop with one per chunk, and a chunk is recycled once every uop
+	// that carved from it has died (chunkPool). Each core owns its
+	// chunks: cloneWith never reads the source's, and hands an arena
+	// destination's to their free lists.
+	uops  chunkPool[uop]
+	ckpts chunkPool[physID]
 
 	stats Stats
 }
 
-// uopChunkSize is how many uops (and roughly how many checkpoint
-// words) one allocator chunk holds.
-const uopChunkSize = 256
+// uopChunkSize is how many uops one allocator chunk holds, and
+// ckptChunkCarves how many RAT checkpoints.
+const (
+	uopChunkSize    = 256
+	ckptChunkCarves = 64
+)
 
-// newUop returns a zeroed uop from the chunk allocator.
+// newUop returns a zeroed uop from the chunk allocator, tagged with the
+// next seq.
 func (c *Core) newUop() *uop {
-	if len(c.uopChunk) == 0 {
-		if p := c.uopChunkPool; p != nil && len(*p) > 0 {
-			ch := (*p)[len(*p)-1]
-			*p = (*p)[:len(*p)-1]
-			clear(ch)
-			c.uopChunk = ch
-		} else {
-			c.uopChunk = make([]uop, uopChunkSize)
-		}
-		if c.uopChunkPool != nil {
-			c.liveUopChunks = append(c.liveUopChunks, c.uopChunk)
-		}
-	}
-	u := &c.uopChunk[0]
-	c.uopChunk = c.uopChunk[1:]
+	seq := c.nextSeq()
+	u := &c.uops.carve(c, 1, uopChunkSize, seq)[0]
+	u.seq = seq
 	return u
 }
 
-// newCkpt returns a fresh n-word RAT-checkpoint slice from the chunk
-// allocator, capped so it can never alias a later carve.
-func (c *Core) newCkpt(n int) []physID {
-	if len(c.ckptChunk) < n {
-		c.ckptChunk = make([]physID, n*64)
+// newCkpt returns a fresh n-word RAT-checkpoint slice for the uop with
+// sequence number seq from the chunk allocator, capped so it can never
+// alias a later carve.
+func (c *Core) newCkpt(n int, seq uint64) []physID {
+	return c.ckpts.carve(c, n, n*ckptChunkCarves, seq)
+}
+
+// chunkPool is a core's chunk allocator for one kind of per-uop
+// storage. It carves slices from fixed-size chunks and recycles a chunk
+// by age: once the largest seq that carved from it is below the seq of
+// every live uop, nothing references the chunk any more. That rests on
+// the container invariant cloneWith relies on — every live uop is in
+// its thread's ROB or fetch queue, each ascending in seq — and on
+// commit and squash taking a uop out of the IQ, LSQ, delay buffer and
+// executing set (retire, squashUop, filterDelayBuf, filterInFlight).
+// The per-cycle scratch lists are dead between cycles, and carving
+// happens in dispatch (checkpoints) and fetch (uops), after every stage
+// that reads them, so none still holds a recycled uop; the tracer
+// copies fields, not pointers.
+type chunkPool[T any] struct {
+	live []poolChunk[T] // handed out, oldest first; the last is being carved
+	free [][]T
+	rest []T // the uncarved tail of the last live chunk
+}
+
+type poolChunk[T any] struct {
+	buf []T
+	// maxSeq is the largest seq that carved from buf: SMT threads
+	// dispatch interleaved, so checkpoint carves do not ascend.
+	maxSeq uint64
+}
+
+// carve returns n zeroed elements for the uop with sequence number
+// seq, capped so they can never alias a later carve. A new chunk holds
+// size elements.
+func (p *chunkPool[T]) carve(c *Core, n, size int, seq uint64) []T {
+	if len(p.rest) < n {
+		p.refill(c, size)
 	}
-	s := c.ckptChunk[:n:n]
-	c.ckptChunk = c.ckptChunk[n:]
+	s := p.rest[:n:n]
+	p.rest = p.rest[n:]
+	if last := &p.live[len(p.live)-1]; seq > last.maxSeq {
+		last.maxSeq = seq
+	}
 	return s
+}
+
+// refill starts carving a zeroed chunk: a free one, else the oldest
+// live one once every uop that carved from it has died, else a new one.
+func (p *chunkPool[T]) refill(c *Core, size int) {
+	var buf []T
+	switch {
+	case len(p.free) > 0:
+		buf = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+		clear(buf)
+	case len(p.live) > 0 && p.live[0].maxSeq < c.oldestLiveSeq():
+		buf = p.live[0].buf
+		p.live = append(p.live[:0], p.live[1:]...)
+		clear(buf)
+	default:
+		buf = make([]T, size)
+	}
+	p.live = append(p.live, poolChunk[T]{buf: buf})
+	p.rest = buf
+}
+
+// release moves every chunk to the free list. The caller guarantees
+// that no uop carved from them is referenced any more.
+func (p *chunkPool[T]) release() {
+	for _, ch := range p.live {
+		p.free = append(p.free, ch.buf)
+	}
+	p.live = p.live[:0]
+	p.rest = nil
+}
+
+// oldestLiveSeq returns the smallest seq of any live uop, the head of
+// some thread's ROB or fetch queue, or the next seq to be handed out
+// when no uop is live.
+func (c *Core) oldestLiveSeq() uint64 {
+	oldest := c.seq + 1
+	for _, t := range c.threads {
+		if len(t.rob) > 0 {
+			oldest = min(oldest, t.rob[0].seq)
+		}
+		if len(t.fetchQ) > 0 {
+			oldest = min(oldest, t.fetchQ[0].seq)
+		}
+	}
+	return oldest
 }
 
 // New builds a core running the given programs, one per SMT context
@@ -454,13 +519,15 @@ func (c *Core) SetCommitHook(fn func(tid int, count uint64)) { c.commitHook = fn
 // a run's committed memory stream.
 func (c *Core) SetMemHook(fn func(tid int, store bool, addr, val uint64)) { c.memHook = fn }
 
-// WarmDetector trains the attached detector's filters over thread 0's
+// WarmDetector trains the attached detector over thread 0's
 // architectural load/store stream for n instructions using the
 // sequential interpreter — a fast-forward functional warmup standing in
 // for the paper's multi-million-instruction simulation warmup, which
 // saturates the filter state machines (PBFS's sticky counters in
-// particular) before measurement. Detector actions are ignored; only
-// the filters learn.
+// particular) before measurement. The detector sees every check as a
+// completion check: its filters learn, its triggers train the
+// second-level and squash machines, and its counters advance. The
+// actions it returns are ignored, and the pipeline does not move.
 func (c *Core) WarmDetector(n uint64) {
 	if c.detector == nil || n == 0 {
 		return
@@ -584,7 +651,6 @@ func (c *Core) fetchThread(t *threadState) {
 		// only the non-zero fields need writes — a full struct literal
 		// would re-zero all 200+ bytes per fetched instruction.
 		u := c.newUop()
-		u.seq = c.nextSeq()
 		u.thread = t.id
 		u.pc = t.pc
 		u.inst = in
@@ -695,7 +761,7 @@ func (c *Core) dispatchOne(t *threadState, u *uop) bool {
 	// atomics (a detector rollback stops at an executed atomic and
 	// restores its checkpoint instead).
 	if u.inst.IsCondBranch() || u.inst.Op == isa.JALR || u.inst.IsAtomic() {
-		u.ratCkpt = c.newCkpt(len(t.rat))
+		u.ratCkpt = c.newCkpt(len(t.rat), u.seq)
 		copy(u.ratCkpt, t.rat)
 	}
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"faulthound/internal/detect"
@@ -43,12 +44,7 @@ func TestFuzzPipelineVsInterp(t *testing.T) {
 				t.Fatalf("seed %d: reg %s = %#x, reference %#x", seed, isa.Reg(r), regs[r], it.Regs[r])
 			}
 		}
-		for a, v := range it.Mem {
-			got, err := c.memory.Read(a)
-			if err != nil || got != v {
-				t.Fatalf("seed %d: mem[%#x] = %d, reference %d", seed, a, got, v)
-			}
-		}
+		sameMemory(t, c, it, fmt.Sprintf("seed %d: ", seed))
 	}
 }
 

@@ -211,12 +211,7 @@ func TestAtomicsMatchInterp(t *testing.T) {
 	if c.ArchRegs(0) != it.Regs {
 		t.Fatal("atomic execution diverges from the interpreter")
 	}
-	for a, v := range it.Mem {
-		got, _ := c.memory.Read(a)
-		if got != v {
-			t.Fatalf("mem[%#x] = %d, interp %d", a, got, v)
-		}
-	}
+	sameMemory(t, c, it, "")
 }
 
 // TestAtomicUnderDetector: atomics stay correct when FaultHound-style
@@ -253,10 +248,11 @@ func TestAtomicUnderDetector(t *testing.T) {
 	// The atomic counter must equal the iteration count exactly — a
 	// rollback double-applying an AMOADD would break this.
 	got, _ := c.memory.Read(p.DataBase)
-	if got != it.Mem[p.DataBase] {
-		t.Fatalf("atomic counter %d, interp %d (rollback double-apply?)", got, it.Mem[p.DataBase])
+	if got != it.Load(p.DataBase) {
+		t.Fatalf("atomic counter %d, interp %d (rollback double-apply?)", got, it.Load(p.DataBase))
 	}
 	if c.ArchRegs(0) != it.Regs {
 		t.Fatal("registers diverge")
 	}
+	sameMemory(t, c, it, "")
 }

@@ -143,8 +143,14 @@ func TestInterpMemory(t *testing.T) {
 	if it.Regs[3] != 42 {
 		t.Fatalf("r3 = %d, want 42", it.Regs[3])
 	}
-	if it.Mem[it.Prog.DataBase+8] != 42 {
-		t.Fatal("store not visible in memory")
+	// Every word of the segment reads its value: the image's word, the
+	// stored word, and zeros elsewhere.
+	base, end := it.Prog.DataBase, it.Prog.DataBase+it.Prog.DataSize
+	want := map[uint64]uint64{base: 41, base + 8: 42}
+	for a := base; a < end; a += 8 {
+		if got := it.Load(a); got != want[a] {
+			t.Fatalf("mem[%#x] = %d, want %d", a, got, want[a])
+		}
 	}
 }
 

@@ -12,11 +12,12 @@
 //     only a single change to leave it. Exiting "unchanging" raises the
 //     alarm; a change in the intermediate state does not (the paper's
 //     deliberate, small coverage loss).
-//   - Suppressor: the N-state biased alarm machine used by the
-//     second-level filter (one per bit position, Section 3.2) and by the
-//     squash state machines (one per first-level filter, Section 3.4). It
-//     allows an alarm through only after several consecutive no-alarm
-//     observations.
+//   - Suppressor: the N-state biased alarm machine of the second-level
+//     filter (one per bit position, Section 3.2) and of the squash state
+//     machines (one per first-level filter, Section 3.4). It allows an
+//     alarm through only after several consecutive no-alarm
+//     observations. Package tcam stores these machines as stamps and
+//     tests them against Suppressor.
 //
 // All machines implement ChangeTracker so filters can be parameterized
 // for the PBFS/PBFS-biased/FaultHound comparisons and for the
@@ -159,7 +160,9 @@ func (b *Biased) Depth() int { return b.depth }
 // trigger. A participation is allowed through only when the machine has
 // seen Quiet consecutive non-participations; any participation re-arms
 // the full quiet requirement. With 8 states the paper requires 7
-// consecutive no-alarms.
+// consecutive no-alarms. The TCAM keeps these machines as stamps (see
+// tcam.TCAM); this type is the step-by-step reference they are tested
+// against.
 type Suppressor struct {
 	state  int // 0 = fully quiet (allow); >0 = recently alarmed
 	states int
@@ -173,20 +176,6 @@ func NewSuppressor(n int) *Suppressor {
 		panic("sm: Suppressor needs at least 2 states")
 	}
 	return &Suppressor{states: n}
-}
-
-// NewSuppressors returns a bank of n suppressors with the given state
-// count as one flat allocation — the TCAM stores its second-level and
-// squash machines this way so cloning a detector is a bulk copy.
-func NewSuppressors(n, states int) []Suppressor {
-	if states < 2 {
-		panic("sm: Suppressor needs at least 2 states")
-	}
-	bank := make([]Suppressor, n)
-	for i := range bank {
-		bank[i].states = states
-	}
-	return bank
 }
 
 // Observe records one trigger-time observation and reports whether a

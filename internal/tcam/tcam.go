@@ -11,7 +11,6 @@ import (
 	"math/bits"
 
 	"faulthound/internal/filter"
-	"faulthound/internal/sm"
 )
 
 // Config sizes one TCAM (the paper uses two: one for load/store
@@ -106,15 +105,30 @@ type Stats struct {
 // without a branch per slot — Lookup and Probe run on every load,
 // store, and store-value check, and detector clones run once per
 // injection.
+//
+// The second-level and squash machines are sm.Suppressor machines
+// stored as stamps, so a trigger touches only the machines that take
+// part. Each bank counts its trainings, and each machine holds the
+// training count from which it is quiet again: a participation at
+// training k is allowed iff k >= quiet-from, and sets quiet-from to
+// k+states. That equals a Suppressor set to states-1 on participation
+// and decremented once per later training, without visiting the
+// machines that do not take part.
 type TCAM struct {
 	cfg     Config
 	filters []filter.Filter
 	used    uint64 // bit i set = entry i holds a live filter
 	age     []uint64
 	stamp   uint64
-	second  []sm.Suppressor // one per bit position
-	squash  []sm.Suppressor // one per entry
-	stats   Stats
+	// secondTrains counts second-level trainings; secondQuiet holds one
+	// quiet-from count per bit position (nil when disabled).
+	secondTrains uint64
+	secondQuiet  []uint64
+	// squashTrains and squashQuiet are the same for the squash
+	// machines, one per entry.
+	squashTrains uint64
+	squashQuiet  []uint64
+	stats        Stats
 	// learnOnly suppresses trigger actions while filters keep learning
 	// (FaultHound ignores triggers during replay, Section 3.3).
 	learnOnly bool
@@ -138,10 +152,16 @@ func New(cfg Config) *TCAM {
 		t.filters[i] = filter.Make(cfg.Policy, 0)
 	}
 	if cfg.SecondLevel {
-		t.second = sm.NewSuppressors(64, cfg.SecondLevelStates)
+		if cfg.SecondLevelStates < 2 {
+			panic("tcam: the second-level machines need at least 2 states")
+		}
+		t.secondQuiet = make([]uint64, 64)
 	}
 	if cfg.SquashMachines {
-		t.squash = sm.NewSuppressors(cfg.Entries, cfg.SquashStates)
+		if cfg.SquashStates < 2 {
+			panic("tcam: the squash machines need at least 2 states")
+		}
+		t.squashQuiet = make([]uint64, cfg.Entries)
 	}
 	return t
 }
@@ -246,23 +266,25 @@ func (t *TCAM) Lookup(v uint64) Result {
 	// its mismatching bit positions have been quiet. Natural value
 	// drift re-offends in the same (delinquent) bit positions and is
 	// suppressed; a fault — injected or propagated — mismatches mostly
-	// quiet positions and passes (Section 3.2). Every bit's suppressor
-	// is trained regardless.
-	if t.second != nil {
+	// quiet positions and passes (Section 3.2). Every bit's machine is
+	// trained regardless: the training count advances for all of them,
+	// and only the participating bits' stamps are visited.
+	if t.secondQuiet != nil {
 		trainMask := bestMask
 		if t.cfg.SecondLevelUnion {
 			trainMask = unionMask
 		}
+		t.secondTrains++
+		k := t.secondTrains
+		rearm := k + uint64(t.cfg.SecondLevelStates)
 		quiet, total := 0, 0
-		for b := range t.second {
-			participated := trainMask>>uint(b)&1 == 1
-			allowed := t.second[b].Observe(participated)
-			if participated {
-				total++
-				if allowed {
-					quiet++
-				}
+		for m := trainMask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			total++
+			if k >= t.secondQuiet[b] {
+				quiet++
 			}
+			t.secondQuiet[b] = rearm
 		}
 		if quiet*2 <= total {
 			res.Suppressed = true
@@ -277,18 +299,17 @@ func (t *TCAM) Lookup(v uint64) Result {
 	// different neighborhood, so only replacement-level triggers (far
 	// from every filter — a real identity change) can escalate; the
 	// small mismatches of natural drift never do.
-	if t.squash != nil {
+	if t.squashQuiet != nil {
 		minMM := t.cfg.SquashMinMismatch
 		if minMM <= 0 {
 			minMM = t.cfg.LoosenThreshold + 1
 		}
 		wide := bits.OnesCount64(bestMask) >= minMM
-		for i := range t.squash {
-			allowed := t.squash[i].Observe(i == res.BestIndex)
-			if i == res.BestIndex && allowed && wide {
-				res.SquashAllowed = true
-			}
-		}
+		t.squashTrains++
+		k := t.squashTrains
+		allowed := k >= t.squashQuiet[res.BestIndex]
+		t.squashQuiet[res.BestIndex] = k + uint64(t.cfg.SquashStates)
+		res.SquashAllowed = allowed && wide
 	}
 	if res.SquashAllowed {
 		t.stats.Squashes++
@@ -347,11 +368,13 @@ func (t *TCAM) Probe(v uint64) (trigger, suppressed bool) {
 			}
 		}
 	}
-	if t.second != nil {
+	if t.secondQuiet != nil {
+		// A bit is quiet now iff the next training would allow it.
+		next := t.secondTrains + 1
 		quiet, total := 0, 0
 		for m := bestMask; m != 0; m &= m - 1 {
 			total++
-			if t.second[bits.TrailingZeros64(m)].Quiet() {
+			if next >= t.secondQuiet[bits.TrailingZeros64(m)] {
 				quiet++
 			}
 		}
@@ -389,16 +412,16 @@ func (t *TCAM) CloneInto(dst *TCAM) *TCAM {
 	if dst == nil {
 		dst = &TCAM{}
 	}
-	filters, age, second, squash := dst.filters, dst.age, dst.second, dst.squash
+	filters, age, second, squash := dst.filters, dst.age, dst.secondQuiet, dst.squashQuiet
 	*dst = *t
 	dst.filters = append(filters[:0], t.filters...)
 	dst.age = append(age[:0], t.age...)
-	dst.second, dst.squash = nil, nil
-	if t.second != nil {
-		dst.second = append(second[:0], t.second...)
+	dst.secondQuiet, dst.squashQuiet = nil, nil
+	if t.secondQuiet != nil {
+		dst.secondQuiet = append(second[:0], t.secondQuiet...)
 	}
-	if t.squash != nil {
-		dst.squash = append(squash[:0], t.squash...)
+	if t.squashQuiet != nil {
+		dst.squashQuiet = append(squash[:0], t.squashQuiet...)
 	}
 	return dst
 }
