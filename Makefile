@@ -31,7 +31,7 @@ lint: vet
 	fi
 
 race:
-	$(GO) test -race ./internal/workload/ ./internal/wgen/ ./internal/system/ \
+	$(GO) test -race ./internal/prog/ ./internal/workload/ ./internal/wgen/ ./internal/system/ \
 		./internal/pipeline/ ./internal/mem/ ./internal/campaign/ ./internal/fault/ \
 		./internal/obs/... ./internal/server/... ./internal/cluster/ \
 		./internal/contract/ ./internal/report/ ./internal/search/

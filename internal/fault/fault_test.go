@@ -2,6 +2,8 @@ package fault
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"testing"
 
 	"faulthound/internal/core"
@@ -138,6 +140,31 @@ func TestCampaignDeterminism(t *testing.T) {
 		if a.Results[i] != b.Results[i] {
 			t.Fatalf("result %d differs between identical campaigns", i)
 		}
+	}
+}
+
+// TestCampaignLeavesProgramUnchanged: workload.Programs shares one
+// program among every core of a process, which is sound only while
+// nothing writes it. A FaultHound campaign cell, flips into memory and
+// the LSQ included, leaves the shared program equal to a fresh build.
+func TestCampaignLeavesProgramUnchanged(t *testing.T) {
+	bm, err := workload.Resolve("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.Programs(bm, 1, 3)[0]
+	fh := core.DefaultConfig()
+	runCampaign(t, func() *pipeline.Core {
+		c, err := pipeline.New(pipeline.DefaultConfig(1), []*prog.Program{p}, core.New(fh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}, smallConfig())
+	fresh := bm.Build(prog.DefaultDataBase, 3)
+	if !slices.Equal(p.Code, fresh.Code) || !maps.Equal(p.Data, fresh.Data) ||
+		p.Entry != fresh.Entry || p.DataBase != fresh.DataBase || p.DataSize != fresh.DataSize {
+		t.Fatal("a campaign cell changed its shared program")
 	}
 }
 

@@ -237,6 +237,9 @@ func (r *Registry) getHist(name, help string, bounds []float64, labels map[strin
 	return h
 }
 
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // renderLabels produces the canonical {k="v",...} suffix, keys sorted,
 // values escaped per the exposition format ("" for no labels).
 func renderLabels(labels map[string]string) string {
@@ -254,8 +257,7 @@ func renderLabels(labels map[string]string) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(labels[k])
-		fmt.Fprintf(&sb, `%s="%s"`, k, esc)
+		fmt.Fprintf(&sb, `%s="%s"`, k, labelEscaper.Replace(labels[k]))
 	}
 	sb.WriteByte('}')
 	return sb.String()

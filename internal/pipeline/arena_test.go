@@ -119,7 +119,7 @@ func TestChunkPoolsCoverLiveUops(t *testing.T) {
 		for cycle := 0; cycle < 200_000 && !c.AllHalted(); cycle++ {
 			c.Step()
 			for _, th := range c.threads {
-				for _, q := range [][]*uop{th.rob, th.fetchQ} {
+				for _, q := range [][]*uop{th.rob.s, th.fetchQ.s} {
 					for _, u := range q {
 						if !pooled(c.uops.live, unsafe.Pointer(u), u.seq) {
 							t.Fatalf("seed %d cycle %d: live uop %d outside the live uop chunks", seed, cycle, u.seq)

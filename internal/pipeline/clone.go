@@ -104,11 +104,11 @@ func ensureLen[T any](buf *[]T, n int) []T {
 func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	nUops, nCkpt := 0, 0
 	for _, t := range c.threads {
-		nUops += len(t.rob) + len(t.fetchQ)
-		for _, u := range t.rob {
+		nUops += len(t.rob.s) + len(t.fetchQ.s)
+		for _, u := range t.rob.s {
 			nCkpt += len(u.ratCkpt)
 		}
-		for _, u := range t.fetchQ {
+		for _, u := range t.fetchQ.s {
 			nCkpt += len(u.ratCkpt)
 		}
 	}
@@ -158,8 +158,8 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	}
 	for i, t := range c.threads {
 		segs[i] = cloneSeg{
-			robSrc: t.rob, robDst: cloneRun(t.rob),
-			fqSrc: t.fetchQ, fqDst: cloneRun(t.fetchQ),
+			robSrc: t.rob.s, robDst: cloneRun(t.rob.s),
+			fqSrc: t.fetchQ.s, fqDst: cloneRun(t.fetchQ.s),
 		}
 	}
 
@@ -186,10 +186,10 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 		return e
 	}
 	// The pointer-slice rebuilders append into the destination's old
-	// slice: the capacity the previous run grew into (a deep delay
-	// buffer, an advanced fetch queue) is reused, so steady-state
-	// snapshots and runs stop allocating queue storage. Appending into
-	// dst is safe — its old contents point at dead slab state.
+	// slice or queue: the capacity the previous run grew into (a deep
+	// delay buffer, a full ROB) is reused, so steady-state snapshots
+	// and runs stop allocating queue storage. Appending into dst is
+	// safe — its old contents point at dead slab state.
 	remapInto := func(dst, src []*uop) []*uop {
 		if src == nil {
 			return nil
@@ -200,12 +200,19 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 		}
 		return dst
 	}
-	ptrsInto := func(dst []*uop, seg []uop) []*uop {
-		dst = dst[:0]
-		for i := range seg {
-			dst = append(dst, &seg[i])
+	remapQueue := func(q fifo, src []*uop) fifo {
+		q.reset()
+		for _, u := range src {
+			q.push(remap(u))
 		}
-		return dst
+		return q
+	}
+	ptrsQueue := func(q fifo, seg []uop) fifo {
+		q.reset()
+		for i := range seg {
+			q.push(&seg[i])
+		}
+		return q
 	}
 
 	d.cfg = c.cfg
@@ -222,7 +229,7 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	d.rfWait = append(d.rfWait[:0], c.rfWait...)
 	d.rfRef = append(d.rfRef[:0], c.rfRef...)
 	d.inFlight = remapInto(d.inFlight, c.inFlight)
-	d.delayBuf = remapInto(d.delayBuf, c.delayBuf)
+	d.delayBuf = remapQueue(d.delayBuf, c.delayBuf.s)
 	if c.mshrFree == nil {
 		d.mshrFree = nil
 	} else {
@@ -280,9 +287,9 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 			fetchStopped:      t.fetchStopped,
 			excepted:          t.excepted,
 			exceptMsg:         t.exceptMsg,
-			fetchQ:            ptrsInto(dt.fetchQ, segs[i].fqDst),
-			rob:               ptrsInto(dt.rob, segs[i].robDst),
-			lsq:               remapInto(dt.lsq, t.lsq),
+			fetchQ:            ptrsQueue(dt.fetchQ, segs[i].fqDst),
+			rob:               ptrsQueue(dt.rob, segs[i].robDst),
+			lsq:               remapQueue(dt.lsq, t.lsq.s),
 			committed:         t.committed,
 			named:             t.named,
 			writtenRegs:       t.writtenRegs,

@@ -28,7 +28,7 @@ func (c *Core) commit() {
 	n := len(c.threads)
 	for off := 0; off < n && budget > 0; off++ {
 		t := c.threads[(int(c.cycle)+off)%n]
-		for budget > 0 && len(t.rob) > 0 {
+		for budget > 0 && len(t.rob.s) > 0 {
 			if !c.commitOne(t) {
 				break
 			}
@@ -43,7 +43,7 @@ func (c *Core) commit() {
 // commitOne retires the oldest instruction of t if it is complete; it
 // reports whether an instruction was retired.
 func (c *Core) commitOne(t *threadState) bool {
-	u := t.rob[0]
+	u := t.rob.s[0]
 	if u.state != stCompleted {
 		return false
 	}
@@ -118,9 +118,9 @@ func (c *Core) retire(t *threadState, u *uop) {
 		}
 	}
 
-	t.rob = t.rob[1:]
-	if u.isMem() && len(t.lsq) > 0 && t.lsq[0] == u {
-		t.lsq = t.lsq[1:]
+	t.rob.pop()
+	if u.isMem() && len(t.lsq.s) > 0 && t.lsq.s[0] == u {
+		t.lsq.pop()
 	}
 	if u.inDelayBuf {
 		c.dropFromDelayBuf(u)
@@ -225,9 +225,9 @@ func (c *Core) singletonReexec(u *uop) {
 
 // dropFromDelayBuf removes u from the delay buffer.
 func (c *Core) dropFromDelayBuf(u *uop) {
-	for i, e := range c.delayBuf {
+	for i, e := range c.delayBuf.s {
 		if e == u {
-			c.delayBuf = append(c.delayBuf[:i], c.delayBuf[i+1:]...)
+			c.delayBuf.s = append(c.delayBuf.s[:i], c.delayBuf.s[i+1:]...)
 			break
 		}
 	}

@@ -30,9 +30,9 @@ type threadState struct {
 	excepted  bool
 	exceptMsg string
 
-	fetchQ []*uop // fetched, waiting for dispatch
-	rob    []*uop // in-flight in program order (oldest first)
-	lsq    []*uop // loads/stores in program order (oldest first)
+	fetchQ fifo // fetched, waiting for dispatch
+	rob    fifo // in-flight in program order (oldest first)
+	lsq    fifo // loads/stores in program order (oldest first)
 
 	committed uint64
 	// named is a bitmask of the architectural registers the thread's
@@ -107,7 +107,7 @@ type Core struct {
 	rfRef   []uint8
 
 	inFlight []*uop // issued, waiting for completeAt
-	delayBuf []*uop // completed instructions eligible for replay
+	delayBuf fifo   // completed instructions eligible for replay
 
 	// mshrFree holds the cycle each miss-status register frees up.
 	mshrFree []uint64
@@ -268,11 +268,11 @@ func (p *chunkPool[T]) release() {
 func (c *Core) oldestLiveSeq() uint64 {
 	oldest := c.seq + 1
 	for _, t := range c.threads {
-		if len(t.rob) > 0 {
-			oldest = min(oldest, t.rob[0].seq)
+		if len(t.rob.s) > 0 {
+			oldest = min(oldest, t.rob.s[0].seq)
 		}
-		if len(t.fetchQ) > 0 {
-			oldest = min(oldest, t.fetchQ[0].seq)
+		if len(t.fetchQ.s) > 0 {
+			oldest = min(oldest, t.fetchQ.s[0].seq)
 		}
 	}
 	return oldest
@@ -290,17 +290,22 @@ func New(cfg Config, programs []*prog.Program, detector detect.Detector) (*Core,
 	if len(programs) != cfg.Threads {
 		return nil, fmt.Errorf("pipeline: %d programs for %d threads", len(programs), cfg.Threads)
 	}
+	// NewMemory copies the image, so one program's Data is passed as is
+	// and only several programs' are merged first.
 	base, end := programs[0].DataBase, programs[0].DataBase+programs[0].DataSize
-	image := make(map[uint64]uint64)
-	for _, p := range programs {
-		if p.DataBase < base {
-			base = p.DataBase
-		}
-		if e := p.DataBase + p.DataSize; e > end {
-			end = e
-		}
-		for a, v := range p.Data {
-			image[a] = v
+	image := programs[0].Data
+	if len(programs) > 1 {
+		image = make(map[uint64]uint64)
+		for _, p := range programs {
+			if p.DataBase < base {
+				base = p.DataBase
+			}
+			if e := p.DataBase + p.DataSize; e > end {
+				end = e
+			}
+			for a, v := range p.Data {
+				image[a] = v
+			}
 		}
 	}
 	return NewShared(cfg, programs, detector, mem.NewMemory(base, end-base, image))
@@ -520,8 +525,9 @@ func (c *Core) SetCommitHook(fn func(tid int, count uint64)) { c.commitHook = fn
 func (c *Core) SetMemHook(fn func(tid int, store bool, addr, val uint64)) { c.memHook = fn }
 
 // WarmDetector trains the attached detector over thread 0's
-// architectural load/store stream for n instructions using the
-// sequential interpreter — a fast-forward functional warmup standing in
+// architectural load/store stream for n instructions
+// (prog.Program.VisitMemOps, which interprets the program or replays
+// its recorded stream) — a fast-forward functional warmup standing in
 // for the paper's multi-million-instruction simulation warmup, which
 // saturates the filter state machines (PBFS's sticky counters in
 // particular) before measurement. The detector sees every check as a
@@ -532,24 +538,14 @@ func (c *Core) WarmDetector(n uint64) {
 	if c.detector == nil || n == 0 {
 		return
 	}
-	t := c.threads[0]
-	it := prog.NewInterp(t.prog)
-	for i := uint64(0); i < n; i++ {
-		pc := it.PC
-		in := t.prog.Code[pc]
-		if !it.Step() {
-			break
-		}
-		switch in.Op {
-		case isa.LD:
-			addr := it.Regs[in.Rs1] + uint64(int64(in.Imm))
+	c.threads[0].prog.VisitMemOps(n, func(pc uint64, store bool, addr, val uint64) {
+		if !store {
 			c.detOnComplete(detect.Event{Kind: detect.LoadAddr, Value: addr, PC: pc})
-		case isa.ST:
-			addr := it.Regs[in.Rs1] + uint64(int64(in.Imm))
-			c.detOnComplete(detect.Event{Kind: detect.StoreAddr, Value: addr, PC: pc})
-			c.detOnComplete(detect.Event{Kind: detect.StoreValue, Value: it.Regs[in.Rs2], PC: pc})
+			return
 		}
-	}
+		c.detOnComplete(detect.Event{Kind: detect.StoreAddr, Value: addr, PC: pc})
+		c.detOnComplete(detect.Event{Kind: detect.StoreValue, Value: val, PC: pc})
+	})
 }
 
 // Step advances the simulation by one cycle.
@@ -587,18 +583,38 @@ func (c *Core) RunUntilCommits(tid int, n uint64, maxCycles uint64) bool {
 	return true
 }
 
-// popFront removes and returns the head of the small FIFO *q, shifting
-// the remainder down in place. A tail append plus a head reslice would
-// drift through the backing array and reallocate it every cap-len
-// operations; for the short queues this is used on (delay buffer,
-// fetch queue) the shift is far cheaper than the allocation.
-func popFront(q *[]*uop) *uop {
-	s := *q
-	u := s[0]
-	n := copy(s, s[1:])
-	*q = s[:n]
+// fifo is a queue of uops, oldest first: the ROB, the LSQ, the fetch
+// queue and the delay buffer. s is the live window, and every read goes
+// through it; buf is the backing array from its first element. pop
+// advances the window's start, and a push that finds the window at the
+// end of buf slides it back to buf's front, so a queue whose occupancy
+// is bounded stops allocating once buf has grown to that bound. A
+// filter that compacts s in place keeps the window inside buf.
+type fifo struct {
+	s   []*uop
+	buf []*uop
+}
+
+// push appends u.
+func (q *fifo) push(u *uop) {
+	if len(q.s) == cap(q.s) && len(q.s) < cap(q.buf) {
+		q.s = q.buf[:copy(q.buf[:cap(q.buf)], q.s)]
+	}
+	q.s = append(q.s, u)
+	if cap(q.s) > cap(q.buf) {
+		q.buf = q.s[:0] // append grew a new backing array
+	}
+}
+
+// pop removes and returns the oldest uop.
+func (q *fifo) pop() *uop {
+	u := q.s[0]
+	q.s = q.s[1:]
 	return u
 }
+
+// reset empties the queue at the front of its backing array.
+func (q *fifo) reset() { q.s = q.buf[:0] }
 
 // nextSeq allocates a global age tag.
 func (c *Core) nextSeq() uint64 {
@@ -623,12 +639,12 @@ func (c *Core) fetch() {
 		if t.fetchStopped {
 			// A thread that ran off the end of its code without a HALT
 			// wedges once its pipeline drains; treat that as a halt.
-			if len(t.rob) == 0 && len(t.fetchQ) == 0 {
+			if len(t.rob.s) == 0 && len(t.fetchQ.s) == 0 {
 				t.halted = true
 			}
 			continue
 		}
-		if len(t.fetchQ) >= c.cfg.FetchQueueMax {
+		if len(t.fetchQ.s) >= c.cfg.FetchQueueMax {
 			continue
 		}
 		c.fetchThread(t)
@@ -685,7 +701,7 @@ func (c *Core) fetchThread(t *threadState) {
 			u.halt = true
 		}
 		u.predPC = nextPC
-		t.fetchQ = append(t.fetchQ, u)
+		t.fetchQ.push(u)
 		t.pc = nextPC
 		c.trace(TraceFetch, u, "")
 
@@ -708,15 +724,15 @@ func (c *Core) dispatch() {
 	n := len(c.threads)
 	for off := 0; off < n && budget > 0; off++ {
 		t := c.threads[(int(c.cycle)+off)%n]
-		for budget > 0 && len(t.fetchQ) > 0 {
-			u := t.fetchQ[0]
+		for budget > 0 && len(t.fetchQ.s) > 0 {
+			u := t.fetchQ.s[0]
 			if u.readyAt > c.cycle {
 				break
 			}
 			if !c.dispatchOne(t, u) {
 				break // structural stall
 			}
-			popFront(&t.fetchQ)
+			t.fetchQ.pop()
 			budget--
 		}
 	}
@@ -725,7 +741,7 @@ func (c *Core) dispatch() {
 // dispatchOne renames u and allocates its queue entries; it reports
 // whether dispatch succeeded (false = structural stall).
 func (c *Core) dispatchOne(t *threadState, u *uop) bool {
-	if len(t.rob) >= c.cfg.ROBPerThread {
+	if len(t.rob.s) >= c.cfg.ROBPerThread {
 		c.stats.ROBFullStalls++
 		return false
 	}
@@ -734,7 +750,7 @@ func (c *Core) dispatchOne(t *threadState, u *uop) bool {
 		c.stats.IQFullStalls++
 		return false
 	}
-	if u.isMem() && len(t.lsq) >= c.cfg.LSQPerThread {
+	if u.isMem() && len(t.lsq.s) >= c.cfg.LSQPerThread {
 		c.stats.LSQFullStalls++
 		return false
 	}
@@ -766,10 +782,10 @@ func (c *Core) dispatchOne(t *threadState, u *uop) bool {
 	}
 
 	u.state = stDispatched
-	t.rob = append(t.rob, u)
+	t.rob.push(u)
 	if u.isMem() {
-		u.lsqIndex = len(t.lsq)
-		t.lsq = append(t.lsq, u)
+		u.lsqIndex = len(t.lsq.s)
+		t.lsq.push(u)
 	}
 	if needsIQ {
 		c.iqInsert(u)
@@ -948,10 +964,10 @@ func (c *Core) rebuildSched() {
 // file), so replacing only the head is safe and preserves far more
 // replay coverage.
 func (c *Core) evictFromDelayBuffer() bool {
-	if len(c.delayBuf) == 0 {
+	if len(c.delayBuf.s) == 0 {
 		return false
 	}
-	old := popFront(&c.delayBuf)
+	old := c.delayBuf.pop()
 	old.inDelayBuf = false
 	c.iqRemove(old)
 	c.stats.DelayBufFlushes++

@@ -139,12 +139,12 @@ func (c *Core) regProvablyDead(p physID) bool {
 		if named(t.rat, t.named) || named(t.aRAT, t.named) {
 			return false
 		}
-		for _, u := range t.rob {
+		for _, u := range t.rob.s {
 			if refs(u, t.named) {
 				return false
 			}
 		}
-		for _, u := range t.fetchQ {
+		for _, u := range t.fetchQ.s {
 			if refs(u, t.named) {
 				return false
 			}
@@ -218,19 +218,19 @@ func (c *Core) structFold() uint64 {
 		foldBool(t.excepted)
 		foldRenames(t.rat, t.named)
 		foldRenames(t.aRAT, t.named)
-		fold(uint64(len(t.fetchQ)))
-		for _, u := range t.fetchQ {
+		fold(uint64(len(t.fetchQ.s)))
+		for _, u := range t.fetchQ.s {
 			foldUop(u, t.named)
 		}
-		fold(uint64(len(t.rob)))
-		for _, u := range t.rob {
+		fold(uint64(len(t.rob.s)))
+		for _, u := range t.rob.s {
 			foldUop(u, t.named)
 		}
 		// LSQ/IQ/delay-buffer/executing-set entries alias ROB uops whose
 		// contents are folded above; here only membership and order
 		// matter, keyed by the globally unique seq.
-		fold(uint64(len(t.lsq)))
-		for _, u := range t.lsq {
+		fold(uint64(len(t.lsq.s)))
+		for _, u := range t.lsq.s {
 			fold(u.seq)
 		}
 	}
@@ -244,8 +244,8 @@ func (c *Core) structFold() uint64 {
 	for _, u := range c.inFlight {
 		fold(u.seq)
 	}
-	fold(uint64(len(c.delayBuf)))
-	for _, u := range c.delayBuf {
+	fold(uint64(len(c.delayBuf.s)))
+	for _, u := range c.delayBuf.s {
 		fold(u.seq)
 	}
 	for _, r := range c.rf.ready {

@@ -39,7 +39,7 @@ func (c *Core) issue() {
 		// olderStoresDone scan collapses to one compare against it.
 		for _, t := range c.threads {
 			t.schedMinStore = ^uint64(0)
-			for _, s := range t.lsq {
+			for _, s := range t.lsq.s {
 				if (s.isStore() || s.inst.IsAtomic()) && s.state != stCompleted && s.state != stCommitted {
 					t.schedMinStore = s.seq
 					break
@@ -65,7 +65,7 @@ func (c *Core) issue() {
 			// Atomics execute non-speculatively: only at the head of their
 			// thread's ROB (everything older has committed).
 			if e.atomic {
-				rob := c.threads[e.thread].rob
+				rob := c.threads[e.thread].rob.s
 				if len(rob) == 0 || rob[0] != c.iq[i] {
 					continue
 				}
@@ -248,7 +248,7 @@ func (c *Core) allocMSHR(want, latency uint64) uint64 {
 // forward searches the thread's LSQ for the youngest older completed
 // store to the same address (store-to-load forwarding).
 func (c *Core) forward(u *uop) (uint64, bool) {
-	lsq := c.threads[u.thread].lsq
+	lsq := c.threads[u.thread].lsq.s
 	for i := len(lsq) - 1; i >= 0; i-- {
 		s := lsq[i]
 		if s.seq >= u.seq || !s.isStore() {
@@ -363,10 +363,10 @@ func (c *Core) completeOne(u *uop) {
 		return
 	}
 	if c.cfg.DelayBuffer > 0 && u.inIQ {
-		c.delayBuf = append(c.delayBuf, u)
+		c.delayBuf.push(u)
 		u.inDelayBuf = true
-		if len(c.delayBuf) > c.cfg.DelayBuffer {
-			old := popFront(&c.delayBuf)
+		if len(c.delayBuf.s) > c.cfg.DelayBuffer {
+			old := c.delayBuf.pop()
 			old.inDelayBuf = false
 			c.iqRemove(old)
 			c.stats.DelayBufEvictions++
@@ -409,7 +409,7 @@ func (c *Core) isExempt(u *uop) bool {
 	if t.exemptUntil <= t.committed {
 		return false
 	}
-	for i, e := range t.rob {
+	for i, e := range t.rob.s {
 		if e == u {
 			return t.committed+uint64(i)+1 <= t.exemptUntil
 		}
@@ -464,9 +464,9 @@ func (c *Core) triggerReplay(trigger *uop) {
 		return
 	}
 	c.schedTouch() // replayed uops return to dispatched
-	marked := append(append(c.replayScratch[:0], c.delayBuf...), trigger)
+	marked := append(append(c.replayScratch[:0], c.delayBuf.s...), trigger)
 	c.replayScratch = marked
-	c.delayBuf = c.delayBuf[:0]
+	c.delayBuf.reset()
 	started := 0
 	for _, m := range marked {
 		if m.state != stCompleted || !m.inIQ || m.inst.IsAtomic() {

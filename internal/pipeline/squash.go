@@ -32,8 +32,8 @@ func (c *Core) fullSquash(trigger *uop) {
 	// An executed atomic's read-modify-write cannot be undone: stop the
 	// rollback just after the youngest such atomic (it stays and
 	// commits; its RAT checkpoint restores the map).
-	for i := len(t.rob) - 1; i >= 0; i-- {
-		if u := t.rob[i]; u.rmwDone && u.state != stCommitted {
+	for i := len(t.rob.s) - 1; i >= 0; i-- {
+		if u := t.rob.s[i]; u.rmwDone && u.state != stCommitted {
 			c.stats.Rollbacks++
 			c.squashAfter(u)
 			t.pc = u.pc + 1
@@ -43,7 +43,7 @@ func (c *Core) fullSquash(trigger *uop) {
 	c.stats.Rollbacks++
 	squashed := 0
 	position := uint64(0)
-	for _, u := range t.rob {
+	for _, u := range t.rob.s {
 		if u.state != stCommitted {
 			squashed++
 			if u == trigger {
@@ -52,7 +52,7 @@ func (c *Core) fullSquash(trigger *uop) {
 			c.squashUop(u)
 		}
 	}
-	c.stats.RollbackSquashedUops += uint64(squashed + len(t.fetchQ))
+	c.stats.RollbackSquashedUops += uint64(squashed + len(t.fetchQ.s))
 	if c.cfg.RollbackDeemedFinal && position > t.exemptUntil {
 		t.exemptUntil = position
 	}
@@ -67,7 +67,7 @@ func (c *Core) fullSquash(trigger *uop) {
 // a detector rollback (used at HALT and exception commit).
 func (c *Core) squashThread(t *threadState) {
 	c.schedTouch()
-	for _, u := range t.rob {
+	for _, u := range t.rob.s {
 		c.squashUop(u)
 	}
 	c.finishThreadSquash(t)
@@ -78,9 +78,9 @@ func (c *Core) squashThread(t *threadState) {
 
 // finishThreadSquash resets the thread's queues and speculative state.
 func (c *Core) finishThreadSquash(t *threadState) {
-	t.rob = t.rob[:0]
-	t.lsq = t.lsq[:0]
-	t.fetchQ = t.fetchQ[:0]
+	t.rob.reset()
+	t.lsq.reset()
+	t.fetchQ.reset()
 	copy(t.rat, t.aRAT)
 	t.pc = t.aPC
 	t.pred.SetHistory(t.archHistory)
@@ -95,8 +95,8 @@ func (c *Core) finishThreadSquash(t *threadState) {
 func (c *Core) squashAfter(b *uop) {
 	c.schedTouch()
 	t := c.threads[b.thread]
-	keep := t.rob[:0]
-	for _, u := range t.rob {
+	keep := t.rob.s[:0]
+	for _, u := range t.rob.s {
 		if u.seq > b.seq {
 			c.stats.BranchSquashedUops++
 			c.squashUop(u)
@@ -104,18 +104,18 @@ func (c *Core) squashAfter(b *uop) {
 			keep = append(keep, u)
 		}
 	}
-	t.rob = keep
+	t.rob.s = keep
 
-	keepLSQ := t.lsq[:0]
-	for _, u := range t.lsq {
+	keepLSQ := t.lsq.s[:0]
+	for _, u := range t.lsq.s {
 		if u.seq <= b.seq {
 			keepLSQ = append(keepLSQ, u)
 		}
 	}
-	t.lsq = keepLSQ
+	t.lsq.s = keepLSQ
 
-	c.stats.BranchSquashedUops += uint64(len(t.fetchQ))
-	t.fetchQ = t.fetchQ[:0]
+	c.stats.BranchSquashedUops += uint64(len(t.fetchQ.s))
+	t.fetchQ.reset()
 	if b.ratCkpt != nil {
 		copy(t.rat, b.ratCkpt)
 	} else {
@@ -131,13 +131,13 @@ func (c *Core) squashAfter(b *uop) {
 
 // filterDelayBuf drops squashed entries from the delay buffer.
 func (c *Core) filterDelayBuf() {
-	keep := c.delayBuf[:0]
-	for _, u := range c.delayBuf {
+	keep := c.delayBuf.s[:0]
+	for _, u := range c.delayBuf.s {
 		if u.state == stCompleted && u.inDelayBuf {
 			keep = append(keep, u)
 		}
 	}
-	c.delayBuf = keep
+	c.delayBuf.s = keep
 }
 
 // filterInFlight drops squashed entries from the executing set.

@@ -74,7 +74,7 @@ func (c *Core) FlipRegisterBit(p uint16, bit uint) bool {
 func (c *Core) InFlightDestRegs(dst []uint16) []uint16 {
 	out := dst[:0]
 	for _, t := range c.threads {
-		for _, u := range t.rob {
+		for _, u := range t.rob.s {
 			if u.dst != physNone && u.state != stCommitted && u.state != stSquashed {
 				out = append(out, uint16(u.dst))
 			}
@@ -106,7 +106,7 @@ type LSQSite struct {
 func (c *Core) LSQSites(dst []LSQSite) []LSQSite {
 	out := dst[:0]
 	for _, t := range c.threads {
-		for i, u := range t.lsq {
+		for i, u := range t.lsq.s {
 			if u.state == stCompleted {
 				out = append(out, LSQSite{Thread: t.id, Index: i, IsStore: u.isStore()})
 			}
@@ -119,11 +119,11 @@ func (c *Core) LSQSites(dst []LSQSite) []LSQSite {
 // reports whether the site was valid.
 func (c *Core) FlipLSQBit(site LSQSite, field LSQField, bit uint) bool {
 	t := c.threads[site.Thread]
-	if site.Index >= len(t.lsq) {
+	if site.Index >= len(t.lsq.s) {
 		return false
 	}
 	c.schedTouch()
-	u := t.lsq[site.Index]
+	u := t.lsq.s[site.Index]
 	if u.state != stCompleted {
 		return false
 	}

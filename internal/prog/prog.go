@@ -11,7 +11,10 @@ import (
 )
 
 // Program is an assembled program: code (instruction indices are the
-// PC), an initial data image, and the entry point.
+// PC), an initial data image, and the entry point. Its exported fields
+// are never written after it is built, and its stream cache guards
+// itself, so one Program may be shared by any number of cores and
+// goroutines.
 type Program struct {
 	Name  string
 	Code  []isa.Inst
@@ -23,6 +26,9 @@ type Program struct {
 	// exception in the simulator (the paper's "noisy" faults).
 	DataBase uint64
 	DataSize uint64
+
+	// streams caches VisitMemOps's load/store streams (stream.go).
+	streams memStreams
 }
 
 // Validate checks structural sanity: branch targets in range, registers

@@ -42,10 +42,17 @@ type metricsSink struct {
 	tracks map[int]*trackState
 }
 
+// trackState is one track's open injection span. The cell's series
+// are resolved when a span of a new cell begins, so an injection's end
+// renders no labels.
 type trackState struct {
-	bench, scheme string
-	injectCycle   uint64
-	haveInject    bool
+	cell        string // the cell the series below belong to
+	bench       string
+	scheme      string
+	dur, lat    *metrics.Histogram
+	outcomes    map[string]*metrics.Value
+	injectCycle uint64
+	haveInject  bool
 }
 
 func newMetricsSink(reg *metrics.Registry, inflight *metrics.Value) *metricsSink {
@@ -62,26 +69,44 @@ func (m *metricsSink) Event(ev obs.Event) {
 	}
 	switch {
 	case ev.Kind == obs.KindBegin && ev.Name == "injection":
-		st.bench, st.scheme, _ = strings.Cut(ev.Arg, "/")
+		if ev.Arg != st.cell || st.dur == nil {
+			st.setCell(m.registry, ev.Arg)
+		}
 		st.haveInject = false
 		m.reg.Add(1)
 	case ev.Kind == obs.KindInstant && ev.Name == "inject":
 		st.injectCycle, st.haveInject = ev.Cycle, true
 	case ev.Kind == obs.KindInstant && ev.Name == "detect":
 		if st.haveInject && ev.Cycle >= st.injectCycle {
-			m.registry.HistogramWith(detLatName, detLatHelp, detLatBuckets(),
-				map[string]string{"bench": st.bench, "scheme": st.scheme}).
-				Observe(float64(ev.Cycle - st.injectCycle))
+			st.lat.Observe(float64(ev.Cycle - st.injectCycle))
 		}
 	case ev.Kind == obs.KindEnd && ev.Name == "injection":
 		m.reg.Add(-1)
 		if ev.Arg == "cancelled" {
 			return
 		}
-		labels := map[string]string{"bench": st.bench, "scheme": st.scheme}
-		m.registry.HistogramWith(injDurName, injDurHelp, injDurBuckets(), labels).
-			Observe(ev.Dur.Seconds())
-		m.registry.CounterWith(outcomeName, outcomeHelp,
-			map[string]string{"bench": st.bench, "scheme": st.scheme, "outcome": ev.Arg}).Inc()
+		st.dur.Observe(ev.Dur.Seconds())
+		c := st.outcomes[ev.Arg]
+		if c == nil {
+			c = m.registry.CounterWith(outcomeName, outcomeHelp,
+				map[string]string{"bench": st.bench, "scheme": st.scheme, "outcome": ev.Arg})
+			st.outcomes[ev.Arg] = c
+		}
+		c.Inc()
 	}
+}
+
+// setCell points the track at cell's series. A cell is its bench spec,
+// a '/', and its scheme spec; a bench spec may hold a '/' (a replay
+// trace's path) and a scheme spec never does, so the split is at the
+// last one.
+func (st *trackState) setCell(reg *metrics.Registry, cell string) {
+	st.cell, st.bench, st.scheme = cell, cell, ""
+	if i := strings.LastIndexByte(cell, '/'); i >= 0 {
+		st.bench, st.scheme = cell[:i], cell[i+1:]
+	}
+	labels := map[string]string{"bench": st.bench, "scheme": st.scheme}
+	st.dur = reg.HistogramWith(injDurName, injDurHelp, injDurBuckets(), labels)
+	st.lat = reg.HistogramWith(detLatName, detLatHelp, detLatBuckets(), labels)
+	st.outcomes = make(map[string]*metrics.Value)
 }

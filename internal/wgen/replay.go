@@ -45,6 +45,11 @@ func buildReplay(sp Spec, v pspec.Values) (Workload, error) {
 	return w, nil
 }
 
+// ReadsFile reports whether sp's program is built from a file read at
+// build time (replay?trace=), so that the spec string alone does not
+// identify the program.
+func ReadsFile(sp Spec) bool { return sp.Name == "replay" }
+
 // replaySegMax bounds the replayed footprint (offsets are int32 and
 // the data image is materialized per thread).
 const replaySegMax = 64 << 20

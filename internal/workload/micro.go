@@ -117,9 +117,9 @@ func MicroBranchy(base, seed uint64) *prog.Program {
 // Micro is the registry of micro-workloads (not part of Table 1).
 func Micro() []Benchmark {
 	return []Benchmark{
-		{Name: "micro-stream", Suite: "Micro", Paper: "controlled: unit-stride streaming", SegBytes: 16 << 10, Build: MicroStream},
-		{Name: "micro-chase", Suite: "Micro", Paper: "controlled: randomized pointer chase", SegBytes: 64 << 10, Build: MicroChase},
-		{Name: "micro-toggle", Suite: "Micro", Paper: "controlled: delinquent-bit toggle", SegBytes: 4 << 10, Build: MicroToggle},
-		{Name: "micro-branchy", Suite: "Micro", Paper: "controlled: data-dependent branches", SegBytes: 8 << 10, Build: MicroBranchy},
+		{Name: "micro-stream", Suite: "Micro", Paper: "controlled: unit-stride streaming", SegBytes: 16 << 10, Build: MicroStream, shared: true},
+		{Name: "micro-chase", Suite: "Micro", Paper: "controlled: randomized pointer chase", SegBytes: 64 << 10, Build: MicroChase, shared: true},
+		{Name: "micro-toggle", Suite: "Micro", Paper: "controlled: delinquent-bit toggle", SegBytes: 4 << 10, Build: MicroToggle, shared: true},
+		{Name: "micro-branchy", Suite: "Micro", Paper: "controlled: data-dependent branches", SegBytes: 8 << 10, Build: MicroBranchy, shared: true},
 	}
 }

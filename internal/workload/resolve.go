@@ -62,6 +62,7 @@ func Resolve(spec string) (Benchmark, error) {
 		Paper:    "generated: " + resolvedHelp(w.Spec),
 		SegBytes: w.SegBytes,
 		Build:    w.Build,
+		shared:   !wgen.ReadsFile(w.Spec),
 	}, nil
 }
 

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"faulthound/internal/prog"
 	"faulthound/internal/stats"
@@ -40,6 +41,12 @@ type Benchmark struct {
 	// Build constructs the kernel with its data segment at base, using
 	// seed for deterministic data initialization.
 	Build func(base uint64, seed uint64) *prog.Program
+	// shared marks a benchmark whose Name alone identifies the programs
+	// Build makes, so Programs builds each one once per process: true
+	// for the benchmarks this package returns by name or canonical
+	// spec, false for one built elsewhere and for a replayed stream,
+	// whose program comes from a file.
+	shared bool
 }
 
 // registry holds all benchmarks in Table-1 order.
@@ -58,6 +65,12 @@ var registry = []Benchmark{
 	{Name: "raytrace", Suite: SuiteSPLASH, Paper: "Raytrace: full run, 64 MB, car.env", SegBytes: 128 << 10, Build: buildRaytrace},
 	{Name: "volrend", Suite: SuiteSPLASH, Paper: "Volrend: full run, inputs/head", SegBytes: 128 << 10, Build: buildVolrend},
 	{Name: "water-nsq", Suite: SuiteSPLASH, Paper: "Water-nsquared: 1 time step, 216 molecules", SegBytes: 32 << 10, Build: buildWaterNsq},
+}
+
+func init() {
+	for i := range registry {
+		registry[i].shared = true
+	}
 }
 
 // All returns every benchmark in Table-1 order.
@@ -113,14 +126,60 @@ func BySuite() map[string][]Benchmark {
 }
 
 // Programs builds `threads` copies of benchmark b with disjoint,
-// adjacent data segments (one address space per SMT context).
+// adjacent data segments (one address space per SMT context). A
+// benchmark this package resolved is built once per process for each
+// data base and seed: every later call returns the same programs, and
+// with them their recorded warm-up streams (prog.Program.VisitMemOps).
+// Programs are never written after they are built, so sharing them is
+// safe.
 func Programs(b Benchmark, threads int, seed uint64) []*prog.Program {
 	out := make([]*prog.Program, threads)
 	for i := 0; i < threads; i++ {
 		base := prog.DefaultDataBase + uint64(i)*b.SegBytes
-		out[i] = b.Build(base, seed+uint64(i))
+		if b.shared {
+			out[i] = builtOnce(b, base, seed+uint64(i))
+		} else {
+			out[i] = b.Build(base, seed+uint64(i))
+		}
 	}
 	return out
+}
+
+// built holds every program Programs has built. Entries are never
+// evicted: their number is bounded by the distinct benchmarks a process
+// runs, as with fault.PreparedCache.
+var built struct {
+	mu sync.Mutex
+	m  map[buildKey]*prog.Program
+}
+
+type buildKey struct {
+	name       string
+	base, seed uint64
+}
+
+// builtOnce returns b's program at (base, seed), building it on the
+// first call. Concurrent first calls may each build it; all of them
+// return the one stored first.
+func builtOnce(b Benchmark, base, seed uint64) *prog.Program {
+	k := buildKey{b.Name, base, seed}
+	built.mu.Lock()
+	p := built.m[k]
+	built.mu.Unlock()
+	if p != nil {
+		return p
+	}
+	p = b.Build(base, seed)
+	built.mu.Lock()
+	defer built.mu.Unlock()
+	if q := built.m[k]; q != nil {
+		return q
+	}
+	if built.m == nil {
+		built.m = make(map[buildKey]*prog.Program)
+	}
+	built.m[k] = p
+	return p
 }
 
 // permutationCycle writes a single-cycle permutation over words
