@@ -57,7 +57,8 @@ report:
 # self-test —
 # a summary with a renamed required field must fail validation
 # (docs/CONTRACTS.md); and the paper gate — every committed table,
-# regenerated at the experiments' scale, must match byte for byte.
+# results_mp.txt included, regenerated at the experiments' scale, must
+# match byte for byte.
 gates:
 	$(GO) run ./cmd/fhreport validate results/campaigns/reference-1k \
 		internal/server/testdata/spechash_golden.json \
@@ -101,8 +102,11 @@ gates:
 	rm -rf /tmp/fh-gate-paper && mkdir -p /tmp/fh-gate-paper
 	$(GO) run ./cmd/faulthound $(PAPER_FLAGS) -csv /tmp/fh-gate-paper -json /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_all.txt
 	$(GO) run ./cmd/faulthound $(EXT_FLAGS) -csv /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_ext.txt
+	$(GO) run ./cmd/faulthound $(MP_SCALING_FLAGS) >/tmp/fh-gate-paper/results_mp.txt
+	$(GO) run ./cmd/faulthound $(MP_COVERAGE_FLAGS) >>/tmp/fh-gate-paper/results_mp.txt
 	cmp /tmp/fh-gate-paper/results_all.txt results_all.txt
 	cmp /tmp/fh-gate-paper/results_ext.txt results_ext.txt
+	cmp /tmp/fh-gate-paper/results_mp.txt results_mp.txt
 	for f in results/*.csv results/*.json; do cmp /tmp/fh-gate-paper/$${f#results/} $$f || exit 1; done
 
 # Parallel, resumable fault-injection campaign with an artifact bundle.
@@ -157,6 +161,8 @@ bench:
 # extensions and the paper gate all read these, so they cannot drift.
 PAPER_FLAGS = -experiment all -commits 60000 -injections 600
 EXT_FLAGS = -experiment extensions -commits 30000 -injections 400
+MP_SCALING_FLAGS = -experiment mp-scaling -commits 30000
+MP_COVERAGE_FLAGS = -experiment mp-coverage -commits 30000 -injections 400
 
 # Full-scale regeneration of every table and figure (about 45 s on a
 # 2-core machine). Output goes to the file first and is printed after,
@@ -167,8 +173,8 @@ experiments:
 
 extensions:
 	$(GO) run ./cmd/faulthound $(EXT_FLAGS) -csv results >results_ext.txt
-	$(GO) run ./cmd/faulthound -experiment mp-scaling -commits 30000 >results_mp.txt
-	$(GO) run ./cmd/faulthound -experiment mp-coverage -commits 30000 -injections 400 >>results_mp.txt
+	$(GO) run ./cmd/faulthound $(MP_SCALING_FLAGS) >results_mp.txt
+	$(GO) run ./cmd/faulthound $(MP_COVERAGE_FLAGS) >>results_mp.txt
 	@cat results_ext.txt results_mp.txt
 
 # Smoke-scale versions of the experiments (a couple of minutes).

@@ -20,6 +20,7 @@ import (
 	"faulthound/internal/harness"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/prog"
+	"faulthound/internal/scheme"
 	"faulthound/internal/tcam"
 	"faulthound/internal/workload"
 )
@@ -46,6 +47,20 @@ func bzip2Campaigns(b *testing.B, o harness.Options, schemes ...harness.Scheme) 
 		b.Fatal(err)
 	}
 	return out.Campaigns
+}
+
+// timing is one timing run of bzip2 under the named scheme.
+func timing(b *testing.B, o harness.Options, s harness.Scheme) harness.Run {
+	b.Helper()
+	bm, err := workload.Get("bzip2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, err := o.TimingRunSpec(bm, scheme.FromString(string(s)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return run
 }
 
 func BenchmarkTable1Workloads(b *testing.B) {
@@ -121,31 +136,18 @@ func BenchmarkFig8aCoverage(b *testing.B) {
 
 func BenchmarkFig8bFalsePositives(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
 	var fp float64
 	for i := 0; i < b.N; i++ {
-		run, err := o.TimingRun(bm, harness.FaultHound)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fp = 100 * run.FPRate()
+		fp = 100 * timing(b, o, harness.FaultHound).FPRate()
 	}
 	b.ReportMetric(fp, "fp%")
 }
 
 func BenchmarkFig9Performance(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
 	var deg float64
 	for i := 0; i < b.N; i++ {
-		base, err := o.TimingRun(bm, harness.Baseline)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fh, err := o.TimingRun(bm, harness.FaultHound)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base, fh := timing(b, o, harness.Baseline), timing(b, o, harness.FaultHound)
 		deg = 100 * (float64(fh.Cycles)/float64(base.Cycles) - 1)
 	}
 	b.ReportMetric(deg, "slowdown%")
@@ -153,21 +155,10 @@ func BenchmarkFig9Performance(b *testing.B) {
 
 func BenchmarkFig10Energy(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
-	model := energy.Default()
 	var ov float64
 	for i := 0; i < b.N; i++ {
-		base, err := o.TimingRun(bm, harness.Baseline)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseE := model.Compute(base.Core.Stats(), base.Core.MemStats(), base.DetectorDelta).Total()
-		fh, err := o.TimingRun(bm, harness.FaultHound)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := model.Compute(fh.Core.Stats(), fh.Core.MemStats(), fh.DetectorDelta).Total()
-		ov = 100 * energy.Overhead(e, baseE)
+		base, fh := timing(b, o, harness.Baseline), timing(b, o, harness.FaultHound)
+		ov = 100 * energy.Overhead(fh.Energy.Total(), base.Energy.Total())
 	}
 	b.ReportMetric(ov, "energy-overhead%")
 }
@@ -186,18 +177,9 @@ func BenchmarkFig11Breakdown(b *testing.B) {
 
 func BenchmarkFig12Ablation(b *testing.B) {
 	o := benchOptions()
-	bm, _ := workload.Get("bzip2")
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r1, err := o.TimingRun(bm, harness.FHBENoClust)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := o.TimingRun(bm, harness.FHBackend)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = 100 * (r1.FPRate() - r2.FPRate())
+		gap = 100 * (timing(b, o, harness.FHBENoClust).FPRate() - timing(b, o, harness.FHBackend).FPRate())
 	}
 	b.ReportMetric(gap, "fp-reduction-pts")
 }

@@ -67,7 +67,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fhsim:", err)
 		os.Exit(1)
 	}
-	if _, err := scheme.Parse(*schemeF); err != nil {
+	sp, err := scheme.Parse(*schemeF)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fhsim:", err)
 		os.Exit(2)
 	}
@@ -77,7 +78,7 @@ func main() {
 	opts.WarmupCycles = *warmup
 
 	if *record != "" {
-		if err := runRecord(opts, bm, harness.Scheme(*schemeF), *record, *recordOps); err != nil {
+		if err := runRecord(opts, bm, sp, *record, *recordOps); err != nil {
 			fmt.Fprintln(os.Stderr, "fhsim:", err)
 			os.Exit(1)
 		}
@@ -85,14 +86,14 @@ func main() {
 	}
 
 	if *trace != "" || *stages != "" {
-		if err := runTraced(opts, bm, harness.Scheme(*schemeF), *trace, *stages, *traceN); err != nil {
+		if err := runTraced(opts, bm, sp, *trace, *stages, *traceN); err != nil {
 			fmt.Fprintln(os.Stderr, "fhsim:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	run, err := opts.TimingRun(bm, harness.Scheme(*schemeF))
+	run, err := opts.TimingRunSpec(bm, sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fhsim:", err)
 		os.Exit(1)
@@ -124,13 +125,12 @@ func main() {
 	fmt.Printf("singletons       %d (faults declared %d)\n", ps.Singletons, ps.FaultsDeclared)
 	fmt.Printf("shadow ops       %d\n", ps.ShadowOps)
 
-	var ds detect.Stats
 	if d := c.Detector(); d != nil {
-		ds = d.Stats()
+		ds := d.Stats()
 		fmt.Printf("detector checks  %d, triggers %d, suppressed %d\n", ds.Checks, ds.Triggers, ds.Suppressed)
 		fmt.Printf("detector actions replay=%d rollback=%d singleton=%d\n", ds.Replays, ds.Rollbacks, ds.Singletons)
 	}
-	b := energy.Default().Compute(ps, ms, ds)
+	b := run.Energy
 	fmt.Printf("energy total     %.0f units\n", b.Total())
 	fmt.Printf("  fetch=%.0f rename=%.0f issue=%.0f exec=%.0f regfile=%.0f\n",
 		b.Fetch, b.Rename, b.Issue, b.Exec, b.RegFile)
@@ -168,8 +168,8 @@ func resolveWorkload(bench, workloadSpec, replayPath string) (workload.Benchmark
 // runRecord runs the workload single-threaded from cycle 0 with the
 // stream recorder attached, writes the artifact, and prints the
 // base-independent stream hash (what round-trip checks compare).
-func runRecord(opts harness.Options, bm workload.Benchmark, s harness.Scheme, path string, ops int) error {
-	c, err := opts.BuildCore(bm, s, 1)
+func runRecord(opts harness.Options, bm workload.Benchmark, sp scheme.Spec, path string, ops int) error {
+	c, err := opts.BuildCoreSpec(bm, sp, 1)
 	if err != nil {
 		return err
 	}
@@ -197,8 +197,8 @@ func runRecord(opts harness.Options, bm workload.Benchmark, s harness.Scheme, pa
 // set, a Perfetto/Chrome trace-event JSON file (one track per SMT
 // thread, timestamps in cycles); otherwise a stage-filtered text trace
 // on stdout.
-func runTraced(opts harness.Options, bm workload.Benchmark, s harness.Scheme, outFile, stages string, traceN uint64) error {
-	c, err := opts.BuildCore(bm, s, opts.Threads)
+func runTraced(opts harness.Options, bm workload.Benchmark, sp scheme.Spec, outFile, stages string, traceN uint64) error {
+	c, err := opts.BuildCoreSpec(bm, sp, opts.Threads)
 	if err != nil {
 		return err
 	}
@@ -257,7 +257,6 @@ func emitJSON(bm workload.Benchmark, schemeSpec string, threads int, run harness
 	if d := c.Detector(); d != nil {
 		ds = d.Stats()
 	}
-	b := energy.Default().Compute(ps, ms, ds)
 	obj := struct {
 		Provenance  campaign.Provenance `json:"provenance"`
 		Benchmark   string              `json:"benchmark"`
@@ -288,8 +287,8 @@ func emitJSON(bm workload.Benchmark, schemeSpec string, threads int, run harness
 		Pipeline:    ps,
 		Memory:      ms,
 		Detector:    ds,
-		Energy:      b,
-		EnergyTotal: b.Total(),
+		Energy:      run.Energy,
+		EnergyTotal: run.Energy.Total(),
 	}
 	out, err := campaign.MarshalJSON(obj)
 	if err != nil {

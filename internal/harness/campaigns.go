@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"faulthound/internal/campaign"
-	"faulthound/internal/fault"
 	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
@@ -90,23 +89,4 @@ func FPTableFromSummary(id, title string, sum *campaign.Summary, benchmarks []st
 		fp, _ := sum.FPRate(bm, string(schemes[i]))
 		return fp
 	})
-}
-
-// runPaired is the shared campaign path for experiments that need
-// paired coverage but custom core configs (the extension sweeps): a
-// one-cell in-memory engine run whose factory hands back mk, fanned
-// across Options.Workers.
-func (o Options) runPaired(mk func() *pipeline.Core, cfg fault.Config) (*fault.Campaign, error) {
-	eng := &campaign.Engine{
-		Spec:   campaign.Spec{Workers: o.Workers, Fault: cfg},
-		Source: campaign.StaticCells{{Bench: "paired", Scheme: campaign.BaselineSpec}},
-		Factory: func(string, scheme.Spec) (func() *pipeline.Core, error) {
-			return mk, nil
-		},
-	}
-	out, err := eng.Run(context.Background(), "", false)
-	if err != nil {
-		return nil, err
-	}
-	return out.Campaigns[0], nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"faulthound/internal/campaign"
 	"faulthound/internal/isa"
 )
 
@@ -24,7 +25,7 @@ func Characterize(o Options) (*Table, error) {
 	}
 	for _, bm := range bms {
 		o.progress("workloads: %s", bm.Name)
-		run, err := o.TimingRun(bm, Baseline)
+		run, err := o.TimingRunSpec(bm, campaign.BaselineSpec)
 		if err != nil {
 			return nil, err
 		}

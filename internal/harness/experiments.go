@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"faulthound/internal/campaign"
 	"faulthound/internal/detect"
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
@@ -27,7 +28,7 @@ func Fig6(o Options) (*Table, error) {
 
 	for _, bm := range bms {
 		o.progress("fig6: %s", bm.Name)
-		c, err := o.BuildCore(bm, Baseline, 1)
+		c, err := o.BuildCoreSpec(bm, campaign.BaselineSpec, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"faulthound/internal/core"
 	"faulthound/internal/energy"
-	"faulthound/internal/fault"
-	"faulthound/internal/filter"
-	"faulthound/internal/pipeline"
 	"faulthound/internal/workload"
 )
 
@@ -19,19 +15,13 @@ import (
 //   - Section 1: full-redundancy SRT costs "13% and 56%" in
 //     performance and energy — ExtFullSRT.
 
-// customFaultHound builds a core with a customized FaultHound config.
-func (o Options) customFaultHound(bm workload.Benchmark, cfg core.Config, threads int) (*pipeline.Core, error) {
-	pcfg := pipeline.DefaultConfig(threads)
-	programs := workload.Programs(bm, threads, o.Seed)
-	return pipeline.New(pcfg, programs, core.New(cfg))
-}
-
 // ExtFilterSize sweeps the TCAM entry count on leslie3d (the paper's
 // low-coverage outlier) and a locality-friendly reference benchmark.
 func ExtFilterSize(o Options) (*Table, error) { return o.renderOne(extFilters) }
 
-// filterSizes are ext-filters' TCAM sweep, one column each.
-var filterSizes = []Scheme{"faulthound?tcam=8", "faulthound?tcam=16", "faulthound?tcam=32", "faulthound?tcam=64"}
+// filterSizes are ext-filters' TCAM sweep, one column each; 32 entries
+// is plain faulthound.
+var filterSizes = []Scheme{"faulthound?tcam=8", "faulthound?tcam=16", FaultHound, "faulthound?tcam=64"}
 
 func extFilters([]workload.Benchmark) figure {
 	benches := []string{"leslie3d", "bzip2"}
@@ -55,65 +45,36 @@ func extFilters([]workload.Benchmark) figure {
 
 // ExtStateDepth compares the biased two-bit machine against the
 // three-deep variant the paper rejects for its coverage cost.
-func ExtStateDepth(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "ext-depth",
-		Title:   "Biased state machine depth: coverage and false positives (Section 3: 2-bit vs 3-bit)",
-		Columns: []string{"benchmark", "cov depth-2", "cov depth-3", "fp depth-2", "fp depth-3"},
-	}
-	policies := []filter.Policy{filter.Biased2, filter.Biased3}
-	bms, err := o.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	if len(bms) > 3 {
-		bms = bms[:3]
-	}
-	for _, bm := range bms {
-		base, err := o.runPaired(o.MakeCore(bm, Baseline), o.Fault)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{bm.Name}
-		var covs, fps []string
-		for _, pol := range policies {
-			o.progress("ext-depth: %s/%v", bm.Name, pol)
-			cfg := core.DefaultConfig()
-			cfg.Addr.Policy = pol
-			cfg.Value.Policy = pol
-			det, err := o.runPaired(func() *pipeline.Core {
-				c, e := o.customFaultHound(bm, cfg, 1)
-				if e != nil {
-					panic(e)
-				}
-				return c
-			}, o.Fault)
-			if err != nil {
-				return nil, err
-			}
-			covs = append(covs, pct(fault.PairCoverage(base, det).Coverage()))
+func ExtStateDepth(o Options) (*Table, error) { return o.renderOne(extDepth) }
 
-			// False positives from a fault-free run with the same config.
-			c, e := o.customFaultHound(bm, cfg, 1)
-			if e != nil {
-				return nil, e
-			}
-			c.WarmDetector(o.DetectorWarmupInstr)
-			c.Run(o.WarmupCycles)
-			ds0 := c.DetectorStats()
-			n0 := c.CommittedTotal()
-			c.RunUntilCommits(0, c.Committed(0)+o.MeasureCommits, o.MaxCycles)
-			ds := c.DetectorStats()
-			denom := float64(c.CommittedTotal() - n0)
-			fps = append(fps, pct(float64(ds.Replays+ds.Rollbacks+ds.Singletons-
-				ds0.Replays-ds0.Rollbacks-ds0.Singletons)/denom))
+// depths are ext-depth's biased machines: depth 2 is plain faulthound.
+var depths = []Scheme{FaultHound, "faulthound?depth=3"}
+
+// extDepth reads coverage from campaigns and false positives from
+// timing runs, Figure 8's recipes, over the run's first three
+// benchmarks.
+func extDepth(bms []workload.Benchmark) figure {
+	benches := names(bms[:min(len(bms), 3)])
+	both := cells(benches, depths...)
+	return figure{campaign: both, timing: both, render: func(p *plan) []*Table {
+		t := &Table{
+			ID:      "ext-depth",
+			Title:   "Biased state machine depth: coverage and false positives (Section 3: 2-bit vs 3-bit)",
+			Columns: []string{"benchmark", "cov depth-2", "cov depth-3", "fp depth-2", "fp depth-3"},
 		}
-		row = append(row, covs...)
-		row = append(row, fps...)
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes, "paper: deeper bias trades coverage (80% -> 60%) for fewer false positives")
-	return t, nil
+		for _, bm := range benches {
+			row := []string{bm}
+			for _, s := range depths {
+				row = append(row, pct(p.coverage(bm, s).Coverage))
+			}
+			for _, s := range depths {
+				row = append(row, pct(p.timing(bm, s).FPRate))
+			}
+			t.AddRow(row...)
+		}
+		t.Notes = append(t.Notes, "paper: deeper bias trades coverage (80% -> 60%) for fewer false positives")
+		return []*Table{t}
+	}}
 }
 
 // ExtFullSRT reproduces the introduction's full-redundancy numbers:
@@ -137,19 +98,8 @@ func extSRT(bms []workload.Benchmark) figure {
 	}}
 }
 
-// extFigures are the extension experiments that render from a plan.
-// ext-depth builds custom cores outside it.
-var extFigures = []figureFunc{extFilters, extSRT}
+// extFigures are the extension experiments in table order.
+var extFigures = []figureFunc{extFilters, extDepth, extSRT}
 
-// Extensions runs all extension experiments.
-func Extensions(o Options) ([]*Table, error) {
-	ts, err := o.render(extFigures...)
-	if err != nil {
-		return nil, err
-	}
-	depth, err := ExtStateDepth(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{ts[0], depth, ts[1]}, nil
-}
+// Extensions runs all extension experiments as one plan.
+func Extensions(o Options) ([]*Table, error) { return o.render(extFigures...) }

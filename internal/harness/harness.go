@@ -13,7 +13,6 @@ import (
 	"faulthound/internal/energy"
 	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
-	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
 )
@@ -34,7 +33,6 @@ const (
 	FaultHound   Scheme = "faulthound"
 	SRTIso       Scheme = "srt-iso"
 	SRTFull      Scheme = "srt"
-	FHBE         Scheme = "fh-be" // alias of FHBackend in Figure 12 naming
 	FHBENoLSQ    Scheme = "fh-be-nolsq"
 	FHBENo2Level Scheme = "fh-be-no2level"
 	FHBENoClust  Scheme = "fh-be-nocluster-no2level"
@@ -120,42 +118,14 @@ func (o Options) benchmarks() ([]workload.Benchmark, error) {
 	return out, nil
 }
 
-// KnownSchemes lists every scheme name the harness accepts, derived
-// from the registry in registration order.
-func KnownSchemes() []Scheme {
-	names := scheme.Names()
-	out := make([]Scheme, len(names))
-	for i, n := range names {
-		out[i] = Scheme(n)
-	}
-	return out
-}
-
-// ValidScheme reports whether s parses as a scheme spec against the
-// registry.
-func ValidScheme(s Scheme) bool {
-	return scheme.Valid(string(s))
-}
-
 // SchemeEnv is the host-tunable view the options hand the registry's
 // factories (SRT-iso coverage matching).
 func (o Options) SchemeEnv() scheme.Env {
 	return scheme.Env{SRTCoverage: o.SRTCoverage}
 }
 
-// BuildCore constructs a core for (benchmark, scheme) with the given
-// thread count. The scheme is a spec string ("faulthound",
-// "faulthound?tcam=16,delay=6") resolved by the registry.
-func (o Options) BuildCore(bm workload.Benchmark, s Scheme, threads int) (*pipeline.Core, error) {
-	sp, err := scheme.Parse(string(s))
-	if err != nil {
-		return nil, err
-	}
-	return o.BuildCoreSpec(bm, sp, threads)
-}
-
-// BuildCoreSpec is BuildCore over an already-parsed scheme spec — the
-// form the campaign engine's cells carry.
+// BuildCoreSpec constructs a core for (benchmark, scheme spec) with the
+// given thread count; the registry resolves the spec.
 func (o Options) BuildCoreSpec(bm workload.Benchmark, sp scheme.Spec, threads int) (*pipeline.Core, error) {
 	inst, err := scheme.Build(sp, o.SchemeEnv())
 	if err != nil {
@@ -173,26 +143,17 @@ func (o Options) BuildCoreSpec(bm workload.Benchmark, sp scheme.Spec, threads in
 	return pipeline.New(cfg, programs, det)
 }
 
-// MakeCore returns a deterministic constructor for fault campaigns
-// (single-threaded; see DESIGN.md).
-func (o Options) MakeCore(bm workload.Benchmark, s Scheme) func() *pipeline.Core {
-	return func() *pipeline.Core {
-		c, err := o.BuildCore(bm, s, 1)
-		if err != nil {
-			panic(err)
-		}
-		return c
-	}
-}
-
 // Run is the outcome of one timing measurement: the finished core plus
 // the cycle, commit, and detector-action deltas over the measured
-// window (excluding warmup).
+// window (excluding warmup), and the run's energy.
 type Run struct {
 	Core          *pipeline.Core
 	Cycles        uint64
 	Committed     uint64
 	DetectorDelta detect.Stats
+	// Energy prices the core's pipeline and memory counters and
+	// DetectorDelta with energyModel.
+	Energy energy.Breakdown
 }
 
 // FPRate returns the false-positive action rate of the measured window:
@@ -206,18 +167,9 @@ func (r Run) FPRate() float64 {
 	return float64(d.Replays+d.Rollbacks+d.Singletons) / float64(r.Committed)
 }
 
-// TimingRun measures one (benchmark, scheme) pair: detector fast-
-// forward, pipeline warmup, then run to the per-thread commit budget.
-func (o Options) TimingRun(bm workload.Benchmark, s Scheme) (Run, error) {
-	sp, err := scheme.Parse(string(s))
-	if err != nil {
-		return Run{}, err
-	}
-	return o.TimingRunSpec(bm, sp)
-}
-
-// TimingRunSpec is TimingRun over an already-parsed scheme spec — the
-// form campaign cells and the search evaluator carry.
+// TimingRunSpec measures one (benchmark, scheme spec) pair: detector
+// fast-forward, pipeline warmup, then run to the per-thread commit
+// budget.
 func (o Options) TimingRunSpec(bm workload.Benchmark, sp scheme.Spec) (Run, error) {
 	c, err := o.BuildCoreSpec(bm, sp, o.Threads)
 	if err != nil {
@@ -233,20 +185,36 @@ func (o Options) TimingRunSpec(bm workload.Benchmark, sp scheme.Spec) (Run, erro
 		return Run{}, fmt.Errorf("harness: %s/%s did not reach %d commits (at %d)",
 			bm.Name, sp, target, c.Committed(0))
 	}
+	delta := c.DetectorStats().Sub(ds0)
 	return Run{
 		Core:          c,
 		Cycles:        c.Cycle() - startCycles,
 		Committed:     c.CommittedTotal() - startCommits,
-		DetectorDelta: c.DetectorStats().Sub(ds0),
+		DetectorDelta: delta,
+		Energy:        energyModel(sp).Compute(c.Stats(), c.MemStats(), delta),
 	}, nil
+}
+
+// energyModel is the energy model of sp's timing runs: the default,
+// with the TCAM sized by the spec's tcam or entries parameter when the
+// scheme declares one, so the search's energy objective actually varies
+// across table sizes.
+func energyModel(sp scheme.Spec) energy.Model {
+	model := energy.Default()
+	if v, err := scheme.ValuesOf(sp); err == nil {
+		for _, name := range []string{"tcam", "entries"} {
+			if v.Has(name) {
+				model.TCAMEntries = v.Int(name)
+				break
+			}
+		}
+	}
+	return model
 }
 
 // TimingRunner is the harness's one timing recipe: a TimingRunSpec
 // reduced to cycles, energy and false-positive rate. The paper's timing
-// figures and the optimizer's overhead objectives both read it. The
-// energy model's TCAM sizing follows the spec's tcam/entries parameter
-// when it declares one, so the search's energy objective actually
-// varies across table sizes.
+// figures and the optimizer's overhead objectives both read it.
 func (o Options) TimingRunner() campaign.TimingRunner {
 	return func(bench string, sp scheme.Spec) (campaign.TimingMetrics, error) {
 		bm, err := workload.Resolve(bench)
@@ -257,22 +225,7 @@ func (o Options) TimingRunner() campaign.TimingRunner {
 		if err != nil {
 			return campaign.TimingMetrics{}, err
 		}
-		model := energy.Default()
-		if sc, ok := scheme.Lookup(sp.Name); ok {
-			if v, verr := scheme.ValuesOf(sp); verr == nil {
-			sizing:
-				for _, name := range []string{"tcam", "entries"} {
-					for _, p := range sc.Params {
-						if p.Name == name && p.Kind == pspec.Int {
-							model.TCAMEntries = v.Int(name)
-							break sizing
-						}
-					}
-				}
-			}
-		}
-		e := model.Compute(run.Core.Stats(), run.Core.MemStats(), run.DetectorDelta).Total()
-		return campaign.TimingMetrics{Cycles: run.Cycles, Energy: e, FPRate: run.FPRate()}, nil
+		return campaign.TimingMetrics{Cycles: run.Cycles, Energy: run.Energy.Total(), FPRate: run.FPRate()}, nil
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"faulthound/internal/campaign"
+	"faulthound/internal/energy"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
 )
@@ -147,12 +148,15 @@ func TestFig11And12Quick(t *testing.T) {
 
 // TestPlanCells pins the plans without simulating: over the 14 kernels,
 // All's figures need 84 distinct campaign cells and 126 distinct timing
-// runs, and the extensions 10 and 28, each exactly once. Each
+// runs, and the extensions 17 and 34, each exactly once. Each
 // benchmark's baseline campaign cell precedes its scheme cells, since
-// coverage pairs against it.
+// coverage pairs against it. Every declared scheme is canonical: one
+// that scheme.Parse rewrites would run a second time under a second
+// name.
 func TestPlanCells(t *testing.T) {
 	bms := workload.All()
 	benches := names(bms)
+	depth3 := Scheme("faulthound?depth=3")
 	for _, tc := range []struct {
 		name             string
 		figs             []figureFunc
@@ -161,13 +165,23 @@ func TestPlanCells(t *testing.T) {
 		{"paper", paperFigures,
 			cells(benches, Baseline, PBFS, PBFSBiased, FHBackend, FaultHound, FHBENoLSQ),
 			cells(benches, Baseline, PBFS, PBFSBiased, FHBackend, FaultHound, SRTIso, FHBENoClust, FHBENo2Level, FHBEFullRB)},
+		// ext-filters' 10 campaign cells, then the 7 of ext-depth's 9 that
+		// ext-filters lacks: bzip2's baseline and faulthound are shared.
 		{"extensions", extFigures,
-			cells([]string{"leslie3d", "bzip2"}, append([]Scheme{Baseline}, filterSizes...)...),
-			cells(benches, Baseline, SRTFull)},
+			append(append(cells([]string{"leslie3d", "bzip2"}, append([]Scheme{Baseline}, filterSizes...)...),
+				cells([]string{"bzip2"}, depth3)...), cells([]string{"perl", "mcf"}, Baseline, FaultHound, depth3)...),
+			append(cells(benches, Baseline, SRTFull), cells([]string{"perl", "bzip2", "mcf"}, FaultHound, depth3)...)},
 	} {
 		figs := make([]figure, len(tc.figs))
 		for i, fn := range tc.figs {
 			figs[i] = fn(bms)
+			for _, declared := range [][]campaign.Cell{figs[i].campaign, figs[i].timing} {
+				for _, c := range declared {
+					if sp, err := scheme.Parse(c.Scheme.String()); err != nil || sp != c.Scheme {
+						t.Errorf("%s: figure %d declares cell %s, which parses to %s (%v)", tc.name, i, c, sp, err)
+					}
+				}
+			}
 		}
 		camp, timing := union(figs)
 		sameSet := func(kind string, got, want []campaign.Cell) {
@@ -245,10 +259,14 @@ func TestUnknownBenchmarkError(t *testing.T) {
 	}
 }
 
+// TestExtensionsQuick checks the extension tables' shapes, and that
+// Extensions' shared plan renders each the same as its own figure's
+// plan at another worker count.
 func TestExtensionsQuick(t *testing.T) {
 	o := QuickOptions()
 	o.Fault.Injections = 40
 	o.Benchmarks = []string{"bzip2"}
+	o.Workers = 1
 
 	fs, err := ExtFilterSize(o)
 	if err != nil {
@@ -262,8 +280,8 @@ func TestExtensionsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Columns) != 5 {
-		t.Fatalf("ext-depth columns: %d", len(d.Columns))
+	if len(d.Rows) != 1 || len(d.Columns) != 5 {
+		t.Fatalf("ext-depth shape: %dx%d", len(d.Rows), len(d.Columns))
 	}
 
 	s, err := ExtFullSRT(o)
@@ -273,6 +291,21 @@ func TestExtensionsQuick(t *testing.T) {
 	last := s.Rows[len(s.Rows)-1]
 	if last[0] != "mean(all)" {
 		t.Fatalf("ext-srt last row: %v", last)
+	}
+
+	o.Workers = 3
+	all, err := Extensions(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := []*Table{fs, d, s}
+	if len(all) != len(single) {
+		t.Fatalf("Extensions returned %d tables, want %d", len(all), len(single))
+	}
+	for i := range all {
+		if !reflect.DeepEqual(all[i], single[i]) {
+			t.Errorf("table %s from Extensions differs from its own figure's:\n%s\nvs\n%s", all[i].ID, all[i].Render(), single[i].Render())
+		}
 	}
 }
 
@@ -359,17 +392,6 @@ func TestCharacterizeQuick(t *testing.T) {
 	}
 }
 
-func TestValidScheme(t *testing.T) {
-	for _, s := range KnownSchemes() {
-		if !ValidScheme(s) {
-			t.Errorf("%s should be valid", s)
-		}
-	}
-	if ValidScheme("bogus") {
-		t.Error("bogus scheme accepted")
-	}
-}
-
 // TestTimingRunDetectorDelta: a timing run's DetectorDelta holds every
 // detector counter the measured window added — the energy model prices
 // TCAM searches and updates and table reads and writes from it, not
@@ -410,5 +432,47 @@ func TestTimingRunDetectorDelta(t *testing.T) {
 	}
 	if run.DetectorDelta.TCAMSearches == 0 {
 		t.Error("the window made no TCAM search: the check is vacuous")
+	}
+}
+
+// TestTimingRunEnergy: a timing run prices its energy once, over the
+// measured window's detector counters, with the TCAM sized by the
+// spec's tcam parameter, and the figures' timing recipe reads that
+// price.
+func TestTimingRunEnergy(t *testing.T) {
+	o := QuickOptions()
+	bm, err := workload.Resolve("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scheme.Parse("faulthound?tcam=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := o.TimingRunSpec(bm, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, ms := run.Core.Stats(), run.Core.MemStats()
+	model := energy.Default()
+	model.TCAMEntries = 8
+	want := model.Compute(ps, ms, run.DetectorDelta)
+	if run.Energy != want {
+		t.Errorf("Run.Energy = %+v, want %+v", run.Energy, want)
+	}
+	// Both wrong recipes price the detector differently, so the check
+	// above tells them apart.
+	if cum := model.Compute(ps, ms, run.Core.DetectorStats()); cum.Detector == want.Detector {
+		t.Error("the cumulative detector counters price the same as the window's: the check is vacuous")
+	}
+	if dflt := energy.Default().Compute(ps, ms, run.DetectorDelta); dflt.Detector == want.Detector {
+		t.Error("a 32-entry TCAM prices the same as an 8-entry one: the check is vacuous")
+	}
+	tm, err := o.TimingRunner()("bzip2", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.Energy != want.Total() {
+		t.Errorf("TimingRunner energy = %v, want %v", tm.Energy, want.Total())
 	}
 }

@@ -1,19 +1,22 @@
 package harness
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"faulthound/internal/campaign"
 	"faulthound/internal/fault"
 	"faulthound/internal/wgen"
 	"faulthound/internal/workload"
 )
 
 // recordStream runs bm fault-free on a single-thread baseline core and
-// returns its first n committed thread-0 memory ops.
-func recordStream(t *testing.T, o Options, bm workload.Benchmark, n int) *wgen.Stream {
+// writes its first n committed thread-0 memory ops to a stream file
+// under the test's temporary directory, returning the file's path.
+func recordStream(t *testing.T, o Options, bm workload.Benchmark, n int) string {
 	t.Helper()
-	c, err := o.BuildCore(bm, Baseline, 1)
+	c, err := o.BuildCoreSpec(bm, campaign.BaselineSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,24 +28,27 @@ func recordStream(t *testing.T, o Options, bm workload.Benchmark, n int) *wgen.S
 	if !rec.Full() {
 		t.Fatalf("recorded only %d of %d ops", len(rec.Stream().Ops), n)
 	}
-	return rec.Stream()
+	path := filepath.Join(t.TempDir(), "stream.fhws")
+	if err := rec.Stream().WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-// replayBenchmark wraps a recorded stream as a campaign benchmark, the
-// way cmd/fhsim -replay does.
-func replayBenchmark(t *testing.T, s *wgen.Stream) workload.Benchmark {
+// campaigns runs bench's baseline cell and one cell per scheme through
+// RunCampaign and returns their campaigns in that order.
+func campaigns(t *testing.T, o Options, bench string, schemes ...Scheme) []*fault.Campaign {
 	t.Helper()
-	w, err := wgen.FromStream(s)
+	out, err := o.RunCampaign(o.CampaignSpec([]string{bench}, schemes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return workload.Benchmark{
-		Name:     "replay",
-		Suite:    "Generated",
-		Paper:    "replayed stream of " + s.Workload,
-		SegBytes: w.SegBytes,
-		Build:    w.Build,
+	for i, camp := range out.Campaigns {
+		if len(camp.Results) != o.Fault.Injections {
+			t.Fatalf("%s: %d results, want %d", out.Cells[i], len(camp.Results), o.Fault.Injections)
+		}
 	}
+	return out.Campaigns
 }
 
 // TestReplayDifferential is the differential-detector regression test:
@@ -58,22 +64,9 @@ func TestReplayDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := replayBenchmark(t, recordStream(t, o, genBm, 500))
-
-	run := func(s Scheme) *fault.Campaign {
-		t.Helper()
-		camp, err := o.runPaired(o.MakeCore(bm, s), o.Fault)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if len(camp.Results) != o.Fault.Injections {
-			t.Fatalf("%s: %d results, want %d", s, len(camp.Results), o.Fault.Injections)
-		}
-		return camp
-	}
-	base := run(Baseline)
-	fh := run(FaultHound)
-	pb := run(PBFS)
+	replay := "replay?trace=" + recordStream(t, o, genBm, 500)
+	camps := campaigns(t, o, replay, FaultHound, PBFS)
+	base, fh, pb := camps[0], camps[1], camps[2]
 
 	// One injection-descriptor stream pairs all three campaigns.
 	for i := range base.Results {
@@ -85,7 +78,7 @@ func TestReplayDifferential(t *testing.T) {
 
 	// The differential signal is reproducible: rerunning a scheme gives
 	// the identical outcome vector.
-	fh2 := run(FaultHound)
+	fh2 := campaigns(t, o, replay, FaultHound)[1]
 	if !reflect.DeepEqual(fh.Results, fh2.Results) {
 		t.Fatal("faulthound outcome vector is not deterministic")
 	}
@@ -116,22 +109,14 @@ func TestReplayDifferential(t *testing.T) {
 func TestGeneratedWorkloadWorkerDeterminism(t *testing.T) {
 	o := QuickOptions()
 	o.Fault.Injections = 40
-	bm, err := workload.Resolve("gen?stride=64,seg=16k,plant=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := o.MakeCore(bm, FaultHound)
+	const bench = "gen?stride=64,seg=16k,plant=2"
 	o.Workers = 1
-	serial, err := o.runPaired(mk, o.Fault)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := campaigns(t, o, bench, FaultHound)
 	o.Workers = 4
-	par, err := o.runPaired(mk, o.Fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Results, par.Results) {
-		t.Fatal("worker count changed generated-workload campaign results")
+	par := campaigns(t, o, bench, FaultHound)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i].Results, par[i].Results) {
+			t.Fatalf("worker count changed generated-workload campaign %d's results", i)
+		}
 	}
 }

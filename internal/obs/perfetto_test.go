@@ -11,6 +11,7 @@ import (
 	"faulthound/internal/harness"
 	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
 )
 
@@ -121,7 +122,7 @@ func TestPerfettoPipelineGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := harness.QuickOptions()
-	c, err := opts.BuildCore(bm, harness.FaultHound, 2)
+	c, err := opts.BuildCoreSpec(bm, scheme.Spec{Name: "faulthound"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestTracerOrderingAcrossThreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := harness.QuickOptions()
-	c, err := opts.BuildCore(bm, harness.Baseline, 2)
+	c, err := opts.BuildCoreSpec(bm, scheme.Spec{Name: "baseline"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

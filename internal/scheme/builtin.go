@@ -5,6 +5,7 @@ import (
 
 	"faulthound/internal/core"
 	"faulthound/internal/detect"
+	"faulthound/internal/filter"
 	"faulthound/internal/pbfs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/pspec"
@@ -15,7 +16,7 @@ import (
 // variant that used to be a hard-coded harness enum constant is a
 // registry entry here, parameterized over the sensitivity knobs the
 // paper sweeps (TCAM filter entries, delay-buffer slots, LSQ checks,
-// the second-level filter).
+// the second-level filter, the biased state machine's depth).
 
 // Shared parameter metadata of the FaultHound family.
 var (
@@ -31,6 +32,8 @@ var (
 		Help: "per-entry squash state machines escalating rename faults to rollback (Section 3.4)"}
 	paramLoosen = pspec.Param{Name: "loosen", Kind: pspec.Int, Default: "4", Min: 1,
 		Help: "max mismatch bits for loosening the closest filter instead of replacing one"}
+	paramDepth = pspec.Param{Name: "depth", Kind: pspec.Int, Default: "2", Min: 2, Max: 3,
+		Help: "no-changes a filter bit needs to re-enter unchanging: the biased machine's depth (Section 3 compares 2 and 3)"}
 )
 
 // fhApply folds the shared FaultHound-family parameters into cfg and
@@ -41,6 +44,11 @@ func fhApply(cfg *core.Config, sp Spec, v pspec.Values) func(*pipeline.Config) {
 	cfg.Addr.Entries, cfg.Value.Entries = entries, entries
 	loosen := v.Int("loosen")
 	cfg.Addr.LoosenThreshold, cfg.Value.LoosenThreshold = loosen, loosen
+	policy := filter.Biased2
+	if v.Int("depth") == 3 {
+		policy = filter.Biased3
+	}
+	cfg.Addr.Policy, cfg.Value.Policy = policy, policy
 	delay := v.Int("delay")
 	return func(pc *pipeline.Config) { pc.DelayBuffer = delay }
 }
@@ -53,7 +61,7 @@ func registerFH(name, help string, base func() core.Config, params ...pspec.Para
 	Register(Scheme{
 		Name:   name,
 		Help:   help,
-		Params: append([]pspec.Param{paramTCAM, paramDelay, paramLoosen}, params...),
+		Params: append([]pspec.Param{paramTCAM, paramDelay, paramLoosen, paramDepth}, params...),
 		Build: func(sp Spec, v pspec.Values, _ Env) (Instance, error) {
 			cfg := base()
 			pipe := fhApply(&cfg, sp, v)
@@ -103,8 +111,8 @@ func registerPBFS(name, help string, base func() pbfs.Config) {
 func itoa(n int) string { return strconv.Itoa(n) }
 
 func init() {
-	// Registration order is the order of KnownSchemes, usage strings,
-	// and error messages — the harness's historical order.
+	// Registration order is the order of Names, usage strings, and
+	// error messages — the harness's historical order.
 	Register(Scheme{
 		Name: "baseline",
 		Help: "unprotected pipeline, no detector (the pairing basis of every campaign)",

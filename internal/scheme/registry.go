@@ -61,8 +61,7 @@ func Register(s Scheme) {
 }
 
 // Names lists every registered scheme name in registration order —
-// the single source KnownSchemes, usage strings, and error messages
-// derive from.
+// the single source usage strings and error messages derive from.
 func Names() []string { return reg.Names() }
 
 // Lookup returns a scheme's registry entry.

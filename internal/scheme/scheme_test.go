@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"faulthound/internal/core"
+	"faulthound/internal/filter"
 	"faulthound/internal/pipeline"
 )
 
@@ -20,6 +22,8 @@ func TestCanonicalization(t *testing.T) {
 		{"faulthound?lsq=false", "faulthound?lsq=off"}, // bool encodings normalize
 		{"faulthound?lsq=on", "faulthound"},
 		{"faulthound?tcam=016", "faulthound?tcam=16"}, // int encodings normalize
+		{"faulthound?depth=2", "faulthound"},
+		{"faulthound?depth=3", "faulthound?depth=3"},
 		{"srt-iso?coverage=0.850", "srt-iso?coverage=0.85"},
 		{"srt-iso?coverage=0.75", "srt-iso"},
 		{"pbfs?entries=1024", "pbfs?entries=1024"},
@@ -58,6 +62,8 @@ func TestParseErrors(t *testing.T) {
 		"faulthound?tcam=0",        // below minimum
 		"faulthound?tcam=65",       // above maximum (TCAM entries are a 64-bit mask)
 		"faulthound?tcam=-4",       // negative
+		"faulthound?depth=1",       // below minimum (the biased machines are 2 or 3 deep)
+		"faulthound?depth=4",       // above maximum
 		"faulthound?lsq=7",         // not a bool
 		"faulthound?tcam",          // missing value
 		"faulthound?tcam=1,tcam=2", // duplicate
@@ -234,6 +240,36 @@ func TestBuildInstances(t *testing.T) {
 	}
 }
 
+// TestDepth: the depth parameter selects the biased machine of both
+// TCAMs, in the full and the backend-only FaultHound.
+func TestDepth(t *testing.T) {
+	for _, name := range []string{"faulthound", "faulthound-backend"} {
+		for spec, want := range map[string]filter.Policy{name: filter.Biased2, name + "?depth=3": filter.Biased3} {
+			inst, err := Build(MustParse(spec), Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := inst.NewDetector().(*core.FaultHound).Config()
+			if cfg.Addr.Policy != want || cfg.Value.Policy != want {
+				t.Errorf("%s: TCAM policies %v/%v, want %v", spec, cfg.Addr.Policy, cfg.Value.Policy, want)
+			}
+		}
+	}
+}
+
+// TestNamesValid: every registered name is a valid spec; an unknown
+// one is not.
+func TestNamesValid(t *testing.T) {
+	for _, name := range Names() {
+		if !Valid(name) {
+			t.Errorf("%s should be valid", name)
+		}
+	}
+	if Valid("bogus") {
+		t.Error("bogus scheme accepted")
+	}
+}
+
 // TestResolvedAndMetadata: the self-describing forms cover every
 // parameter.
 func TestResolvedAndMetadata(t *testing.T) {
@@ -241,7 +277,7 @@ func TestResolvedAndMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"tcam=8", "delay=7", "lsq=on", "2level=on", "squash=on", "loosen=4"} {
+	for _, frag := range []string{"tcam=8", "delay=7", "lsq=on", "2level=on", "squash=on", "loosen=4", "depth=2"} {
 		if !strings.Contains(r, frag) {
 			t.Errorf("Resolved missing %q: %s", frag, r)
 		}

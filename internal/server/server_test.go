@@ -413,8 +413,8 @@ func TestSchemeSpecRejection(t *testing.T) {
 			t.Fatalf("scheme %q: status %d, want 400", bad, resp.StatusCode)
 		}
 		var got struct {
-			Error        string   `json:"error"`
-			KnownSchemes []string `json:"known_schemes"`
+			Error   string   `json:"error"`
+			Schemes []string `json:"known_schemes"`
 		}
 		if err := json.Unmarshal([]byte(readAll(t, resp)), &got); err != nil {
 			t.Fatal(err)
@@ -423,13 +423,13 @@ func TestSchemeSpecRejection(t *testing.T) {
 			t.Errorf("scheme %q: 400 body has no error", bad)
 		}
 		found := false
-		for _, n := range got.KnownSchemes {
+		for _, n := range got.Schemes {
 			if n == "faulthound" {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("scheme %q: 400 body known_schemes = %v, want the registry list", bad, got.KnownSchemes)
+			t.Errorf("scheme %q: 400 body known_schemes = %v, want the registry list", bad, got.Schemes)
 		}
 	}
 
@@ -499,9 +499,9 @@ func TestWorkloadSpecRejection(t *testing.T) {
 			t.Fatalf("workload %q: status %d, want 400", bad, resp.StatusCode)
 		}
 		var got struct {
-			Error          string   `json:"error"`
-			KnownSchemes   []string `json:"known_schemes"`
-			KnownWorkloads []string `json:"known_workloads"`
+			Error     string   `json:"error"`
+			Schemes   []string `json:"known_schemes"`
+			Workloads []string `json:"known_workloads"`
 		}
 		if err := json.Unmarshal([]byte(readAll(t, resp)), &got); err != nil {
 			t.Fatal(err)
@@ -509,16 +509,16 @@ func TestWorkloadSpecRejection(t *testing.T) {
 		if got.Error == "" {
 			t.Errorf("workload %q: 400 body has no error", bad)
 		}
-		if got.KnownSchemes != nil {
+		if got.Schemes != nil {
 			t.Errorf("workload %q: 400 body carries known_schemes; workload errors must use known_workloads", bad)
 		}
 		var bzip2, gen bool
-		for _, n := range got.KnownWorkloads {
+		for _, n := range got.Workloads {
 			bzip2 = bzip2 || n == "bzip2"
 			gen = gen || n == "gen"
 		}
 		if !bzip2 || !gen {
-			t.Errorf("workload %q: 400 body known_workloads = %v, want benchmarks and generators", bad, got.KnownWorkloads)
+			t.Errorf("workload %q: 400 body known_workloads = %v, want benchmarks and generators", bad, got.Workloads)
 		}
 	}
 
