@@ -8,8 +8,10 @@
 //
 // Experiments: table1, table2, fig6, fig7, fig8a, fig8b, fig9, fig10,
 // fig11, fig12, all — plus the extension experiments ext-filters,
-// ext-depth, ext-srt (or extensions for all three) and mp-scaling (the
-// 8-core machine running shared-memory parallel Ocean).
+// ext-depth, ext-srt (or extensions for all three); mp-scaling and
+// mp-coverage (shared-memory parallel Ocean on up to 8 cores: its
+// throughput, and its coverage with faults on every core); and
+// workloads (each kernel's execution profile on the baseline core).
 package main
 
 import (
@@ -24,7 +26,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (table1, table2, fig6..fig12, all)")
+		experiment = flag.String("experiment", "all", "which experiment to run: "+experimentNames())
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all of Table 1)")
 		quick      = flag.Bool("quick", false, "scaled-down run for smoke testing")
 		csvDir     = flag.String("csv", "", "directory to also write per-table CSV files into")
@@ -85,51 +87,62 @@ func dump(dir, name, content string) error {
 	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
 }
 
+// experiments maps each -experiment name to what it runs, in the
+// order the help lists them.
+var experiments = []struct {
+	name string
+	run  func(harness.Options) ([]*harness.Table, error)
+}{
+	{"all", harness.All},
+	{"table1", static(harness.Table1)},
+	{"table2", static(harness.Table2)},
+	{"fig6", one(harness.Fig6)},
+	{"fig7", one(harness.Fig7)},
+	{"fig8a", one(harness.Fig8a)},
+	{"fig8b", one(harness.Fig8b)},
+	{"fig9", one(harness.Fig9)},
+	{"fig10", one(harness.Fig10)},
+	{"fig11", one(harness.Fig11)},
+	{"fig12", harness.Fig12},
+	{"ext-filters", one(harness.ExtFilterSize)},
+	{"ext-depth", one(harness.ExtStateDepth)},
+	{"ext-srt", one(harness.ExtFullSRT)},
+	{"extensions", harness.Extensions},
+	{"mp-scaling", one(harness.MPScaling)},
+	{"mp-coverage", one(harness.MPCoverage)},
+	{"workloads", one(harness.Characterize)},
+}
+
+// experimentNames lists the -experiment values.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
 func run(experiment string, opts harness.Options) ([]*harness.Table, error) {
-	one := func(t *harness.Table, err error) ([]*harness.Table, error) {
+	for _, e := range experiments {
+		if e.name == experiment {
+			return e.run(opts)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want one of %s)", experiment, experimentNames())
+}
+
+// one adapts an experiment of one table.
+func one(f func(harness.Options) (*harness.Table, error)) func(harness.Options) ([]*harness.Table, error) {
+	return func(o harness.Options) ([]*harness.Table, error) {
+		t, err := f(o)
 		if err != nil {
 			return nil, err
 		}
 		return []*harness.Table{t}, nil
 	}
-	switch experiment {
-	case "all":
-		return harness.All(opts)
-	case "table1":
-		return []*harness.Table{harness.Table1()}, nil
-	case "table2":
-		return []*harness.Table{harness.Table2()}, nil
-	case "fig6":
-		return one(harness.Fig6(opts))
-	case "fig7":
-		return one(harness.Fig7(opts))
-	case "fig8a":
-		return one(harness.Fig8a(opts))
-	case "fig8b":
-		return one(harness.Fig8b(opts))
-	case "fig9":
-		return one(harness.Fig9(opts))
-	case "fig10":
-		return one(harness.Fig10(opts))
-	case "fig11":
-		return one(harness.Fig11(opts))
-	case "fig12":
-		return harness.Fig12(opts)
-	case "ext-filters":
-		return one(harness.ExtFilterSize(opts))
-	case "ext-depth":
-		return one(harness.ExtStateDepth(opts))
-	case "ext-srt":
-		return one(harness.ExtFullSRT(opts))
-	case "extensions":
-		return harness.Extensions(opts)
-	case "mp-scaling":
-		return one(harness.MPScaling(opts))
-	case "workloads":
-		return one(harness.Characterize(opts))
-	case "mp-coverage":
-		return one(harness.MPCoverage(opts))
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", experiment)
-	}
+}
+
+// static adapts a table that needs no simulation.
+func static(f func() *harness.Table) func(harness.Options) ([]*harness.Table, error) {
+	return func(harness.Options) ([]*harness.Table, error) { return []*harness.Table{f()}, nil }
 }

@@ -191,10 +191,6 @@ func main() {
 			perf.NameTrack(w, fmt.Sprintf("worker-%d", w))
 		}
 	}
-	var cellLog obs.Sink
-	if *verbose {
-		cellLog = obs.OnBegin("prepare", func(cell string) { fmt.Fprintf(os.Stderr, "# preparing %s\n", cell) })
-	}
 	tally := &perfTally{}
 	eng := &campaign.Engine{
 		Spec:     spec,
@@ -202,7 +198,7 @@ func main() {
 		Progress: progressLine(),
 		Prepare:  tally.prepare,
 		Audit:    *audit,
-		Obs:      obs.Tee(latencySink{wallHist}, perfettoSink(perf), cellLog),
+		Obs:      obs.Tee(latencySink{wallHist}, perfettoSink(perf)),
 	}
 
 	outcome, err := eng.Run(ctx, dir, *resume != "")

@@ -125,8 +125,8 @@ func main() {
 	fmt.Printf("singletons       %d (faults declared %d)\n", ps.Singletons, ps.FaultsDeclared)
 	fmt.Printf("shadow ops       %d\n", ps.ShadowOps)
 
-	if d := c.Detector(); d != nil {
-		ds := d.Stats()
+	if c.Detector() != nil {
+		ds := run.DetectorDelta
 		fmt.Printf("detector checks  %d, triggers %d, suppressed %d\n", ds.Checks, ds.Triggers, ds.Suppressed)
 		fmt.Printf("detector actions replay=%d rollback=%d singleton=%d\n", ds.Replays, ds.Rollbacks, ds.Singletons)
 	}
@@ -253,10 +253,6 @@ func runTraced(opts harness.Options, bm workload.Benchmark, sp scheme.Spec, outF
 func emitJSON(bm workload.Benchmark, schemeSpec string, threads int, run harness.Run) error {
 	c := run.Core
 	ps, ms := c.Stats(), c.MemStats()
-	var ds detect.Stats
-	if d := c.Detector(); d != nil {
-		ds = d.Stats()
-	}
 	obj := struct {
 		Provenance  campaign.Provenance `json:"provenance"`
 		Benchmark   string              `json:"benchmark"`
@@ -286,7 +282,7 @@ func emitJSON(bm workload.Benchmark, schemeSpec string, threads int, run harness
 		FPRate:      run.FPRate(),
 		Pipeline:    ps,
 		Memory:      ms,
-		Detector:    ds,
+		Detector:    run.DetectorDelta,
 		Energy:      run.Energy,
 		EnergyTotal: run.Energy.Total(),
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"faulthound/internal/contract"
 	"faulthound/internal/fault"
 )
 
@@ -43,7 +44,6 @@ func writeBundle(dir string, out *Outcome) error {
 // baseline rows and for injections outside the SDC base.
 func ResultsCSV(out *Outcome) string {
 	var sb strings.Builder
-	sb.WriteString("bench,scheme,index,structure,bit,cycle_offset,in_flight,outcome,hung,detected,triggers,suppressed,replays,rollbacks,singletons,bin\n")
 	baseline := make(map[string]*fault.Campaign)
 	for i, c := range out.Cells {
 		if c.Scheme == BaselineSpec {
@@ -51,6 +51,7 @@ func ResultsCSV(out *Outcome) string {
 		}
 	}
 	w := csv.NewWriter(&sb)
+	w.Write(contract.ResultsColumns())
 	var rec []string
 	for ci, c := range out.Cells {
 		base := baseline[c.Bench]

@@ -67,38 +67,13 @@ type Cell struct {
 // String renders the cell as "bench/scheme-spec".
 func (c Cell) String() string { return c.Bench + "/" + c.Scheme.String() }
 
-// CellSource is the plan layer: it decides which cells a run executes.
-// The classic path is the static benchmark×scheme cross product of a
-// Spec (see Spec.Source); search drivers plan dynamically, proposing
-// new batches of cells round by round and handing each batch to the
-// engine as a StaticCells plan.
-type CellSource interface {
-	// Plan returns the cells to execute, in deterministic execution
-	// order. The engine calls it exactly once per run.
-	Plan() []Cell
-}
-
-// StaticCells is the trivial CellSource: a fixed, pre-enumerated cell
-// list. It is what Spec.Source produces and what batch evaluators hand
-// to the engine.
-type StaticCells []Cell
-
-// Plan returns the slice itself.
-func (s StaticCells) Plan() []Cell { return s }
-
 // Cells enumerates the campaign cells in deterministic execution
 // order: benchmark-major, baseline first, then the spec's schemes in
 // order (deduplicated on their canonical spec). Scheme strings are
 // parsed syntactically — enumeration is total; validation happens when
 // the CoreFactory resolves a cell.
 func (s Spec) Cells() []Cell {
-	return s.Source().Plan()
-}
-
-// Source is the spec's static enumeration as a CellSource — the plan
-// layer of a classic campaign.
-func (s Spec) Source() CellSource {
-	var out StaticCells
+	var out []Cell
 	for _, bm := range s.Benchmarks {
 		out = append(out, Cell{bm, BaselineSpec})
 		seen := map[scheme.Spec]bool{BaselineSpec: true}

@@ -479,32 +479,29 @@ func TestCellSeedDecorrelation(t *testing.T) {
 // checks the lifecycle stream: every track has matched begin/end span
 // pairs, every injection span ends with a valid outcome, tracks stay
 // within the worker pool, and the span count matches the campaign size.
-// An obs.OnBegin hook on "prepare" (what fhcampaign -v prints) sees
-// every planned cell once.
+// The "prepare" spans' Begin events name every planned cell once.
 func TestEngineObs(t *testing.T) {
 	spec, o := testSpec(t, 16)
 	spec.Workers = 4
 	var rec obs.Collector
-	var mu sync.Mutex
-	var prepared []string
-	onPrepare := obs.OnBegin("prepare", func(cell string) {
-		mu.Lock()
-		prepared = append(prepared, cell)
-		mu.Unlock()
-	})
-	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory(), Obs: obs.Tee(&rec, onPrepare)}
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory(), Obs: &rec}
 	out, err := eng.Run(context.Background(), "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var prepared, cells []string
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindBegin && ev.Name == "prepare" {
+			prepared = append(prepared, ev.Arg)
+		}
+	}
 	sort.Strings(prepared)
-	var cells []string
 	for _, c := range out.Cells {
 		cells = append(cells, c.String())
 	}
 	sort.Strings(cells)
 	if fmt.Sprint(prepared) != fmt.Sprint(cells) {
-		t.Fatalf("prepare hook saw cells %v, want %v", prepared, cells)
+		t.Fatalf("prepare spans name cells %v, want %v", prepared, cells)
 	}
 	total := len(out.Cells) * spec.Fault.Injections
 

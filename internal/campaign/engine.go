@@ -45,12 +45,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 type Engine struct {
 	Spec    Spec
 	Factory CoreFactory
-	// Source overrides the plan layer: the cells to execute. Nil means
-	// the classic static enumeration Spec.Source() — benchmark-major,
-	// baseline first. A non-nil Source drives the engine from an
-	// external plan (a search batch); Spec.Benchmarks/Schemes are then
-	// ignored and only Spec.Fault and Spec.Workers apply.
-	Source CellSource
+	// Cells is the plan: the cells to execute, in order. Nil means
+	// Spec.Cells(), benchmark-major with each baseline first. With
+	// Cells set (an Evaluator's run), Spec.Benchmarks and Spec.Schemes
+	// are ignored and only Spec.Fault and Spec.Workers apply.
+	Cells []Cell
 	// Progress is called after every completed injection with the
 	// cumulative completed count (including journal-resumed results)
 	// and the campaign total.
@@ -153,13 +152,12 @@ func (e *Engine) Run(ctx context.Context, dir string, resume bool) (*Outcome, er
 // write a fresh run's manifest (up front, so even an early kill leaves
 // a resumable run) and open the journal for appending.
 func (e *Engine) open(dir string, resume bool) (*Work, error) {
-	source := e.Source
-	if source == nil {
-		// Classic path: the spec itself is the plan.
+	cells := e.Cells
+	if cells == nil {
 		if err := e.Spec.validate(); err != nil {
 			return nil, err
 		}
-		source = e.Spec.Source()
+		cells = e.Spec.Cells()
 	} else if err := e.Spec.Fault.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,7 +168,6 @@ func (e *Engine) open(dir string, resume bool) (*Work, error) {
 		return nil, fmt.Errorf("campaign: resume requires a run directory")
 	}
 
-	cells := source.Plan()
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("campaign: plan has no cells")
 	}

@@ -82,10 +82,6 @@ var schemas = func() map[Kind]*Schema {
 	return out
 }()
 
-// SchemaFor returns a kind's compiled contract (nil for an unknown
-// kind). The returned schema is shared; treat it as read-only.
-func SchemaFor(kind Kind) *Schema { return schemas[kind] }
-
 // ValidateJSON checks raw JSON bytes against a kind's contract.
 func ValidateJSON(kind Kind, data []byte) error {
 	s := schemas[kind]

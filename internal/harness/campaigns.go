@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"faulthound/internal/campaign"
-	"faulthound/internal/obs"
+	"faulthound/internal/fault"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/scheme"
 	"faulthound/internal/workload"
@@ -19,9 +19,11 @@ import (
 // campaign engine: scheme specs resolve through the scheme registry,
 // cores build exactly as fault campaigns always have (single-threaded;
 // see DESIGN.md). Resolution errors (unknown scheme, bad parameter)
-// surface here, before any injection runs.
+// surface here, before any injection runs. With Verbose set, each call
+// (one per cell the engine prepares) prints a progress line.
 func (o Options) CampaignFactory() campaign.CoreFactory {
 	return func(bench string, sp scheme.Spec) (func() *pipeline.Core, error) {
+		o.progress("campaign: %s/%s", bench, sp)
 		bm, err := workload.Resolve(bench)
 		if err != nil {
 			return nil, err
@@ -55,19 +57,26 @@ func (o Options) CampaignSpec(benchmarks []string, schemes []Scheme) campaign.Sp
 	}
 }
 
-// RunCampaign executes a spec in memory (no artifact bundle) with this
-// Options' core factory, reporting per-cell progress when verbose.
-func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
-	return o.runCells(spec, nil)
+// NewEvaluator builds the execute layer for these options: core
+// construction through the registry, the options' fault config and
+// worker pool, and TimingRunner for the timing cells. The paper's
+// figures and the optimizer both run their cells through one. prepared
+// may be nil (no cross-run golden sharing).
+func (o Options) NewEvaluator(prepared *fault.PreparedCache, progress func(done, total int)) *campaign.Evaluator {
+	return &campaign.Evaluator{
+		Factory:  o.CampaignFactory(),
+		Fault:    o.Fault,
+		Workers:  o.Workers,
+		Timing:   o.TimingRunner(),
+		Prepared: prepared,
+		Progress: progress,
+	}
 }
 
-// runCells is RunCampaign over an explicit plan of cells; a nil source
-// runs the spec's own cross product.
-func (o Options) runCells(spec campaign.Spec, source campaign.CellSource) (*campaign.Outcome, error) {
-	eng := &campaign.Engine{Spec: spec, Source: source, Factory: o.CampaignFactory()}
-	if o.Verbose {
-		eng.Obs = obs.OnBegin("prepare", func(cell string) { o.progress("campaign: %s", cell) })
-	}
+// RunCampaign executes a spec in memory (no artifact bundle) with this
+// Options' core factory.
+func (o Options) RunCampaign(spec campaign.Spec) (*campaign.Outcome, error) {
+	eng := &campaign.Engine{Spec: spec, Factory: o.CampaignFactory()}
 	return eng.Run(context.Background(), "", false)
 }
 

@@ -214,9 +214,11 @@ func energyModel(sp scheme.Spec) energy.Model {
 
 // TimingRunner is the harness's one timing recipe: a TimingRunSpec
 // reduced to cycles, energy and false-positive rate. The paper's timing
-// figures and the optimizer's overhead objectives both read it.
+// figures and the optimizer's overhead objectives both read it. With
+// Verbose set, each run prints a progress line.
 func (o Options) TimingRunner() campaign.TimingRunner {
 	return func(bench string, sp scheme.Spec) (campaign.TimingMetrics, error) {
+		o.progress("timing: %s/%s", bench, sp)
 		bm, err := workload.Resolve(bench)
 		if err != nil {
 			return campaign.TimingMetrics{}, err

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"sync"
 
 	"faulthound/internal/campaign"
 	"faulthound/internal/scheme"
@@ -16,6 +15,8 @@ import (
 // figures read runs once.
 type figure struct {
 	// campaign lists the cells whose fault campaigns the figure reads.
+	// The Evaluator runs each one's baseline too, which its coverage
+	// pairs against.
 	campaign []campaign.Cell
 	// timing lists the cells whose fault-free timing runs it reads.
 	timing []campaign.Cell
@@ -37,17 +38,14 @@ func cells(benches []string, schemes ...Scheme) []campaign.Cell {
 }
 
 // union merges figures' cells, each distinct cell once, in first-seen
-// order. Each campaign cell brings its benchmark's baseline ahead of
-// it: coverage pairs against it.
-func union(figs []figure) (camp campaign.StaticCells, timing []campaign.Cell) {
+// order.
+func union(figs []figure) (camp, timing []campaign.Cell) {
 	seen, timed := map[campaign.Cell]bool{}, map[campaign.Cell]bool{}
 	for _, f := range figs {
 		for _, c := range f.campaign {
-			for _, c := range []campaign.Cell{{Bench: c.Bench, Scheme: campaign.BaselineSpec}, c} {
-				if !seen[c] {
-					seen[c] = true
-					camp = append(camp, c)
-				}
+			if !seen[c] {
+				seen[c] = true
+				camp = append(camp, c)
 			}
 		}
 		for _, c := range f.timing {
@@ -60,73 +58,17 @@ func union(figs []figure) (camp campaign.StaticCells, timing []campaign.Cell) {
 	return camp, timing
 }
 
-// plan is an evaluated union of figures' cells: the campaign summary of
-// every campaign cell and the timing record of every timing cell.
+// plan is an evaluated union of figures' cells: an Evaluator that has
+// run every campaign cell and timing cell they declare.
 type plan struct {
-	cells   map[campaign.Cell]campaign.CellSummary
-	timings map[campaign.Cell]campaign.TimingMetrics
+	ev *campaign.Evaluator
 	// err is the first lookup of a cell the plan lacks: a figure that
 	// reads a cell it did not declare.
 	err error
 }
 
-// evaluate runs the union of figs' cells: the campaign cells as one
-// engine run, then every timing cell once across Options.Workers
-// goroutines.
-func (o Options) evaluate(figs []figure) (*plan, error) {
-	camp, timing := union(figs)
-	p := &plan{
-		cells:   make(map[campaign.Cell]campaign.CellSummary, len(camp)),
-		timings: make(map[campaign.Cell]campaign.TimingMetrics, len(timing)),
-	}
-	if len(camp) > 0 {
-		out, err := o.runCells(o.CampaignSpec(nil, nil), camp)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range out.Cells {
-			p.cells[c] = out.Summary.Cells[i]
-		}
-	}
-	tms, err := o.timeAll(timing)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range timing {
-		p.timings[c] = tms[i]
-	}
-	return p, nil
-}
-
-// timeAll runs every cell's timing run once, on as many goroutines as
-// a campaign would use (Options.Workers). Results land by index, so
-// they do not depend on which worker finishes first.
-func (o Options) timeAll(timing []campaign.Cell) ([]campaign.TimingMetrics, error) {
-	run := o.TimingRunner()
-	out := make([]campaign.TimingMetrics, len(timing))
-	errs := make([]error, len(timing))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := min(campaign.Spec{Workers: o.Workers}.WorkerCount(), len(timing)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				o.progress("timing: %s", timing[i])
-				out[i], errs[i] = run(timing[i].Bench, timing[i].Scheme)
-			}
-		}()
-	}
-	for i := range timing {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out, errors.Join(errs...)
-}
-
-// render evaluates the figures as one plan and returns their tables in
-// order.
+// render runs the figures' cells through one Evaluator and returns
+// their tables in order.
 func (o Options) render(fns ...figureFunc) ([]*Table, error) {
 	bms, err := o.benchmarks()
 	if err != nil {
@@ -136,8 +78,9 @@ func (o Options) render(fns ...figureFunc) ([]*Table, error) {
 	for i, fn := range fns {
 		figs[i] = fn(bms)
 	}
-	p, err := o.evaluate(figs)
-	if err != nil {
+	camp, timing := union(figs)
+	p := &plan{ev: o.NewEvaluator(nil, nil)}
+	if err := p.ev.Run(context.Background(), camp, timing); err != nil {
 		return nil, err
 	}
 	var out []*Table
@@ -162,7 +105,7 @@ func (o Options) renderOne(fn figureFunc) (*Table, error) {
 // cell returns the campaign summary of bench/s.
 func (p *plan) cell(bench string, s Scheme) campaign.CellSummary {
 	c := campaign.Cell{Bench: bench, Scheme: scheme.FromString(string(s))}
-	cs, ok := p.cells[c]
+	cs, ok := p.ev.Summary(c)
 	if !ok {
 		p.lack("campaign", c)
 	}
@@ -180,7 +123,7 @@ func (p *plan) coverage(bench string, s Scheme) campaign.CoverageSummary {
 // timing returns the timing record of bench/s.
 func (p *plan) timing(bench string, s Scheme) campaign.TimingMetrics {
 	c := campaign.Cell{Bench: bench, Scheme: scheme.FromString(string(s))}
-	tm, ok := p.timings[c]
+	tm, ok := p.ev.TimingOf(c)
 	if !ok {
 		p.lack("timing", c)
 	}

@@ -126,22 +126,6 @@ func (t teeSink) Event(e Event) {
 	}
 }
 
-// OnBegin returns a sink that calls f with the Arg of every Begin
-// event of the span called name, such as a campaign's "prepare" (whose
-// Arg names the cell). f must be safe for concurrent use.
-func OnBegin(name string, f func(arg string)) Sink {
-	return sinkFunc(func(e Event) {
-		if e.Kind == KindBegin && e.Name == name {
-			f(e.Arg)
-		}
-	})
-}
-
-type sinkFunc func(Event)
-
-// Event implements Sink.
-func (s sinkFunc) Event(e Event) { s(e) }
-
 // WithTrack returns a sink that stamps every event's Track before
 // forwarding — how the campaign engine gives each worker its own
 // trace track. A nil inner sink yields nil.

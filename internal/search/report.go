@@ -11,11 +11,8 @@ import (
 
 	"faulthound/internal/buildinfo"
 	"faulthound/internal/campaign"
+	"faulthound/internal/contract"
 )
-
-// SchemaVersion is the pareto artifact contract this package emits
-// (internal/contract KindPareto).
-const SchemaVersion = "faulthound.pareto/v1"
 
 // Artifact file names inside a run directory.
 const (
@@ -23,12 +20,6 @@ const (
 	JSONName   = "pareto.json"
 	ReportName = "pareto.md"
 )
-
-// CSVColumns is the pareto.csv header, in order.
-var CSVColumns = []string{
-	"spec", "front", "round",
-	"coverage", "fp_rate", "energy_overhead", "perf_overhead", "fitness",
-}
 
 // Report is the pareto.json artifact: provenance, the search
 // configuration that produced the frontier, and the full archive.
@@ -50,7 +41,7 @@ type Report struct {
 // NewReport assembles the artifact document for a finished search.
 func NewReport(runID string, benchmarks []string, cfg Config, res *Result) *Report {
 	return &Report{
-		SchemaVersion: SchemaVersion,
+		SchemaVersion: contract.ParetoV1,
 		RunID:         runID,
 		Generator:     buildinfo.Generator(),
 		Seed:          cfg.Seed,
@@ -82,7 +73,7 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func (r *Report) CSV() []byte {
 	var b strings.Builder
 	w := csv.NewWriter(&b)
-	w.Write(CSVColumns)
+	w.Write(contract.ParetoColumns())
 	for _, p := range r.Points {
 		w.Write([]string{
 			p.Spec,

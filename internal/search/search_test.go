@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"faulthound/internal/contract"
 	"faulthound/internal/pspec"
 	"faulthound/internal/scheme"
 	"faulthound/internal/stats"
@@ -267,14 +268,17 @@ func TestReportArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.SchemaVersion != SchemaVersion || len(back.Points) != len(rep.Points) {
+	if back.SchemaVersion != contract.ParetoV1 || len(back.Points) != len(rep.Points) {
 		t.Errorf("round-trip mismatch: %+v", back)
 	}
 	csv := string(rep.CSV())
-	if !strings.HasPrefix(csv, strings.Join(CSVColumns, ",")+"\n") {
+	if !strings.HasPrefix(csv, strings.Join(contract.ParetoColumns(), ",")+"\n") {
 		t.Errorf("csv header wrong:\n%s", csv)
 	}
 	if strings.Count(csv, "\n") != len(rep.Points)+1 {
 		t.Errorf("csv row count wrong:\n%s", csv)
+	}
+	if err := contract.ValidateParetoDir(dir); err != nil {
+		t.Error(err)
 	}
 }

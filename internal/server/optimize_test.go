@@ -369,6 +369,37 @@ func TestOptimizeUnavailable(t *testing.T) {
 	}
 }
 
+// TestOptimizeRescanWithoutTiming: a daemon restarted without a timing
+// runner over an unfinished optimize job fails that job with an error
+// instead of calling a nil TimingRunner.
+func TestOptimizeRescanWithoutTiming(t *testing.T) {
+	cfg := optimizeConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := s.SubmitOptimize(smokeRequest()) // never started: stays queued
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Drain(context.Background())
+
+	cfg.Timing = nil
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain(context.Background())
+	j2 := s2.Job(j.id)
+	if j2 == nil || j2.opt == nil {
+		t.Fatalf("restart did not requeue the optimize job: %+v", j2)
+	}
+	s2.Start()
+	if st := waitDone(t, j2, time.Minute); st.State != StateFailed || !strings.Contains(st.Error, "timing runner") {
+		t.Fatalf("job ended %s (error %q), want failed for want of a timing runner", st.State, st.Error)
+	}
+}
+
 // isHTTPStatus reports whether err is an apiError with the given code.
 func isHTTPStatus(err error, code int) bool {
 	ae, ok := err.(*apiError)

@@ -8,11 +8,3 @@ func Max64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// Min64 returns the smaller of a and b.
-func Min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

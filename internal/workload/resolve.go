@@ -75,26 +75,6 @@ func resolvedHelp(sp wgen.Spec) string {
 	return sp.String()
 }
 
-// Canonical validates one workload spec string and returns its
-// canonical form: fixed benchmark names unchanged, generated specs
-// canonicalized (sorted params, defaults elided). Sweep syntax is an
-// error here; use ExpandSpecs where fan-out is meant.
-func Canonical(spec string) (string, error) {
-	spec = strings.TrimSpace(spec)
-	if _, err := Get(spec); err == nil {
-		return spec, nil
-	}
-	if !wgen.IsGenerated(spec) {
-		name, _, _ := strings.Cut(spec, "?")
-		return "", unknown(strings.TrimSpace(name))
-	}
-	sp, err := wgen.Parse(spec)
-	if err != nil {
-		return "", err
-	}
-	return sp.String(), nil
-}
-
 // ExpandSpecs validates a list of workload spec strings, fanning out
 // '|' sweeps in generated specs, and returns canonical strings with
 // duplicates removed (first occurrence wins, order preserved).
