@@ -72,10 +72,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "debug-level logging (every job state transition)")
 		version   = flag.Bool("version", false, "print build identity and exit")
 
-		// Admission gate.
-		rate  = flag.Float64("rate", 0, "admission gate: submissions per second before 429 (0 = unlimited)")
-		burst = flag.Int("burst", 10, "admission gate burst size")
-
 		// Cluster fabric (docs/CLUSTER.md).
 		coordinator = flag.Bool("coordinator", false, "shard submitted campaigns across joined workers instead of running them locally")
 		join        = flag.String("join", "", "worker mode: register with the coordinator at this address and execute leased ranges")
@@ -120,8 +116,6 @@ func main() {
 		Log:           log,
 		Prepared:      cache,
 		Timing:        opts.TimingRunner(),
-		RateLimit:     *rate,
-		RateBurst:     *burst,
 	}
 
 	var (

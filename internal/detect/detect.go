@@ -104,6 +104,23 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
+// Add returns s plus o, field by field: the counters of two detectors
+// summed, as over the cores of one machine.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Checks:       s.Checks + o.Checks,
+		Triggers:     s.Triggers + o.Triggers,
+		Suppressed:   s.Suppressed + o.Suppressed,
+		Replays:      s.Replays + o.Replays,
+		Rollbacks:    s.Rollbacks + o.Rollbacks,
+		Singletons:   s.Singletons + o.Singletons,
+		TCAMSearches: s.TCAMSearches + o.TCAMSearches,
+		TCAMUpdates:  s.TCAMUpdates + o.TCAMUpdates,
+		TableReads:   s.TableReads + o.TableReads,
+		TableWrites:  s.TableWrites + o.TableWrites,
+	}
+}
+
 // Detector is a soft-fault detection scheme attached to the pipeline.
 // Implementations must be deterministic and support deep copy via
 // CloneInto for tandem fault-injection runs.

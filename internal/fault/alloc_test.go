@@ -12,12 +12,14 @@ import (
 
 	"faulthound/internal/core"
 	"faulthound/internal/pipeline"
+	"faulthound/internal/system"
 )
 
 // TestSnapshotZeroAlloc: once an arena has held one snapshot of a
 // core, every later snapshot rebuilds that storage in place. A
 // FaultHound core mid-run, detector tables included, snapshots with no
-// allocation at all.
+// allocation at all, and so does a 2-core machine with FaultHound on
+// both cores, whose snapshot overlays the shared memory once.
 func TestSnapshotZeroAlloc(t *testing.T) {
 	fh := core.DefaultConfig()
 	for _, bench := range []string{"bzip2", "mcf", "ocean"} {
@@ -29,6 +31,12 @@ func TestSnapshotZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { c.Snapshot(arena) }); n != 0 {
 			t.Errorf("%s: warmed snapshot allocates %.1f times, want 0", bench, n)
 		}
+	}
+	s := mkSystem(t, true)()
+	s.Run(2000)
+	arena := system.NewSnapshotArena()
+	if n := testing.AllocsPerRun(20, func() { s.Snapshot(arena) }); n != 0 {
+		t.Errorf("2-core machine: warmed snapshot allocates %.1f times, want 0", n)
 	}
 }
 
@@ -73,8 +81,8 @@ func TestApplyInjectionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := p.golden.Snapshot(pipeline.NewSnapshotArena())
-	if len(f.InFlightDestRegs(nil)) == 0 || len(f.LSQSites(nil)) == 0 {
+	f := p.golden.Snapshot(system.NewSnapshotArena())
+	if len(f.Core(0).InFlightDestRegs(nil)) == 0 || len(f.Core(0).LSQSites(nil)) == 0 {
 		t.Fatal("the golden core holds no in-flight register or LSQ site: the check is vacuous")
 	}
 	var sc siteScratch
@@ -140,24 +148,33 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestPreparedRetainedHeap: Prepare freezes each golden checkpoint to
-// its difference from the spread-start golden core, so the checkpoint
-// ring costs a fraction of the golden state instead of seven deep
-// copies of it. The heap a Prepared retains with checkpoints every 64
-// cycles must stay within twice what it retains with none (with deep
-// copies it was 3.4x on bzip2 and 5.4x on mcf). The program records
+// its difference from the spread-start golden machine, so the
+// checkpoint ring costs a fraction of the golden state instead of
+// seven deep copies of it. The heap a Prepared retains with checkpoints
+// every 64 cycles must stay within twice what it retains with none
+// (with deep copies it was 3.4x on bzip2 and 5.4x on mcf), on one core
+// and on a 2-core parallel Ocean machine, whose checkpoints copy the
+// shared memory's overlay once, not once per core. The program records
 // its detector warm-up stream at its second warm-up and keeps it
 // (prog.Program.VisitMemOps), so two untimed warm-ups come first: the
 // stream is the program's, and neither measurement may count it.
 func TestPreparedRetainedHeap(t *testing.T) {
 	fh := core.DefaultConfig()
-	for _, bench := range []string{"bzip2", "mcf"} {
-		mk := mkCore(t, bench, &fh)
+	cells := []struct {
+		name string
+		mk   func() *system.System
+	}{
+		{"bzip2", oneCore(mkCore(t, "bzip2", &fh))},
+		{"mcf", oneCore(mkCore(t, "mcf", &fh))},
+		{"2-core", mkSystem(t, true)},
+	}
+	for _, cell := range cells {
 		for i := 0; i < 2; i++ {
-			mk().WarmDetector(smallConfig().DetectorWarmupInstr)
+			cell.mk().WarmDetectors(smallConfig().DetectorWarmupInstr)
 		}
 		retained := func(ckpt uint64) int64 {
 			before := liveHeap()
-			p, err := prepare(mk, smallConfig(), ckpt, true)
+			p, err := prepare(cell.mk, smallConfig(), ckpt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,10 +183,10 @@ func TestPreparedRetainedHeap(t *testing.T) {
 			return n
 		}
 		flat, ring := retained(0), retained(checkpointCadence)
-		t.Logf("%s: retained %d bytes without checkpoints, %d with", bench, flat, ring)
+		t.Logf("%s: retained %d bytes without checkpoints, %d with (%.2fx)", cell.name, flat, ring, float64(ring)/float64(flat))
 		if ring > 2*flat {
 			t.Errorf("%s: a Prepared with checkpoints retains %d bytes, %.2fx the %d without; want <= 2x",
-				bench, ring, float64(ring)/float64(flat), flat)
+				cell.name, ring, float64(ring)/float64(flat), flat)
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"faulthound/internal/obs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/stats"
+	"faulthound/internal/system"
 )
 
 // Structure identifies the injected structure.
@@ -79,7 +80,7 @@ func (o Outcome) String() string {
 type Config struct {
 	// Injections is the number of single-bit faults.
 	Injections int
-	// WarmupCycles runs the golden core before the injection region
+	// WarmupCycles runs the golden machine before the injection region
 	// (cache and filter warmup, Table 1's warmup role).
 	WarmupCycles uint64
 	// SpreadCycles is the injection window: each fault lands at a
@@ -252,19 +253,21 @@ func (c *Campaign) Classification() (masked, noisy, sdc int) {
 }
 
 // Prepared is a fault campaign after golden-run preparation: the
-// warmed golden core, the golden architectural-hash trace, the
+// warmed golden machine, the golden architectural-hash trace, the
 // detector's false-positive background, the golden-checkpoint ring and
-// the reconvergence digests. Every field except the atomic perf
-// counters is read-only after Prepare returns, so any number of
+// the reconvergence digests. The machine is a system.System: a
+// single-core cell's core is a one-core system (Prepare), a multicore
+// cell's the whole machine (PrepareSystem). Every field except the
+// atomic perf counters is read-only after preparation, so any number of
 // goroutines may call RunOne concurrently — each injection snapshots
-// the shared golden core into its Worker's arena and mutates only that
-// snapshot.
+// the shared golden machine into its Worker's arena and mutates only
+// that snapshot.
 type Prepared struct {
 	cfg    Config
 	injs   []Injection
-	golden *pipeline.Core
-	// hashes and background are keyed by thread-0 commit count and are
-	// never written after Prepare.
+	golden *system.System
+	// hashes and background are keyed by core 0/thread 0's commit count
+	// (the clock) and are never written after preparation.
 	hashes     map[uint64]uint64
 	background map[uint64]detect.Stats
 	// fpRate is the golden (fault-free) detector action rate over the
@@ -282,13 +285,13 @@ type Prepared struct {
 	// over golden's image (Clone of the trace snapshot). Empty when
 	// ckptEvery is 0.
 	ckptEvery uint64
-	ckpts     []*pipeline.Core
+	ckpts     []*system.System
 	// digestEvery is the golden-digest cadence in cycles (0 without
 	// early exit); digests[i] is the golden trace's state at baseCycle +
 	// i*digestEvery.
 	digestEvery uint64
 	digests     []digestRec
-	// endRecs maps a thread-0 commit count to the golden trace's state
+	// endRecs maps a clock commit count to the golden trace's state
 	// at the end of the cycle that retired it — the extrapolation
 	// record an early-exiting run reads its final counters from.
 	endRecs map[uint64]endRec
@@ -300,13 +303,13 @@ type Prepared struct {
 // detector counters at the same cycle. A faulty run that matches all
 // three has provably rejoined the golden trajectory.
 type digestRec struct {
-	pd  pipeline.StateDigest
+	pd  system.Digest
 	det detect.Stats
-	fd  uint64 // pipeline Stats.FaultsDeclared
+	fd  uint64 // faults declared, summed over the cores
 }
 
 // endRec is the golden trace's state at the end of the cycle that
-// retired a given thread-0 commit: the cycle itself (for the hang
+// retired a given clock commit: the cycle itself (for the hang
 // predicate) and the counters a converged run will end the window
 // with.
 type endRec struct {
@@ -335,10 +338,30 @@ const checkpointCadence = 64
 // over the injection spread plus run window, with a golden checkpoint
 // every checkpointCadence cycles of the spread and a reconvergence
 // digest every digestCadence cycles. mk must build a fresh,
-// deterministic core (program + detector). The returned Prepared is
-// immutable and safe for concurrent RunOne calls.
+// deterministic core (program + detector); the runner wraps it as a
+// one-core machine (system.Of). The returned Prepared is immutable and
+// safe for concurrent RunOne calls.
 func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
+	return PrepareSystem(oneCore(mk), cfg)
+}
+
+// PrepareSystem is Prepare for a multicore machine — the paper's
+// methodology for the multithreaded benchmarks, where "faults are
+// injected in all the cores, each of which runs two threads". mk must
+// build a fresh, deterministic machine. Each injection lands on a
+// victim core drawn from its SiteSeed; the clock is core 0/thread 0's
+// commit count; the tandem comparison hashes the shared memory and
+// every hardware thread's live architectural registers
+// (system.System.ArchHash); an exception on any thread makes the run
+// noisy; and detection reads the faults declared over all cores. On a
+// one-core machine of one-thread cores these are Prepare's rules.
+func PrepareSystem(mk func() *system.System, cfg Config) (*Prepared, error) {
 	return prepare(mk, cfg, checkpointCadence, true)
+}
+
+// oneCore turns a core factory into a factory of one-core machines.
+func oneCore(mk func() *pipeline.Core) func() *system.System {
+	return func() *system.System { return system.Of(mk()) }
 }
 
 // prepare is Prepare with the replay acceleration spelled out: a
@@ -347,14 +370,14 @@ func Prepare(mk func() *pipeline.Core, cfg Config) (*Prepared, error) {
 // reconvergence early exit matches against. Results do not depend on
 // either; the tests prepare without them for the reference the
 // accelerated runs must reproduce bit for bit.
-func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool) (*Prepared, error) {
+func prepare(mk func() *system.System, cfg Config, ckptEvery uint64, early bool) (*Prepared, error) {
 	golden := mk()
-	golden.WarmDetector(cfg.DetectorWarmupInstr)
+	golden.WarmDetectors(cfg.DetectorWarmupInstr)
 	golden.Run(cfg.WarmupCycles)
 	if golden.AllHalted() {
 		return nil, fmt.Errorf("fault: golden run halted during warmup")
 	}
-	if exc, msg := golden.Excepted(0); exc {
+	if exc, msg := golden.AnyExcepted(); exc {
 		return nil, fmt.Errorf("fault: golden run excepted during warmup: %s", msg)
 	}
 
@@ -363,12 +386,12 @@ func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool)
 	// false-positive background against which fault-attributable
 	// activity is measured). The trace runs on a throwaway snapshot —
 	// a deep copy whose data memory is an overlay over golden's — so
-	// the shared golden core itself is never stepped, and therefore
+	// the shared golden machine itself is never stepped, and therefore
 	// never mutated, after this function returns. From here on golden
 	// is a frozen fork origin and the baseline every checkpoint is
 	// stored against, so a worker's per-run hierarchy restore rewrites
 	// only the L2 lines its last window touched (mem.Cache.SetBaseline).
-	gold := golden.Snapshot(pipeline.NewSnapshotArena())
+	gold := golden.Snapshot(system.NewSnapshotArena())
 	golden.SetCloneBaseline(golden)
 	p := &Prepared{
 		cfg:        cfg,
@@ -380,34 +403,39 @@ func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool)
 		ckptEvery:  ckptEvery,
 	}
 	hashes, background := p.hashes, p.background
-	// pendingCommits collects the thread-0 commit counts retired inside
+	// pendingCommits collects the clock commit counts retired inside
 	// the cycle being stepped; the step helper drains them into endRecs
 	// once the cycle finishes, so each record carries true end-of-cycle
 	// counters (commit-hook counters are mid-cycle: later commits and
 	// completion checks in the same cycle still move them).
 	var pendingCommits []uint64
-	gold.SetCommitHook(func(tid int, count uint64) {
+	// Detector counters only grow, so the background leaves out
+	// all-zero counters (a machine without detectors): a missing entry
+	// reads as zero, which is what it would have held.
+	recordBackground := func(count uint64, ds detect.Stats) {
+		if ds != (detect.Stats{}) {
+			background[count] = ds
+		}
+	}
+	clock := gold.Core(0)
+	clock.SetCommitHook(func(tid int, count uint64) {
 		if tid == 0 {
-			hashes[count] = gold.ArchHash(0)
-			if d := gold.Detector(); d != nil {
-				background[count] = d.Stats()
-			}
+			hashes[count] = gold.ArchHash()
+			recordBackground(count, gold.DetectorStats())
 			pendingCommits = append(pendingCommits, count)
 		}
 	})
 	// Anchor the background at the clone point so injections at offset
 	// zero (injCount == warmup commit count) subtract correctly.
-	hashes[golden.Committed(0)] = golden.ArchHash(0)
-	if d := golden.Detector(); d != nil {
-		background[golden.Committed(0)] = d.Stats()
-	}
+	hashes[clock.Committed(0)] = golden.ArchHash()
+	recordBackground(clock.Committed(0), golden.DetectorStats())
 	if early {
 		p.digestEvery = digestCadence
 		p.endRecs = make(map[uint64]endRec)
 		p.digests = append(p.digests, digestRec{
 			pd:  gold.CaptureDigest(),
 			det: gold.DetectorStats(),
-			fd:  gold.Stats().FaultsDeclared,
+			fd:  gold.FaultsDeclared(),
 		})
 	}
 	// step advances the golden trace one cycle and records the
@@ -423,14 +451,14 @@ func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool)
 				p.digests = append(p.digests, digestRec{
 					pd:  gold.CaptureDigest(),
 					det: gold.DetectorStats(),
-					fd:  gold.Stats().FaultsDeclared,
+					fd:  gold.FaultsDeclared(),
 				})
 			}
 			for _, cnt := range pendingCommits {
 				p.endRecs[cnt] = endRec{
 					cycle: gold.Cycle(),
 					det:   gold.DetectorStats(),
-					fd:    gold.Stats().FaultsDeclared,
+					fd:    gold.FaultsDeclared(),
 				}
 			}
 		}
@@ -442,20 +470,20 @@ func prepare(mk func() *pipeline.Core, cfg Config, ckptEvery uint64, early bool)
 		}
 	}
 	ds0 := gold.DetectorStats()
-	commits0 := gold.Committed(0)
+	commits0 := clock.Committed(0)
 	for i := uint64(0); i < cfg.SpreadCycles; i++ {
 		step()
 	}
-	maxInjCount := gold.Committed(0)
+	maxInjCount := clock.Committed(0)
 	target := maxInjCount + cfg.WindowInstr + 64
-	for gold.Committed(0) < target && !gold.AllHalted() {
+	for clock.Committed(0) < target && !gold.AllHalted() {
 		step()
 	}
-	if exc, msg := gold.Excepted(0); exc {
+	if exc, msg := gold.AnyExcepted(); exc {
 		return nil, fmt.Errorf("fault: golden run excepted in window: %s", msg)
 	}
 	ds := gold.DetectorStats()
-	if commits := gold.Committed(0) - commits0; commits > 0 {
+	if commits := clock.Committed(0) - commits0; commits > 0 {
 		p.fpRate = float64(actions(ds)-actions(ds0)) / float64(commits)
 	}
 	return p, nil
@@ -474,15 +502,16 @@ func (p *Prepared) Injections() []Injection { return p.injs }
 func (p *Prepared) FPRate() float64 { return p.fpRate }
 
 // Worker is one goroutine's reusable injection state: the snapshot
-// arena every faulty core it runs is rebuilt in, and the sink its runs
-// report lifecycle events to. The arena makes successive runs nearly
-// allocation-free — the faulty core's containers, detector tables, and
-// cache tags are rebuilt in place, and its memory is a copy-on-write
-// overlay over the immutable golden image — and it survives switches
-// between Prepared campaigns. A Worker serves one goroutine at a time;
+// arena every faulty machine it runs is rebuilt in, and the sink its
+// runs report lifecycle events to. The arena makes successive runs
+// nearly allocation-free — the faulty cores' containers, detector
+// tables, and cache tags are rebuilt in place, and their memory is one
+// copy-on-write overlay over the immutable golden image — and it
+// survives switches between Prepared campaigns, growing when a larger
+// machine first runs on it. A Worker serves one goroutine at a time;
 // give every goroutine its own.
 type Worker struct {
-	arena *pipeline.SnapshotArena
+	arena *system.SnapshotArena
 	sites siteScratch
 	sink  obs.Sink
 	// Audit is the fraction of early-exiting runs, in [0, 1], that the
@@ -500,11 +529,12 @@ type Worker struct {
 // window ("replay", "rollback", "singleton"), a "detect" instant at the
 // first such action (Arg = the action kind), from which sinks derive
 // detection latency in cycles, and an "early-exit" instant on
-// reconvergence. The action instants come from the detector's counters,
-// compared after every window step; no tracer is attached to the core.
+// reconvergence. The action instants come from the detectors'
+// counters, compared after every window step; no tracer is attached to
+// the cores.
 // A nil sink disables them; the disabled path costs one pointer test.
 func NewWorker(sink obs.Sink) *Worker {
-	return &Worker{arena: pipeline.NewSnapshotArena(), sink: sink}
+	return &Worker{arena: system.NewSnapshotArena(), sink: sink}
 }
 
 // Perf aggregates the replay-acceleration effect over every run so far
@@ -627,18 +657,19 @@ func emitActions(sink obs.Sink, cycle uint64, was, now detect.Stats, first bool)
 	}
 }
 
-// RunOne executes one injection on w: it forks a faulty core off the
-// golden trace into w's arena (from the nearest checkpoint at or before
-// the injection cycle), advances to the injection cycle, flips the bit,
-// runs the window, and classifies — exiting the window early when the
-// faulty state provably reconverges with the recorded golden trace.
+// RunOne executes one injection on w: it forks a faulty machine off
+// the golden trace into w's arena (from the nearest checkpoint at or
+// before the injection cycle), advances to the injection cycle, flips
+// the bit in the victim core, runs the window, and classifies — exiting
+// the window early when the faulty state provably reconverges with the
+// recorded golden trace.
 // Every Prepared field it reads is immutable and the fork is w's
 // private state, so any number of goroutines may call RunOne on one
 // Prepared concurrently, each with its own Worker.
 //
 // An early exit rests on a proof, not on simulation, so a Worker with
 // a nonzero Audit rate re-checks a seeded share of them: an audited
-// early exit keeps stepping the same core to the end of the window
+// early exit keeps stepping the same machine to the end of the window
 // (or the watchdog, or a halt) with early exit off and classifies it
 // the legacy way. Both Results come from one classify step, and they
 // must be identical field for field, DetectLatency included. A
@@ -683,20 +714,25 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		}
 	}
 
-	det := f.Detector()
-	var ds0 detect.Stats
-	if det != nil {
-		ds0 = det.Stats()
-	}
-	ps0 := f.Stats()
-	// The first window step that raises the detector's action count is
+	ds0, fd0 := f.DetectorStats(), f.FaultsDeclared()
+	// The first window step that raises the detectors' action count is
 	// the detection point: detectors count an action exactly when they
 	// return one. With a sink, every step's counter deltas are its
 	// action instants (emitActions); seen holds the counters last
-	// compared.
+	// compared. stepStats reads the counters after a step: nil on a
+	// core without a detector, whose counters never move, and the
+	// detector's own Stats on a one-core machine, so that per-step read
+	// costs what it costs on a bare core.
 	seen, firstAction := ds0, uint64(0)
+	var stepStats func() detect.Stats
+	if f.Cores() > 1 {
+		stepStats = f.DetectorStats
+	} else if d := f.Core(0).Detector(); d != nil {
+		stepStats = d.Stats
+	}
 
-	injCount := f.Committed(0)
+	clock := f.Core(0)
+	injCount := clock.Committed(0)
 	target := injCount + cfg.WindowInstr
 	done := false
 	var hash uint64
@@ -704,10 +740,10 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// retirement boundary — to line up with the golden trace, which is
 	// recorded the same way (later commits in the same cycle would skew
 	// a post-cycle hash).
-	f.SetCommitHook(func(tid int, count uint64) {
+	clock.SetCommitHook(func(tid int, count uint64) {
 		if tid == 0 && count == target {
 			done = true
-			hash = f.ArchHash(0)
+			hash = f.ArchHash()
 		}
 	})
 
@@ -734,9 +770,9 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// golden trajectory and keeps matching at every later boundary, so
 	// a delayed check fires with the identical result.
 	nextIdx, stride := uint64(0), uint64(1)
-	// window steps the faulty core until the window's target commit,
+	// window steps the faulty machine until the window's target commit,
 	// the hang watchdog or a halt. With early it also stops at the
-	// first golden digest the core matches, and reports that it did.
+	// first golden digest the machine matches, and reports that it did.
 	window := func(early bool) (bool, error) {
 		for !done {
 			cyc := f.Cycle()
@@ -749,8 +785,7 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 			if early && (cyc-p.baseCycle)%p.digestEvery == 0 {
 				if idx := (cyc - p.baseCycle) / p.digestEvery; idx >= nextIdx && idx < uint64(len(p.digests)) {
 					rec := &p.digests[idx]
-					if rec.pd.Cycle == cyc && f.DetectorStats() == rec.det &&
-						f.Stats().FaultsDeclared == rec.fd && f.MatchesDigest(&rec.pd) {
+					if f.DetectorStats() == rec.det && f.FaultsDeclared() == rec.fd && f.MatchesDigest(rec.pd) {
 						return true, nil
 					}
 					nextIdx = idx + stride
@@ -760,8 +795,8 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 				}
 			}
 			f.Step()
-			if det != nil && (firstAction == 0 || sink != nil) {
-				if ds := det.Stats(); actions(ds) != actions(seen) {
+			if stepStats != nil && (firstAction == 0 || sink != nil) {
+				if ds := stepStats(); actions(ds) != actions(seen) {
 					first := firstAction == 0
 					if first {
 						firstAction = f.Cycle()
@@ -781,14 +816,7 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// fault-attributable work.
 	var bg detect.Stats
 	if b1, ok := p.background[target]; ok {
-		b0 := p.background[injCount]
-		bg = detect.Stats{
-			Triggers:   b1.Triggers - b0.Triggers,
-			Suppressed: b1.Suppressed - b0.Suppressed,
-			Replays:    b1.Replays - b0.Replays,
-			Rollbacks:  b1.Rollbacks - b0.Rollbacks,
-			Singletons: b1.Singletons - b0.Singletons,
-		}
+		bg = b1.Sub(p.background[injCount])
 	}
 	// classify builds the Result of the window stepped so far. A run
 	// that early exited (early) matched the golden digest counters
@@ -798,27 +826,23 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// goldenHash[target] by construction, and which neither excepts nor
 	// hangs in the window (Prepare errors out otherwise).
 	classify := func(early bool) Result {
-		res := Result{Injection: inj}
-		if det != nil {
-			ds := det.Stats()
-			if early {
-				ds = er.det
-			}
-			res.Triggers = sub(ds.Triggers-ds0.Triggers, bg.Triggers)
-			res.Suppressed = sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed)
-			res.Replays = sub(ds.Replays-ds0.Replays, bg.Replays)
-			res.Rollbacks = sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks)
-			res.Singletons = sub(ds.Singletons-ds0.Singletons, bg.Singletons)
-		}
-		fd := f.Stats().FaultsDeclared
+		ds, fd := f.DetectorStats(), f.FaultsDeclared()
 		if early {
-			fd = er.fd
+			ds, fd = er.det, er.fd
 		}
-		res.Detected = fd > ps0.FaultsDeclared
+		res := Result{
+			Injection:  inj,
+			Triggers:   sub(ds.Triggers-ds0.Triggers, bg.Triggers),
+			Suppressed: sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed),
+			Replays:    sub(ds.Replays-ds0.Replays, bg.Replays),
+			Rollbacks:  sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks),
+			Singletons: sub(ds.Singletons-ds0.Singletons, bg.Singletons),
+			Detected:   fd > fd0,
+		}
 		if res.Detected && firstAction != 0 {
 			res.DetectLatency = firstAction - start
 		}
-		exc, _ := f.Excepted(0)
+		exc, _ := f.AnyExcepted()
 		want, ok := p.hashes[target]
 		switch {
 		case early:
@@ -843,8 +867,8 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		obs.Instant(sink, "early-exit", f.Cycle(), strconv.FormatUint(er.cycle-f.Cycle(), 10))
 	}
 	res := classify(earlyExit)
-	// The audit: an audited early exit keeps stepping the same core to
-	// the end of the window with early exit off, classifies it the
+	// The audit: an audited early exit keeps stepping the same machine
+	// to the end of the window with early exit off, classifies it the
 	// legacy way, and must arrive at the identical Result.
 	if earlyExit && w.Audit > 0 && auditDraw(inj) < w.Audit {
 		if _, err := window(false); err != nil {
@@ -906,13 +930,20 @@ type siteScratch struct {
 	lsq  []pipeline.LSQSite
 }
 
-// applyInjection flips the descriptor's bit in the live structure.
-// When the preferred structure has no live site (an empty LSQ), the
-// fault falls back to the register file, keeping the campaign size
-// fixed. The candidate lists are built in sc's storage.
-func applyInjection(c *pipeline.Core, inj Injection, sc *siteScratch) {
+// applyInjection flips the descriptor's bit in the live structure of
+// the victim core. A multicore machine's victim is drawn from the
+// SiteSeed by an RNG of its own, so the site draw below is the same on
+// every machine; a one-core machine's victim is its core. When the
+// preferred structure has no live site (an empty LSQ), the fault falls
+// back to the register file, keeping the campaign size fixed. The
+// candidate lists are built in sc's storage.
+func applyInjection(s *system.System, inj Injection, sc *siteScratch) {
 	if noopInjections {
 		return
+	}
+	c := s.Core(0)
+	if n := s.Cores(); n > 1 {
+		c = s.Core(stats.NewRNG(inj.SiteSeed ^ 0xc0e).Intn(n))
 	}
 	rng := stats.NewRNG(inj.SiteSeed)
 	switch inj.Structure {

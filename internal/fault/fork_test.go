@@ -10,6 +10,7 @@ import (
 	"faulthound/internal/pipeline"
 	"faulthound/internal/prog"
 	"faulthound/internal/stats"
+	"faulthound/internal/system"
 	"faulthound/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // fast-forwards from the spread start and simulates its full window —
 // the path whose results the accelerated paths must reproduce bit for
 // bit.
-func prepareLegacy(t *testing.T, mk func() *pipeline.Core, cfg Config) *Prepared {
+func prepareLegacy(t *testing.T, mk func() *system.System, cfg Config) *Prepared {
 	t.Helper()
 	p, err := prepare(mk, cfg, 0, false)
 	if err != nil {
@@ -72,33 +73,36 @@ func unnamedSites(t *testing.T, bench string, off uint64) []Injection {
 // exit and asserts every Result — outcome, hang flag, detection flag,
 // all five background-subtracted detector counters and the detection
 // latency — is bit-identical to the legacy path's, for a FaultHound
-// and a detector-less baseline cell on bzip2 and a FaultHound cell on
-// a generated program, whose register usage differs from the kernels'.
-// Each cell also runs two descriptors that flip an unnamed register
-// (unnamedSites); with early exit on, both must exit early.
+// and a detector-less baseline cell on bzip2, a FaultHound cell on a
+// generated program, whose register usage differs from the kernels',
+// and a 2-core parallel Ocean machine with FaultHound on every core.
+// Each single-core cell also runs two descriptors that flip an unnamed
+// register (unnamedSites); with early exit on, both must exit early.
+// Those are drawn against one kernel's code, so the machine has none.
 func TestCheckpointForkEquivalence(t *testing.T) {
 	fh := core.DefaultConfig()
 	cells := []struct {
-		name, bench string
-		fh          *core.Config
+		name  string
+		mk    func() *system.System
+		cfg   Config
+		sites []Injection
 		// minEarly floors the early exits at ckpt=64 with early exit:
 		// half of today's 73 (FaultHound), 64 (baseline) and 71
-		// (generated) of 80 runs.
+		// (generated) of 80 runs, and 46 of the machine's 60.
 		minEarly uint64
 	}{
-		{"faulthound", "bzip2", &fh, 37},
-		{"baseline", "bzip2", nil, 32},
-		{"generated", "gen?vlocal=0.5", &fh, 36},
+		{"faulthound", oneCore(mkCore(t, "bzip2", &fh)), smallConfig(), unnamedSites(t, "bzip2", 200), 37},
+		{"baseline", oneCore(mkCore(t, "bzip2", nil)), smallConfig(), unnamedSites(t, "bzip2", 200), 32},
+		{"generated", oneCore(mkCore(t, "gen?vlocal=0.5", &fh)), smallConfig(), unnamedSites(t, "gen?vlocal=0.5", 200), 36},
+		{"2-core", mkSystem(t, true), mpConfig(), nil, 23},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			mk := mkCore(t, cell.bench, cell.fh)
-			cfg := smallConfig()
-			legacy := prepareLegacy(t, mk, cfg)
+			cfg := cell.cfg
+			legacy := prepareLegacy(t, cell.mk, cfg)
 			want := runAll(t, legacy, false)
-			sites := unnamedSites(t, cell.bench, 200)
-			wantSites := make([]Result, len(sites))
-			for i, inj := range sites {
+			wantSites := make([]Result, len(cell.sites))
+			for i, inj := range cell.sites {
 				res, err := legacy.RunOne(context.Background(), inj, NewWorker(nil))
 				if err != nil {
 					t.Fatal(err)
@@ -111,7 +115,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 					if ckpt == 0 && !early {
 						continue // the reference itself
 					}
-					p, err := prepare(mk, cfg, ckpt, early)
+					p, err := prepare(cell.mk, cfg, ckpt, early)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,7 +149,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 							ckpt, early, pf.EarlyExits, pf.Runs, minEarly)
 					}
 
-					for i, inj := range sites {
+					for i, inj := range cell.sites {
 						before := p.Perf().EarlyExits
 						got, err := p.RunOne(context.Background(), inj, NewWorker(nil))
 						if err != nil {
@@ -167,18 +171,22 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 }
 
 // TestAudit: a Worker at audit rate 1 re-simulates every early exit of
-// an intact cell to the end of its window and finds no violation, and
-// a rate of one half audits some early exits but not all. With one
-// golden end-of-window record corrupted, the audited run that reads
-// it fails with an AuditError that carries both Results, and counts
-// one violation.
+// an intact cell to the end of its window and finds no violation, on a
+// bzip2 core and on a 2-core FaultHound machine, and a rate of one half
+// audits some early exits but not all. With one golden end-of-window
+// record corrupted, the audited run that reads it fails with an
+// AuditError that carries both Results, and counts one violation.
 func TestAudit(t *testing.T) {
 	cfg := smallConfig()
 	p, err := Prepare(mkCore(t, "bzip2", nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runAudited := func(rate float64) {
+	machine, err := PrepareSystem(mkSystem(t, true), mpConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAudited := func(p *Prepared, rate float64) {
 		w := NewWorker(nil)
 		w.Audit = rate
 		for i, inj := range p.Injections() {
@@ -187,13 +195,15 @@ func TestAudit(t *testing.T) {
 			}
 		}
 	}
-	runAudited(1)
-	pf := p.Perf()
-	if pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
-		t.Fatalf("rate 1: %d audits and %d violations over %d early exits, want one audit each and none",
-			pf.Audits, pf.AuditViolations, pf.EarlyExits)
+	for _, q := range []*Prepared{machine, p} {
+		runAudited(q, 1)
+		if pf := q.Perf(); pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
+			t.Fatalf("rate 1, %d cores: %d audits and %d violations over %d early exits, want one audit each and none",
+				q.golden.Cores(), pf.Audits, pf.AuditViolations, pf.EarlyExits)
+		}
 	}
-	runAudited(0.5)
+	pf := p.Perf()
+	runAudited(p, 0.5)
 	if half := p.Perf().Audits - pf.Audits; half == 0 || half >= pf.EarlyExits {
 		t.Errorf("rate 0.5: %d audits over %d early exits, want some but not all", half, pf.EarlyExits)
 	}
@@ -202,7 +212,7 @@ func TestAudit(t *testing.T) {
 	// ends at a known commit; its flip in an unnamed register exits
 	// early at the first digest check.
 	inj := unnamedSites(t, "bzip2", 0)[0]
-	target := p.golden.Committed(0) + cfg.WindowInstr
+	target := p.golden.Core(0).Committed(0) + cfg.WindowInstr
 	er, ok := p.endRecs[target]
 	if !ok {
 		t.Fatalf("no end record at commit %d", target)
@@ -228,22 +238,29 @@ func TestAudit(t *testing.T) {
 // TestForkingArenaParallel drives Prepare's checkpoint-forked,
 // early-exiting path from 4 goroutines, each with its own Worker
 // (consecutive forks rebasing the worker's arena across different
-// checkpoint origins), and asserts bit-identity with the serial legacy
-// run. The CI race job runs this under -race, pinning that checkpoint
-// cores and golden digests are safely shared read-only.
+// checkpoint origins), on an Ocean core and on a 2-core parallel Ocean
+// machine, and asserts bit-identity with the serial legacy run. The CI
+// race job runs this under -race, pinning that checkpoint machines and
+// golden digests are safely shared read-only.
 func TestForkingArenaParallel(t *testing.T) {
 	fh := core.DefaultConfig()
-	mk := mkCore(t, "ocean", &fh)
-
-	want := runAll(t, prepareLegacy(t, mk, smallConfig()), true)
-
-	p, err := Prepare(mk, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range runConcurrent(t, p, 4) {
-		if got != want[i] {
-			t.Fatalf("injection %d: got %+v, want %+v", i, got, want[i])
+	for _, cell := range []struct {
+		name string
+		mk   func() *system.System
+		cfg  Config
+	}{
+		{"ocean", oneCore(mkCore(t, "ocean", &fh)), smallConfig()},
+		{"2-core", mkSystem(t, true), mpConfig()},
+	} {
+		want := runAll(t, prepareLegacy(t, cell.mk, cell.cfg), true)
+		p, err := PrepareSystem(cell.mk, cell.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range runConcurrent(t, p, 4) {
+			if got != want[i] {
+				t.Fatalf("%s injection %d: got %+v, want %+v", cell.name, i, got, want[i])
+			}
 		}
 	}
 }

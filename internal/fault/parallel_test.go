@@ -11,6 +11,7 @@ import (
 	"faulthound/internal/pbfs"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/prog"
+	"faulthound/internal/system"
 	"faulthound/internal/workload"
 )
 
@@ -125,11 +126,13 @@ func TestRunOneArenaMatchesRunOne(t *testing.T) {
 }
 
 // TestArenaSurvivesCampaignSwitch: a campaign worker outlives cell
-// boundaries. One Worker rotates through five cores on two benchmarks,
-// and each result must equal a fresh Worker's: FaultHound; FaultHound
-// with 8 TCAM entries and no second-level filter (a reused TCAM of
-// another geometry, whose nil second-level bank must stay nil); the
-// no-cluster FaultHound (PC-indexed tables, an incompatible
+// boundaries. One Worker rotates through five cores on two benchmarks
+// and a 2-core machine, and each result must equal a fresh Worker's:
+// FaultHound; FaultHound with 8 TCAM entries and no second-level filter
+// (a reused TCAM of another geometry, whose nil second-level bank must
+// stay nil); the 2-core parallel Ocean with FaultHound on every core
+// (the arena grows a second core, then serves one-core machines again);
+// the no-cluster FaultHound (PC-indexed tables, an incompatible
 // destination); PBFS (another detector type); and no detector. A
 // destination that cannot take the next detector is rebuilt, never
 // reused.
@@ -139,25 +142,13 @@ func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 	small.Addr.Entries, small.Value.Entries = 8, 8
 	small.Addr.SecondLevel, small.Value.SecondLevel = false, false
 	noCluster := core.NoClusterNo2LevelConfig()
-	cells := []struct {
-		name, bench string
-		det         func() detect.Detector
-	}{
-		{"faulthound", "bzip2", func() detect.Detector { return core.New(fh) }},
-		{"faulthound-8-no2level", "mcf", func() detect.Detector { return core.New(small) }},
-		{"nocluster", "bzip2", func() detect.Detector { return core.New(noCluster) }},
-		{"pbfs", "mcf", func() detect.Detector { return pbfs.New(pbfs.Biased()) }},
-		{"none", "bzip2", nil},
-	}
-	ps := make([]*Prepared, len(cells))
-	for i, c := range cells {
-		bm, err := workload.Resolve(c.bench)
+	oneCoreCell := func(bench string, newDet func() detect.Detector) func() *system.System {
+		bm, err := workload.Resolve(bench)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prg := bm.Build(prog.DefaultDataBase, 3)
-		newDet := c.det
-		ps[i], err = Prepare(func() *pipeline.Core {
+		return oneCore(func() *pipeline.Core {
 			var det detect.Detector
 			if newDet != nil {
 				det = newDet()
@@ -167,8 +158,23 @@ func TestArenaSurvivesCampaignSwitch(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c
-		}, smallConfig())
-		if err != nil {
+		})
+	}
+	cells := []struct {
+		name string
+		mk   func() *system.System
+	}{
+		{"faulthound", oneCoreCell("bzip2", func() detect.Detector { return core.New(fh) })},
+		{"faulthound-8-no2level", oneCoreCell("mcf", func() detect.Detector { return core.New(small) })},
+		{"2-core", mkSystem(t, true)},
+		{"nocluster", oneCoreCell("bzip2", func() detect.Detector { return core.New(noCluster) })},
+		{"pbfs", oneCoreCell("mcf", func() detect.Detector { return pbfs.New(pbfs.Biased()) })},
+		{"none", oneCoreCell("bzip2", nil)},
+	}
+	ps := make([]*Prepared, len(cells))
+	for i, c := range cells {
+		var err error
+		if ps[i], err = PrepareSystem(c.mk, smallConfig()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"faulthound/internal/core"
+	"faulthound/internal/detect"
 	"faulthound/internal/pipeline"
 	"faulthound/internal/prog"
+	"faulthound/internal/system"
 	"faulthound/internal/workload"
 )
 
@@ -14,6 +16,15 @@ import (
 // snapshot (clone) plus the faulty window. Campaign wall time is
 // dominated by these; they are `go test -bench` profiling entry points
 // beside the end-to-end benchmark in bench/ (docs/PERFORMANCE.md).
+
+// benchConfig is the benchmarks' campaign configuration.
+func benchConfig() Config {
+	cfg := DefaultConfig()
+	cfg.WarmupCycles = 20000
+	cfg.DetectorWarmupInstr = 100000
+	cfg.MaxCyclesPerRun = 30000
+	return cfg
+}
 
 // benchPrepared builds a warmed FaultHound campaign once per benchmark.
 func benchPrepared(b *testing.B) *Prepared {
@@ -31,11 +42,27 @@ func benchPrepared(b *testing.B) *Prepared {
 		}
 		return c
 	}
-	cfg := DefaultConfig()
-	cfg.WarmupCycles = 20000
-	cfg.DetectorWarmupInstr = 100000
-	cfg.MaxCyclesPerRun = 30000
-	prep, err := Prepare(mk, cfg)
+	prep, err := Prepare(mk, benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prep
+}
+
+// benchPreparedSystem builds a warmed campaign on a 2-core machine
+// running the shared-memory parallel Ocean, FaultHound on both cores.
+func benchPreparedSystem(b *testing.B) *Prepared {
+	b.Helper()
+	mk := func() *system.System {
+		programs := workload.OceanMP(prog.DefaultDataBase, 1, 4)
+		s, err := system.New(system.Config{Cores: 2, Core: pipeline.DefaultConfig(2)}, programs,
+			func(int) detect.Detector { return core.New(core.DefaultConfig()) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	prep, err := PrepareSystem(mk, benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,19 +70,27 @@ func benchPrepared(b *testing.B) *Prepared {
 }
 
 // BenchmarkRunOne measures one complete injection — snapshot of the
-// golden core, advance to the fault cycle, flip, run the window,
+// golden machine, advance to the fault cycle, flip, run the window,
 // classify — exactly as a campaign worker executes it, on one reused
-// Worker. allocs/op here is the per-injection overhead that remains
-// after the CoW/arena path.
+// Worker: on a bzip2 core, and on the 2-core parallel Ocean machine
+// that mp-coverage injects. allocs/op here is the per-injection
+// overhead that remains after the CoW/arena path.
 func BenchmarkRunOne(b *testing.B) {
-	p := benchPrepared(b)
-	injs := p.Injections()
-	w := NewWorker(nil)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = p.RunOne(ctx, injs[i%len(injs)], w)
+	for _, c := range []struct {
+		name string
+		prep func(*testing.B) *Prepared
+	}{{"bzip2", benchPrepared}, {"ocean-2core", benchPreparedSystem}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := c.prep(b)
+			injs := p.Injections()
+			w := NewWorker(nil)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = p.RunOne(ctx, injs[i%len(injs)], w)
+			}
+		})
 	}
 }
 

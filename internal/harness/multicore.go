@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"faulthound/internal/core"
@@ -73,7 +74,9 @@ func MPScaling(o Options) (*Table, error) {
 // MPCoverage runs the paper's multithreaded-benchmark injection
 // methodology — faults distributed across all cores of the machine —
 // on the shared-memory parallel Ocean, comparing FaultHound coverage
-// against the unprotected machine.
+// against the unprotected machine. Each (cores, scheme) cell is
+// prepared once (fault.PrepareSystem) and its descriptors run on one
+// fault.Worker.
 func MPCoverage(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "mp-coverage",
@@ -81,6 +84,20 @@ func MPCoverage(o Options) (*Table, error) {
 		Columns: []string{"cores", "masked", "noisy", "sdc", "faulthound coverage"},
 	}
 	cfg := o.Fault
+	w := fault.NewWorker(nil)
+	runCell := func(mk func() *system.System) (*fault.Campaign, error) {
+		p, err := fault.PrepareSystem(mk, cfg)
+		if err != nil {
+			return nil, err
+		}
+		camp := &fault.Campaign{Config: cfg, Results: make([]fault.Result, len(p.Injections()))}
+		for i, inj := range p.Injections() {
+			if camp.Results[i], err = p.RunOne(context.Background(), inj, w); err != nil {
+				return nil, err
+			}
+		}
+		return camp, nil
+	}
 	for _, cores := range []int{1, 2} {
 		threads := cores * 2
 		mk := func(withDet bool) func() *system.System {
@@ -98,12 +115,12 @@ func MPCoverage(o Options) (*Table, error) {
 			}
 		}
 		o.progress("mp-coverage: %d cores (baseline)", cores)
-		base, err := fault.RunSystem(mk(false), cfg)
+		base, err := runCell(mk(false))
 		if err != nil {
 			return nil, err
 		}
 		o.progress("mp-coverage: %d cores (faulthound)", cores)
-		det, err := fault.RunSystem(mk(true), cfg)
+		det, err := runCell(mk(true))
 		if err != nil {
 			return nil, err
 		}

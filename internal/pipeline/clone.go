@@ -9,18 +9,13 @@ import (
 // Clone returns an independent deep copy of the core, preserving uop
 // identity across all internal queues. A core whose data memory is a
 // copy-on-write overlay (a Snapshot) copies only the overlay's dirty
-// words and shares its frozen parent image (mem.Memory.CloneLayer):
-// the fault runner's golden checkpoints are Clones of a trace that
-// runs on a Snapshot of the golden core.
+// words and shares its frozen parent image (mem.Memory.CloneLayer).
+// system.System.Clone copies a machine's cores the same way over one
+// copy of their shared memory: the fault runner's golden checkpoints
+// are such copies of a trace that runs on a snapshot of the golden
+// machine.
 func (c *Core) Clone() *Core {
-	return c.cloneWith(c.memory.CloneLayer(), nil)
-}
-
-// CloneWithMemory is Clone with the data memory supplied by the caller
-// — the multicore construction, where the system clones the shared
-// memory once and every core clone references it.
-func (c *Core) CloneWithMemory(shared *mem.Memory) *Core {
-	return c.cloneWith(shared, nil)
+	return c.CloneWith(c.memory.CloneLayer(), nil)
 }
 
 // SnapshotArena owns the reusable storage for repeated snapshots of one
@@ -72,7 +67,7 @@ func (c *Core) Snapshot(a *SnapshotArena) *Core {
 	if a.dst != nil {
 		prev = a.dst.memory
 	}
-	return c.cloneWith(c.memory.OverlayInto(prev), a)
+	return c.CloneWith(c.memory.OverlayInto(prev), a)
 }
 
 // ensureLen returns buf resized to n, reallocating only when the
@@ -85,11 +80,14 @@ func ensureLen[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// cloneWith builds the deep copy. Every structure is copied with its
-// CloneInto into the destination's previous one, so the arena's
-// destination core and all its storage are reused; with a nil arena the
-// destination is a new core, every CloneInto gets nil, and every piece
-// is freshly allocated (Clone/CloneWithMemory).
+// CloneWith is the core's one deep copy, over the data memory m the
+// caller supplies: Clone passes the core's own CloneLayer and no
+// arena, Snapshot the core's own overlay and an arena, and a multicore
+// system the one copy of its shared memory that all its cores' copies
+// reference. Every structure is copied with its CloneInto into the
+// destination's previous one, so the arena's destination core and all
+// its storage are reused; with a nil arena the destination is a new
+// core, every CloneInto gets nil, and every piece is freshly allocated.
 //
 // The copy leans on two container invariants of the pipeline:
 //
@@ -101,7 +99,7 @@ func ensureLen[T any](buf *[]T, n int) []T {
 //   - ROB and fetch queue are strictly ascending in the globally-unique
 //     seq tag, so the aliasing queues (IQ, LSQ, delay buffer, executing
 //     set) are remapped by binary search on seq instead of a map.
-func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
+func (c *Core) CloneWith(m *mem.Memory, a *SnapshotArena) *Core {
 	nUops, nCkpt := 0, 0
 	for _, t := range c.threads {
 		nUops += len(t.rob.s) + len(t.fetchQ.s)
@@ -235,7 +233,7 @@ func (c *Core) cloneWith(shared *mem.Memory, a *SnapshotArena) *Core {
 	} else {
 		d.mshrFree = append(d.mshrFree[:0], c.mshrFree...)
 	}
-	d.memory = shared
+	d.memory = m
 	d.hier = c.hier.CloneInto(d.hier)
 	if c.detector == nil {
 		d.detector = nil

@@ -161,7 +161,7 @@ type Core struct {
 	// checkpoints: carving from a chunk replaces one heap allocation per
 	// uop with one per chunk, and a chunk is recycled once every uop
 	// that carved from it has died (chunkPool). Each core owns its
-	// chunks: cloneWith never reads the source's, and hands an arena
+	// chunks: CloneWith never reads the source's, and hands an arena
 	// destination's to their free lists.
 	uops  chunkPool[uop]
 	ckpts chunkPool[physID]
@@ -196,7 +196,7 @@ func (c *Core) newCkpt(n int, seq uint64) []physID {
 // storage. It carves slices from fixed-size chunks and recycles a chunk
 // by age: once the largest seq that carved from it is below the seq of
 // every live uop, nothing references the chunk any more. That rests on
-// the container invariant cloneWith relies on — every live uop is in
+// the container invariant CloneWith relies on — every live uop is in
 // its thread's ROB or fetch queue, each ascending in seq — and on
 // commit and squash taking a uop out of the IQ, LSQ, delay buffer and
 // executing set (retire, squashUop, filterDelayBuf, filterInFlight).
@@ -396,6 +396,9 @@ func (c *Core) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the pipeline counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Memory returns the core's architectural data memory.
+func (c *Core) Memory() *mem.Memory { return c.memory }
 
 // MemStats returns the cache/TLB counters.
 func (c *Core) MemStats() mem.HierarchyStats { return c.hier.Stats() }

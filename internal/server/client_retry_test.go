@@ -120,7 +120,7 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "7")
 			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"rate limited","reason":"rate","retry_after_seconds":7}`)
+			fmt.Fprint(w, `{"error":"job queue full","reason":"queue_full","retry_after_seconds":7}`)
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)

@@ -144,13 +144,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.serveSubmit(w, r, &req, func() (*job, bool, error) { return s.SubmitOptimize(req) })
 }
 
-// serveSubmit is the front door both POST routes share: the rate gate,
-// a strict decode of the body into v, submit, and one answer mapping.
+// serveSubmit is the front door both POST routes share: a strict
+// decode of the body into v, submit, and one answer mapping.
 func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, v any, submit func() (*job, bool, error)) {
-	if s.admission != nil && !s.admission.Allow() {
-		s.reject429(w, "rate", "submission rate limit exceeded", s.admission.RetryAfter())
-		return
-	}
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request JSON: "+err.Error())
 		return

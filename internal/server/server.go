@@ -109,22 +109,15 @@ type Config struct {
 	// Ready overrides the /healthz readiness verdict; nil means always
 	// ready. The detail map is merged into the health payload.
 	Ready func() (bool, map[string]any)
-	// RateLimit admits at most this many submissions per second
-	// (bursting to RateBurst) before the daemon answers 429; 0 disables
-	// the gate. Queue overflow 429s are always on.
-	RateLimit float64
-	// RateBurst is the admission gate's burst size; default 10.
-	RateBurst int
 }
 
 // Server is the campaign-serving daemon's engine-facing half; Handler
 // exposes it over HTTP.
 type Server struct {
-	cfg       Config
-	log       *slog.Logger
-	reg       *metrics.Registry
-	prepared  *fault.PreparedCache
-	admission *TokenBucket
+	cfg      Config
+	log      *slog.Logger
+	reg      *metrics.Registry
+	prepared *fault.PreparedCache
 
 	mu    sync.Mutex
 	jobs  map[string]*job // by spec hash
@@ -200,13 +193,6 @@ func New(cfg Config) (*Server, error) {
 		cancel:   cancel,
 		start:    time.Now(),
 	}
-	if cfg.RateLimit > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = 10
-		}
-		s.admission = NewTokenBucket(cfg.RateLimit, burst)
-	}
 	s.mQueued = s.reg.Gauge("fhserved_jobs_queued", "Jobs waiting in the queue.")
 	s.mRunning = s.reg.Gauge("fhserved_jobs_running", "Jobs currently executing.")
 	s.mSubmitted = s.reg.Counter("fhserved_jobs_submitted_total", "Spec submissions accepted (including cache hits).")
@@ -221,11 +207,9 @@ func New(cfg Config) (*Server, error) {
 	s.mPrepMisses = s.reg.Counter("fhserved_prepared_cache_misses_total", "Golden-run preparations executed (cache fills).")
 	s.mQueueWait = s.reg.Histogram("fhserved_job_queue_wait_seconds",
 		"Seconds a job waited between submission and execution start.", metrics.ExpBuckets(0.01, 2, 16))
-	// Pre-register both reject reasons so scrapes render zeros before
+	// Pre-register the reject reason so scrapes render a zero before
 	// the first rejection.
-	for _, reason := range []string{"queue_full", "rate"} {
-		s.reg.CounterWith(admissionRejectsName, admissionRejectsHelp, map[string]string{"reason": reason})
-	}
+	s.reg.CounterWith(admissionRejectsName, admissionRejectsHelp, map[string]string{"reason": "queue_full"})
 	s.rateLastTime = s.start
 
 	if err := s.rescan(); err != nil {
@@ -449,7 +433,7 @@ func (s *Server) admit(fresh *job) (*job, bool, error) {
 // submission.
 var errQueueFull = fmt.Errorf("server: job queue is full")
 
-// Admission-gate rejection counter (reason="queue_full" | "rate").
+// Admission-gate rejection counter (reason="queue_full").
 const (
 	admissionRejectsName = "fh_admission_rejects_total"
 	admissionRejectsHelp = "Submissions rejected with 429 by the admission gate, by reason."

@@ -589,3 +589,123 @@ func readAll(t *testing.T, resp *http.Response) string {
 	}
 	return sb.String()
 }
+
+// TestAdmissionQueueFull429 submits past a one-deep queue that no
+// runner drains and checks the structured rejection: HTTP 429, a
+// Retry-After header, a machine-readable body, and the labeled reject
+// counter.
+func TestAdmissionQueueFull429(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.QueueDepth = 1
+	s, err := New(cfg) // not started: the queue never drains
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(injections int) *http.Response {
+		b, _ := json.Marshal(testSpec(injections))
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post(4)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: HTTP %d, want 202", resp.StatusCode)
+	}
+
+	resp = post(5)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second submit: HTTP %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 has no Retry-After header")
+	}
+	var body struct {
+		Error             string `json:"error"`
+		Reason            string `json:"reason"`
+		RetryAfterSeconds int    `json:"retry_after_seconds"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Reason != "queue_full" || body.Error == "" || body.RetryAfterSeconds < 1 {
+		t.Fatalf("429 body %+v, want reason=queue_full with error and retry_after_seconds", body)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(mresp.Body)
+	if text := buf.String(); !strings.Contains(text, `fh_admission_rejects_total{reason="queue_full"} 1`) {
+		t.Fatalf("metrics missing the queue_full reject count:\n%s", text)
+	}
+}
+
+// TestHealthz checks the identity endpoint in both directions: a
+// default daemon is a ready "single"; a coordinator whose readiness
+// hook says no serves 503 with its detail merged in.
+func TestHealthz(t *testing.T) {
+	s, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(url string) (int, map[string]any) {
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	code, body := get(ts.URL)
+	if code != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d, want 200", code)
+	}
+	if body["role"] != "single" || body["ready"] != true || body["status"] != "ok" {
+		t.Fatalf("healthz body %+v, want ready single", body)
+	}
+	if body["go"] == "" || body["commit"] != "test-commit" {
+		t.Fatalf("healthz body %+v, want build info", body)
+	}
+
+	cfg2 := testConfig(t)
+	cfg2.Role = "coordinator"
+	cfg2.Ready = func() (bool, map[string]any) {
+		return false, map[string]any{"workers_alive": 0}
+	}
+	s2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain(context.Background())
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+
+	code, body = get(ts2.URL)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("unready healthz: HTTP %d, want 503", code)
+	}
+	if body["role"] != "coordinator" || body["ready"] != false || body["workers_alive"] != float64(0) {
+		t.Fatalf("unready healthz body %+v", body)
+	}
+}

@@ -8,6 +8,10 @@
 // shared memory), so cross-core sharing is architecturally coherent by
 // construction; the timing model omits coherence misses, which none of
 // the paper's mechanisms interact with.
+//
+// A System is also the fault runner's machine (internal/fault): a
+// single-core campaign cell runs as a one-core System (Of), and
+// Snapshot, Clone and the digest methods serve every core count alike.
 package system
 
 import (
@@ -25,11 +29,6 @@ type Config struct {
 	Cores int
 	// Core is the per-core configuration (Threads sets the SMT width).
 	Core pipeline.Config
-}
-
-// DefaultConfig returns the paper's 8-core, 2-way-SMT machine.
-func DefaultConfig() Config {
-	return Config{Cores: 8, Core: pipeline.DefaultConfig(2)}
 }
 
 // System is a running multicore machine.
@@ -84,6 +83,12 @@ func New(cfg Config, programs []*prog.Program, mkDetector func(core int) detect.
 	return s, nil
 }
 
+// Of wraps one core as a one-core machine over the core's own memory:
+// the fault runner's machine for a single-core cell.
+func Of(c *pipeline.Core) *System {
+	return &System{cfg: Config{Cores: 1, Core: c.Config()}, cores: []*pipeline.Core{c}, memory: c.Memory()}
+}
+
 // Cores returns the core count.
 func (s *System) Cores() int { return len(s.cores) }
 
@@ -101,28 +106,19 @@ func (s *System) Step() {
 }
 
 // Run steps the system until every hardware thread halts or maxCycles
-// elapse; it returns the cycles executed.
+// elapse; it returns the cycles executed. A one-core machine runs its
+// core's own loop, which the fault runner's warm-up spends most of a
+// single-core preparation in.
 func (s *System) Run(maxCycles uint64) uint64 {
+	if len(s.cores) == 1 {
+		return s.cores[0].Run(maxCycles)
+	}
 	var n uint64
 	for n < maxCycles && !s.AllHalted() {
 		s.Step()
 		n++
 	}
 	return n
-}
-
-// RunUntilCommits steps until core 0's thread 0 commits n instructions
-// or maxCycles elapse; it reports whether the target was reached.
-func (s *System) RunUntilCommits(n, maxCycles uint64) bool {
-	var cycles uint64
-	for s.cores[0].Committed(0) < n {
-		if cycles >= maxCycles || s.AllHalted() {
-			return s.cores[0].Committed(0) >= n
-		}
-		s.Step()
-		cycles++
-	}
-	return true
 }
 
 // AllHalted reports whether every hardware thread has halted.
@@ -177,15 +173,105 @@ func (s *System) Stats() pipeline.Stats {
 }
 
 // Clone returns an independent deep copy of the whole machine: the
-// shared memory is cloned once and every core clone references it. The
-// multicore fault-injection runner uses this.
+// shared memory is copied once (mem.Memory.CloneLayer, so a system over
+// an overlay copies only the overlay's dirty words) and every core's
+// copy references that one copy. The fault runner's golden checkpoints
+// are Clones of its trace.
 func (s *System) Clone() *System {
-	m := s.memory.Clone()
-	d := &System{cfg: s.cfg, memory: m}
+	d := &System{cfg: s.cfg, memory: s.memory.CloneLayer()}
 	for _, c := range s.cores {
-		d.cores = append(d.cores, c.CloneWithMemory(m))
+		d.cores = append(d.cores, c.CloneWith(d.memory, nil))
 	}
 	return d
+}
+
+// SnapshotArena owns the reusable storage for repeated snapshots of
+// one golden machine: the destination system, its memory overlay and
+// one pipeline.SnapshotArena per core, grown when a larger machine
+// first snapshots into it. It must not be shared across goroutines.
+type SnapshotArena struct {
+	dst   System
+	cores []*pipeline.SnapshotArena
+}
+
+// NewSnapshotArena returns an empty arena; storage is grown on first
+// use and reused afterwards.
+func NewSnapshotArena() *SnapshotArena { return &SnapshotArena{} }
+
+// Snapshot returns a copy of s built inside the arena. The shared
+// memory is overlaid once (mem.Memory.OverlayInto, reusing the arena's
+// previous overlay), and every core is copied into its own
+// pipeline.SnapshotArena over that one overlay, so the copies share
+// memory exactly as s's cores do. s must stay immutable while the
+// snapshot is in use; the snapshot is valid until the next Snapshot on
+// the same arena.
+func (s *System) Snapshot(a *SnapshotArena) *System {
+	d := &a.dst
+	d.cfg = s.cfg
+	d.memory = s.memory.OverlayInto(d.memory)
+	for len(a.cores) < len(s.cores) {
+		a.cores = append(a.cores, pipeline.NewSnapshotArena())
+	}
+	d.cores = d.cores[:0]
+	for i, c := range s.cores {
+		d.cores = append(d.cores, c.CloneWith(d.memory, a.cores[i]))
+	}
+	return d
+}
+
+// SetCloneBaseline registers base's cores as the frozen delta-clone
+// anchors of s's, core by core (pipeline.Core.SetCloneBaseline). Both
+// machines must have the same shape and be frozen fork origins.
+func (s *System) SetCloneBaseline(base *System) {
+	for i, c := range s.cores {
+		c.SetCloneBaseline(base.cores[i])
+	}
+}
+
+// Digest is a machine's reconvergence fingerprint: one
+// pipeline.StateDigest per core. Each carries the shared memory's hash.
+type Digest []pipeline.StateDigest
+
+// CaptureDigest records every core's digest at the current cycle.
+func (s *System) CaptureDigest() Digest {
+	d := make(Digest, len(s.cores))
+	for i, c := range s.cores {
+		d[i] = c.CaptureDigest()
+	}
+	return d
+}
+
+// MatchesDigest reports whether every core provably matches its digest
+// in d (pipeline.Core.MatchesDigest). It allocates nothing.
+func (s *System) MatchesDigest(d Digest) bool {
+	for i, c := range s.cores {
+		if !c.MatchesDigest(&d[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Cycle returns the machine's cycle (cores are cycle-synchronous).
+func (s *System) Cycle() uint64 { return s.cores[0].Cycle() }
+
+// DetectorStats sums the cores' detector counters; a one-core machine
+// returns its core's without summing.
+func (s *System) DetectorStats() detect.Stats {
+	st := s.cores[0].DetectorStats()
+	for _, c := range s.cores[1:] {
+		st = st.Add(c.DetectorStats())
+	}
+	return st
+}
+
+// FaultsDeclared sums the faults the cores' detectors declared.
+func (s *System) FaultsDeclared() uint64 {
+	var n uint64
+	for _, c := range s.cores {
+		n += c.Stats().FaultsDeclared
+	}
+	return n
 }
 
 // ArchHash folds the shared memory and every hardware thread's live

@@ -23,7 +23,9 @@ func TestSystemRunsIndependentPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilCommits(5000, 2_000_000)
+	for s.Core(0).Committed(0) < 5000 && s.Cycle() < 2_000_000 {
+		s.Step()
+	}
 	if s.Core(0).Committed(0) < 5000 {
 		t.Fatalf("core 0 committed only %d", s.Core(0).Committed(0))
 	}
@@ -149,5 +151,70 @@ func TestSystemCloneIdenticalFuture(t *testing.T) {
 	c.Run(10_000)
 	if s.ArchHash() != h {
 		t.Fatal("running the clone mutated the original")
+	}
+}
+
+// TestSystemSnapshotIdenticalFuture: a snapshot's cores share one
+// overlay of the machine's memory, as the machine's own cores share
+// its memory, so a snapshot and a clone of the same machine step
+// through identical futures (AMOADD barriers included, which only a
+// shared memory keeps in step), and every core's digest of one matches
+// the other. Stepping the snapshot leaves the machine it came from
+// untouched.
+func TestSystemSnapshotIdenticalFuture(t *testing.T) {
+	programs := workload.OceanMP(prog.DefaultDataBase, 5, 4)
+	s, err := New(Config{Cores: 2, Core: pipeline.DefaultConfig(2)}, programs, func(int) detect.Detector {
+		return core.New(core.DefaultConfig())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(20_000)
+	h := s.ArchHash()
+	arena := NewSnapshotArena()
+	for round := 0; round < 2; round++ {
+		c, snap := s.Clone(), s.Snapshot(arena)
+		for i := 0; i < 30_000; i++ {
+			c.Step()
+			snap.Step()
+		}
+		if c.ArchHash() == h {
+			t.Fatalf("round %d: 30,000 cycles left the machine's state unchanged: the check is vacuous", round)
+		}
+		if snap.ArchHash() != c.ArchHash() || !snap.MatchesDigest(c.CaptureDigest()) {
+			t.Fatalf("round %d: the snapshot diverged from a clone under identical stepping", round)
+		}
+		if snap.DetectorStats() != c.DetectorStats() || snap.FaultsDeclared() != c.FaultsDeclared() {
+			t.Fatalf("round %d: the snapshot's detector counters differ from the clone's", round)
+		}
+	}
+	if s.ArchHash() != h {
+		t.Fatal("stepping a snapshot mutated the machine it came from")
+	}
+}
+
+// TestSystemDigestCoversEveryCore: a machine matches its own digest,
+// and a flip in an in-flight register of the last core, which no
+// memory word has seen yet, breaks the match.
+func TestSystemDigestCoversEveryCore(t *testing.T) {
+	programs := workload.OceanMP(prog.DefaultDataBase, 5, 4)
+	s, err := New(Config{Cores: 2, Core: pipeline.DefaultConfig(2)}, programs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(20_000)
+	d := s.CaptureDigest()
+	f := s.Snapshot(NewSnapshotArena())
+	if !f.MatchesDigest(d) {
+		t.Fatal("a snapshot does not match its origin's digest")
+	}
+	last := f.Core(f.Cores() - 1)
+	regs := last.InFlightDestRegs(nil)
+	if len(regs) == 0 {
+		t.Fatal("the last core holds no in-flight register: the check is vacuous")
+	}
+	last.FlipRegisterBit(regs[0], 5)
+	if f.MatchesDigest(d) {
+		t.Fatal("a flipped register of the last core still matches the digest")
 	}
 }
