@@ -50,11 +50,13 @@ report:
 # the quality report byte for byte, and diff clean against the
 # committed bundle; the one-worker order — the same re-simulation at
 # -workers 1 must reproduce the committed journal.jsonl too, which pins
-# that one worker runs the plan cell by cell, and it audits every early
-# exit against full-window simulation (-audit 1): its acceleration line
-# must show one audit per early exit and no violation, so the gate
-# proves the audit ran rather than trusting a clean exit; a validator
-# self-test —
+# that one worker runs the plan cell by cell, and it audits every run
+# decided without simulating its whole window against full-window
+# simulation (-audit 1): its acceleration line must show one audit per
+# early exit, decided run and deadlock, and no violation, so the gate
+# proves the audit ran rather than trusting a clean exit; the paper
+# audit — the paper's 84 campaign cells at -audit 1, with the same
+# check and at least one deadlock; a validator self-test —
 # a summary with a renamed required field must fail validation
 # (docs/CONTRACTS.md); and the paper gate — every committed table,
 # results_mp.txt included, regenerated at the experiments' scale, must
@@ -85,13 +87,7 @@ gates:
 	cmp /tmp/fh-gate-w1/journal.jsonl results/campaigns/reference-1k/journal.jsonl
 	cmp /tmp/fh-gate-w1/results.csv results/campaigns/reference-1k/results.csv
 	cmp /tmp/fh-gate-w1/summary.json results/campaigns/reference-1k/summary.json
-	@line=$$(grep '^acceleration:' /tmp/fh-gate-w1.log); echo "gates: $$line"; \
-	exits=$$(echo "$$line" | sed -n 's/.* early_exits=\([0-9]*\) .*/\1/p'); \
-	audits=$$(echo "$$line" | sed -n 's/.* audits=\([0-9]*\) .*/\1/p'); \
-	if [ -z "$$exits" ] || [ "$$exits" -eq 0 ] || [ "$$audits" != "$$exits" ] || \
-		! echo "$$line" | grep -q ' audit_violations=0$$'; then \
-		echo "gates: the one-worker run did not audit every early exit cleanly"; exit 1; \
-	fi
+	@$(call audited,/tmp/fh-gate-w1.log,0)
 	rm -rf /tmp/fh-gate-break && mkdir -p /tmp/fh-gate-break
 	cp results/campaigns/reference-1k/manifest.json results/campaigns/reference-1k/results.csv /tmp/fh-gate-break/
 	sed 's/"run_id"/"runid"/' results/campaigns/reference-1k/summary.json > /tmp/fh-gate-break/summary.json
@@ -99,6 +95,10 @@ gates:
 		echo "gates: injected schema break passed validation"; exit 1; \
 	fi
 	@echo "gates: injected schema break rejected"
+	rm -rf /tmp/fh-gate-audit && mkdir -p /tmp/fh-gate-audit
+	$(GO) run ./cmd/fhcampaign $(PAPER_AUDIT_FLAGS) -out /tmp/fh-gate-audit >/tmp/fh-gate-audit.log 2>&1 || \
+		{ cat /tmp/fh-gate-audit.log; exit 1; }
+	@$(call audited,/tmp/fh-gate-audit.log,1)
 	rm -rf /tmp/fh-gate-paper && mkdir -p /tmp/fh-gate-paper
 	$(GO) run ./cmd/faulthound $(PAPER_FLAGS) -csv /tmp/fh-gate-paper -json /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_all.txt
 	$(GO) run ./cmd/faulthound $(EXT_FLAGS) -csv /tmp/fh-gate-paper >/tmp/fh-gate-paper/results_ext.txt
@@ -108,6 +108,28 @@ gates:
 	cmp /tmp/fh-gate-paper/results_ext.txt results_ext.txt
 	cmp /tmp/fh-gate-paper/results_mp.txt results_mp.txt
 	for f in results/*.csv results/*.json; do cmp /tmp/fh-gate-paper/$${f#results/} $$f || exit 1; done
+
+# The paper's 84 campaign cells with the plan's descriptors, every
+# decided run audited (ROADMAP item 9): reference-1k holds one hang,
+# these cells hundreds, and the only PBFS and FH-BE-noLSQ cells.
+PAPER_AUDIT_FLAGS = -bench all -schemes faulthound,faulthound-backend,fh-be-nolsq,pbfs,pbfs-biased \
+	-injections 600 -workers 2 -audit 1
+
+# audited checks a campaign log's acceleration line: one audit for each
+# run decided without simulating its whole window (early exits, runs
+# decided at their injection instant, deadlocks), some early exits and
+# some decided runs, no violation and, when $(2) is 1, some deadlocks.
+audited = line=$$(grep '^acceleration:' $(1)); echo "gates: $$line"; \
+	field() { echo "$$line" | sed -n "s/.* $$1=\([0-9]*\) .*/\1/p"; }; \
+	exits=$$(field early_exits); decided=$$(field decided); \
+	deadlocks=$$(field deadlocks); audits=$$(field audits); \
+	if [ -z "$$exits" ] || [ -z "$$decided" ] || [ -z "$$deadlocks" ] || \
+		[ "$$exits" -eq 0 ] || [ "$$decided" -eq 0 ] || \
+		[ "$$audits" != "$$((exits + decided + deadlocks))" ] || \
+		{ [ $(2) -eq 1 ] && [ "$$deadlocks" -eq 0 ]; } || \
+		! echo "$$line" | grep -q ' audit_violations=0$$'; then \
+		echo "gates: $(1) did not audit every decided run cleanly"; exit 1; \
+	fi
 
 # Parallel, resumable fault-injection campaign with an artifact bundle.
 campaign:

@@ -16,9 +16,10 @@
 // the uninterrupted bundle byte for byte.
 //
 // With -audit p a local campaign re-simulates a seeded fraction p of
-// its early-exiting runs to the end of their window and fails on any
-// Result that differs; the end line reports the run's acceleration
-// counters (runs, early exits, fork-saved fraction, audits and
+// its runs decided without simulating their whole window to the end of
+// it and fails on any Result that differs; the end line reports the
+// run's acceleration counters (runs, early exits, runs decided at their
+// injection instant, deadlocks, fork-saved fraction, audits and
 // violations). Results never depend on p:
 //
 //	fhcampaign -resume results/campaigns/sweep1 -workers 1 -audit 1
@@ -82,7 +83,7 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "write a Perfetto trace.json of the run's injection lifecycle into this directory")
 		quick      = flag.Bool("quick", false, "scaled-down fault config for smoke testing")
 		verbose    = flag.Bool("v", false, "per-cell progress lines")
-		audit      = flag.Float64("audit", 0, "local campaigns: re-simulate this fraction of early-exiting runs to the end of their window and fail on any Result that differs (0 = none, 1 = all); results do not depend on it")
+		audit      = flag.Float64("audit", 0, "local campaigns: re-simulate this fraction of runs decided without simulating their whole window to the end of it and fail on any Result that differs (0 = none, 1 = all); results do not depend on it")
 
 		// Pareto search (docs/OPTIMIZE.md).
 		optimize   = flag.Bool("optimize", false, "run a Pareto search over the base schemes' parameters instead of a fixed campaign")
@@ -231,8 +232,8 @@ func main() {
 			secs(wallHist.Quantile(0.5)), secs(wallHist.Quantile(0.95)), secs(wallHist.Max()), n)
 	}
 	pf := tally.total()
-	fmt.Printf("acceleration: runs=%d early_exits=%d fork_saved_frac=%.3f audits=%d audit_violations=%d\n",
-		pf.Runs, pf.EarlyExits, pf.ForkSavedFrac(), pf.Audits, pf.AuditViolations)
+	fmt.Printf("acceleration: runs=%d early_exits=%d decided=%d deadlocks=%d fork_saved_frac=%.3f audits=%d audit_violations=%d\n",
+		pf.Runs, pf.EarlyExits, pf.Decided, pf.Deadlocks, pf.ForkSavedFrac(), pf.Audits, pf.AuditViolations)
 	if perf != nil {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal(err)

@@ -154,7 +154,8 @@ func TestPreparedReleased(t *testing.T) {
 }
 
 // TestEngineAudit: Engine.Audit reaches the local pool's workers. At
-// rate 1 every early exit of every cell is audited, with no violation,
+// rate 1 every early exit, decided run and deadlock of every cell is
+// audited, with no violation,
 // and the bundle is the unaudited run's.
 func TestEngineAudit(t *testing.T) {
 	spec, o := testSpec(t, 16)
@@ -181,9 +182,9 @@ func TestEngineAudit(t *testing.T) {
 	for _, p := range prepared {
 		pf = pf.Add(p.Perf())
 	}
-	if pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
-		t.Errorf("%d audits and %d violations over %d early exits, want one audit each and none",
-			pf.Audits, pf.AuditViolations, pf.EarlyExits)
+	if pf.EarlyExits == 0 || pf.Decided == 0 || pf.Audits != pf.EarlyExits+pf.Decided+pf.Deadlocks || pf.AuditViolations != 0 {
+		t.Errorf("%d audits and %d violations over %d early exits, %d decided runs and %d deadlocks, want one audit each and none",
+			pf.Audits, pf.AuditViolations, pf.EarlyExits, pf.Decided, pf.Deadlocks)
 	}
 	if !reflect.DeepEqual(got.Campaigns, want.Campaigns) {
 		t.Error("the audited run's results differ from the unaudited run's")

@@ -68,8 +68,9 @@ type Engine struct {
 	// Warnf receives non-fatal diagnostics (a truncated journal record
 	// skipped during resume); nil logs them to os.Stderr.
 	Warnf func(format string, args ...any)
-	// Audit is the fraction of early-exiting runs the local pool's
-	// workers re-check against full-window simulation
+	// Audit is the fraction of runs decided without simulating their
+	// whole window that the local pool's workers re-check against
+	// full-window simulation
 	// (fault.Worker.Audit); 0 audits none. It changes no Result and is
 	// not part of the spec, so it never reaches the manifest. Another
 	// executor (Exec) ignores it.

@@ -230,6 +230,11 @@ func (f *FaultHound) OnCommit(ev detect.Event) detect.Action {
 	return detect.Singleton
 }
 
+// CommitMutates implements detect.Detector. The clustered check is a
+// TCAM Probe, which only reads, and FH-BE-noLSQ returns at once; only
+// the no-cluster tables, which have no probe path, train at commit.
+func (f *FaultHound) CommitMutates() bool { return f.cfg.NoCluster && !f.cfg.NoLSQ }
+
 // SetLearnOnly implements detect.Detector: during a replay the filters
 // keep learning but triggers are ignored (Section 3.3).
 func (f *FaultHound) SetLearnOnly(on bool) {

@@ -133,6 +133,12 @@ type Detector interface {
 	// OnCommit checks an operand at commit (the LSQ check) and returns
 	// None or Singleton.
 	OnCommit(ev Event) Action
+	// CommitMutates reports whether OnCommit can change the detector's
+	// state beyond its Stats counters: whether a commit check can change
+	// what any later check returns. A detector whose commit check only
+	// probes its filters (or does nothing) reports false, and the
+	// pipeline's reconvergence digest then leaves its commit checks out.
+	CommitMutates() bool
 	// SetLearnOnly, while true, makes checks update the filters but
 	// never trigger (the pipeline sets this during replay, Section 3.3).
 	SetLearnOnly(on bool)

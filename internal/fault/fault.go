@@ -11,8 +11,10 @@
 package fault
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -295,6 +297,9 @@ type Prepared struct {
 	// at the end of the cycle that retired it — the extrapolation
 	// record an early-exiting run reads its final counters from.
 	endRecs map[uint64]endRec
+	// decided holds the runs prepare decided at their injection instant,
+	// sorted by SiteSeed (see decide). Empty without early exit.
+	decided []decision
 
 	perf perfCounters
 }
@@ -316,6 +321,102 @@ type endRec struct {
 	cycle uint64
 	det   detect.Stats
 	fd    uint64
+}
+
+// rule names the proof by which prepare decides a run at its injection
+// instant: the flip lands where nothing can ever read it, so the run is
+// the golden trace with one unobservable bit changed.
+type rule uint8
+
+const (
+	undecided rule = iota
+	// unnamed: a rename-table entry of an architectural register the
+	// victim thread's code never names (pipeline.Core.NamesReg).
+	unnamed
+	// dead: a physical register no in-flight operand or named rename
+	// entry references, free or held only by unnamed registers
+	// (pipeline.Core.RegDead).
+	dead
+	// unwritten: a physical register whose producer has not written
+	// back; the write-back overwrites the flip before any consumer can
+	// read it (pipeline.Core.RegUnwritten).
+	unwritten
+)
+
+// String names the rule, as the "decided" instant's Arg.
+func (r rule) String() string {
+	switch r {
+	case unnamed:
+		return "unnamed"
+	case dead:
+		return "dead"
+	case unwritten:
+		return "unwritten"
+	}
+	return "undecided"
+}
+
+// decision is one run prepare decided at its injection instant: the
+// descriptor, the rule, and the detector counters of its Result, whose
+// Outcome is Masked and which is never Detected. 24 bytes a run: the
+// counters are the golden trace's activity over the window in excess
+// of its background, a handful of checks at most, and a run whose
+// counters do not fit 16 bits is simply left undecided.
+type decision struct {
+	seed uint64 // the descriptor's SiteSeed, the sort key
+	idx  uint32 // the descriptor's index in injs
+	rule rule
+	// n holds Triggers, Suppressed, Replays, Rollbacks and Singletons.
+	n [5]uint16
+}
+
+// result returns the decided run's Result.
+func (d decision) result(inj Injection) Result {
+	return Result{
+		Injection:  inj,
+		Outcome:    Masked,
+		Triggers:   uint64(d.n[0]),
+		Suppressed: uint64(d.n[1]),
+		Replays:    uint64(d.n[2]),
+		Rollbacks:  uint64(d.n[3]),
+		Singletons: uint64(d.n[4]),
+	}
+}
+
+// decision returns the decision prepare made for inj. Only the drawn
+// descriptor itself matches, not another that shares its SiteSeed, so
+// a custom descriptor takes the simulated path.
+func (p *Prepared) decision(inj Injection) (decision, bool) {
+	i, _ := slices.BinarySearchFunc(p.decided, inj.SiteSeed, func(d decision, seed uint64) int {
+		return cmp.Compare(d.seed, seed)
+	})
+	for ; i < len(p.decided) && p.decided[i].seed == inj.SiteSeed; i++ {
+		if p.injs[p.decided[i].idx] == inj {
+			return p.decided[i], true
+		}
+	}
+	return decision{}, false
+}
+
+// setCounters sets res's detector counters: the activity from ds0 to
+// ds in excess of the golden background bg over the same commit range,
+// each clamped at zero.
+func (res *Result) setCounters(ds, ds0, bg detect.Stats) {
+	res.Triggers = sub(ds.Triggers-ds0.Triggers, bg.Triggers)
+	res.Suppressed = sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed)
+	res.Replays = sub(ds.Replays-ds0.Replays, bg.Replays)
+	res.Rollbacks = sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks)
+	res.Singletons = sub(ds.Singletons-ds0.Singletons, bg.Singletons)
+}
+
+// backgroundOver returns the golden run's detector activity between
+// clock commits from and to: the background a run over that range
+// subtracts, zero when to was never recorded.
+func (p *Prepared) backgroundOver(from, to uint64) detect.Stats {
+	if b1, ok := p.background[to]; ok {
+		return b1.Sub(p.background[from])
+	}
+	return detect.Stats{}
 }
 
 // digestCadence is how many cycles apart golden reconvergence digests
@@ -367,9 +468,10 @@ func oneCore(mk func() *pipeline.Core) func() *system.System {
 // prepare is Prepare with the replay acceleration spelled out: a
 // golden checkpoint every ckptEvery cycles (0: none, so every run
 // fast-forwards from the spread start) and, with early, the digests
-// reconvergence early exit matches against. Results do not depend on
-// either; the tests prepare without them for the reference the
-// accelerated runs must reproduce bit for bit.
+// reconvergence early exit matches against, the runs decided at their
+// injection instant (decide) and the deadlock rule. Results do not
+// depend on either; the tests prepare without them for the reference
+// the accelerated runs must reproduce bit for bit.
 func prepare(mk func() *system.System, cfg Config, ckptEvery uint64, early bool) (*Prepared, error) {
 	golden := mk()
 	golden.WarmDetectors(cfg.DetectorWarmupInstr)
@@ -469,9 +571,30 @@ func prepare(mk func() *system.System, cfg Config, ckptEvery uint64, early bool)
 			p.ckpts = append(p.ckpts, ck)
 		}
 	}
+	// With early, the trace reaches every descriptor's injection instant
+	// on the way through the spread: order lists the descriptors by
+	// cycle offset, and at each offset the trace draws their sites.
+	var order []uint32
+	var pend []pending
+	var sc siteScratch
+	if early {
+		order = make([]uint32, len(p.injs))
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		slices.SortFunc(order, func(a, b uint32) int {
+			return cmp.Compare(p.injs[a].CycleOffset, p.injs[b].CycleOffset)
+		})
+	}
 	ds0 := gold.DetectorStats()
 	commits0 := clock.Committed(0)
-	for i := uint64(0); i < cfg.SpreadCycles; i++ {
+	for off := uint64(0); off < cfg.SpreadCycles; off++ {
+		for ; len(order) > 0 && p.injs[order[0]].CycleOffset == off; order = order[1:] {
+			if r := drawSite(gold, p.injs[order[0]], &sc).unread(gold); r != undecided {
+				pend = append(pend, pending{idx: order[0], rule: r,
+					injCount: clock.Committed(0), ds0: gold.DetectorStats(), fd0: gold.FaultsDeclared()})
+			}
+		}
 		step()
 	}
 	maxInjCount := clock.Committed(0)
@@ -486,7 +609,54 @@ func prepare(mk func() *system.System, cfg Config, ckptEvery uint64, early bool)
 	if commits := clock.Committed(0) - commits0; commits > 0 {
 		p.fpRate = float64(actions(ds)-actions(ds0)) / float64(commits)
 	}
+	p.decide(pend)
 	return p, nil
+}
+
+// pending is a run whose flip the trace found unreadable at its
+// injection instant, with what its Result needs from that instant: the
+// clock's commits and the detectors' counters and faults declared.
+type pending struct {
+	idx      uint32
+	rule     rule
+	injCount uint64
+	ds0      detect.Stats
+	fd0      uint64
+}
+
+// decide stores the Results of the pending runs once the trace has
+// recorded their windows' ends. Such a run is the golden trace with one
+// bit no reader can observe, so its Result is what an early exit at
+// the injection cycle builds: Masked, with the golden counters at the
+// target commit (endRecs) less those at the flip and less the
+// background. It takes the early exit's precondition (canEarly in
+// RunOne): the golden trace retires the target within the watchdog. It
+// also needs the golden trace to declare no fault over the window, so
+// the run is not Detected and has no detection latency.
+func (p *Prepared) decide(pend []pending) {
+	p.decided = make([]decision, 0, len(pend))
+	for _, d := range pend {
+		inj := p.injs[d.idx]
+		target := d.injCount + p.cfg.WindowInstr
+		er, ok := p.endRecs[target]
+		if !ok || er.cycle-(p.baseCycle+inj.CycleOffset) > p.cfg.MaxCyclesPerRun || er.fd != d.fd0 {
+			continue
+		}
+		var res Result
+		res.setCounters(er.det, d.ds0, p.backgroundOver(d.injCount, target))
+		dec := decision{seed: inj.SiteSeed, idx: d.idx, rule: d.rule}
+		fits := true
+		for i, n := range [...]uint64{res.Triggers, res.Suppressed, res.Replays, res.Rollbacks, res.Singletons} {
+			fits = fits && n <= 0xffff
+			dec.n[i] = uint16(n)
+		}
+		if fits {
+			p.decided = append(p.decided, dec)
+		}
+	}
+	slices.SortFunc(p.decided, func(a, b decision) int {
+		return cmp.Or(cmp.Compare(a.seed, b.seed), cmp.Compare(a.idx, b.idx))
+	})
 }
 
 // Config returns the campaign configuration.
@@ -514,11 +684,12 @@ type Worker struct {
 	arena *system.SnapshotArena
 	sites siteScratch
 	sink  obs.Sink
-	// Audit is the fraction of early-exiting runs, in [0, 1], that the
-	// worker re-checks against full-window simulation (see RunOne). It
-	// is a property of the worker, not of the campaign: it never
-	// reaches a Config, a spec hash or a manifest, and no Result
-	// depends on it. Zero, the default, audits nothing.
+	// Audit is the fraction of runs decided without simulating their
+	// whole window, in [0, 1], that the worker re-checks against
+	// full-window simulation (see RunOne). It is a property of the
+	// worker, not of the campaign: it never reaches a Config, a spec
+	// hash or a manifest, and no Result depends on it. Zero, the
+	// default, audits nothing.
 	Audit float64
 }
 
@@ -528,8 +699,12 @@ type Worker struct {
 // from a golden checkpoint, an instant per detector action in the
 // window ("replay", "rollback", "singleton"), a "detect" instant at the
 // first such action (Arg = the action kind), from which sinks derive
-// detection latency in cycles, and an "early-exit" instant on
-// reconvergence. The action instants come from the detectors'
+// detection latency in cycles, an "early-exit" instant on
+// reconvergence (Arg = the window cycles it saved) and a "deadlock"
+// instant at a provable deadlock (Arg = the window cycles not
+// simulated). A run decided at its injection instant emits "inject",
+// then "decided" (Arg = the rule: "unnamed", "dead" or "unwritten"),
+// and nothing else. The action instants come from the detectors'
 // counters, compared after every window step; no tracer is attached to
 // the cores.
 // A nil sink disables them; the disabled path costs one pointer test.
@@ -539,20 +714,27 @@ func NewWorker(sink obs.Sink) *Worker {
 
 // Perf aggregates the replay-acceleration effect over every run so far
 // on one Prepared: how much pre-injection fast-forwarding checkpoint
-// forking removed and how many runs reconvergence early-exit cut
-// short.
+// forking removed, and how many runs each rule decided without
+// simulating their whole window.
 type Perf struct {
 	// Runs is the number of completed (uncancelled) injection runs.
 	Runs uint64
-	// EarlyExits counts runs classified by reconvergence early-exit.
+	// EarlyExits counts runs classified by reconvergence early-exit at
+	// a golden digest check.
 	EarlyExits uint64
+	// Decided counts runs decided at their injection instant, without a
+	// fork; Deadlocks counts runs classified Hung at a provable deadlock
+	// instead of at the watchdog.
+	Decided, Deadlocks uint64
 	// ForkCyclesSaved is the total pre-injection cycles not simulated
 	// because runs forked from a checkpoint; OffsetCycles is the total
-	// they would have simulated from the spread start.
+	// they would have simulated from the spread start. Decided runs add
+	// to neither.
 	ForkCyclesSaved uint64
 	OffsetCycles    uint64
-	// Audits counts early-exiting runs re-simulated to the end of their
-	// window by a Worker's audit; AuditViolations counts those whose
+	// Audits counts runs decided without simulating their whole window
+	// (early exits, decided runs and deadlocks) that a Worker's audit
+	// re-simulated to the end of it; AuditViolations counts those whose
 	// full-window Result differed (each failed its run).
 	Audits          uint64
 	AuditViolations uint64
@@ -564,6 +746,8 @@ func (pf Perf) Add(o Perf) Perf {
 	return Perf{
 		Runs:            pf.Runs + o.Runs,
 		EarlyExits:      pf.EarlyExits + o.EarlyExits,
+		Decided:         pf.Decided + o.Decided,
+		Deadlocks:       pf.Deadlocks + o.Deadlocks,
 		ForkCyclesSaved: pf.ForkCyclesSaved + o.ForkCyclesSaved,
 		OffsetCycles:    pf.OffsetCycles + o.OffsetCycles,
 		Audits:          pf.Audits + o.Audits,
@@ -594,6 +778,8 @@ func (pf Perf) ForkSavedFrac() float64 {
 type perfCounters struct {
 	runs            atomic.Uint64
 	earlyExits      atomic.Uint64
+	decided         atomic.Uint64
+	deadlocks       atomic.Uint64
 	forkCyclesSaved atomic.Uint64
 	offsetCycles    atomic.Uint64
 	audits          atomic.Uint64
@@ -606,6 +792,8 @@ func (p *Prepared) Perf() Perf {
 	return Perf{
 		Runs:            p.perf.runs.Load(),
 		EarlyExits:      p.perf.earlyExits.Load(),
+		Decided:         p.perf.decided.Load(),
+		Deadlocks:       p.perf.deadlocks.Load(),
 		ForkCyclesSaved: p.perf.forkCyclesSaved.Load(),
 		OffsetCycles:    p.perf.offsetCycles.Load(),
 		Audits:          p.perf.audits.Load(),
@@ -657,24 +845,42 @@ func emitActions(sink obs.Sink, cycle uint64, was, now detect.Stats, first bool)
 	}
 }
 
+// ending is how a run's window stopped.
+type ending uint8
+
+const (
+	// simulated: at the target commit, the hang watchdog or a halt.
+	simulated ending = iota
+	// reconverged: at a golden digest the machine matched.
+	reconverged
+	// deadlocked: at a provable deadlock (system.System.Quiescent).
+	deadlocked
+)
+
 // RunOne executes one injection on w: it forks a faulty machine off
 // the golden trace into w's arena (from the nearest checkpoint at or
 // before the injection cycle), advances to the injection cycle, flips
-// the bit in the victim core, runs the window, and classifies — exiting
-// the window early when the faulty state provably reconverges with the
-// recorded golden trace.
+// the bit in the victim core, runs the window, and classifies.
 // Every Prepared field it reads is immutable and the fork is w's
 // private state, so any number of goroutines may call RunOne on one
 // Prepared concurrently, each with its own Worker.
 //
-// An early exit rests on a proof, not on simulation, so a Worker with
-// a nonzero Audit rate re-checks a seeded share of them: an audited
-// early exit keeps stepping the same machine to the end of the window
-// (or the watchdog, or a halt) with early exit off and classifies it
-// the legacy way. Both Results come from one classify step, and they
-// must be identical field for field, DetectLatency included. A
-// mismatch counts in Perf.AuditViolations and fails the run with an
-// *AuditError that carries both.
+// Three rules decide a run from the golden trace without simulating
+// the rest of its window. A run prepare decided at its injection
+// instant (decide) returns its stored Result without a fork. A run
+// that provably rejoins the golden trajectory at a digest check exits
+// early, Masked. A run that reaches a provable deadlock is classified
+// Hung at once: its counters are final.
+//
+// Those rules rest on proofs, not on simulation, so a Worker with a
+// nonzero Audit rate re-checks a seeded share of the runs they decide:
+// an audited early exit or deadlock keeps stepping the same machine to
+// the end of the window (or the watchdog, or a halt), and an audited
+// decided run is forked and simulated in full. Each is classified the
+// legacy way, by the same classify step, and the two Results must be
+// identical field for field, DetectLatency included. A mismatch counts
+// in Perf.AuditViolations and fails the run with an *AuditError that
+// carries both.
 //
 // The run polls ctx every cancelPollSteps simulated cycles and aborts
 // mid-injection with ctx.Err() instead of running out the window (or
@@ -682,6 +888,21 @@ func emitActions(sink obs.Sink, cycle uint64, was, now detect.Stats, first bool)
 // on ctx, w, or w's history.
 func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result, error) {
 	cfg, sink := p.cfg, w.sink
+	audit := w.Audit > 0 && auditDraw(inj) < w.Audit
+	dec, decided := p.decision(inj)
+	if decided {
+		if sink != nil {
+			cyc := p.baseCycle + inj.CycleOffset
+			obs.Instant(sink, "inject", cyc, inj.Structure.String())
+			obs.Instant(sink, "decided", cyc, dec.rule.String())
+		}
+		if !audit {
+			p.perf.decided.Add(1)
+			p.perf.runs.Add(1)
+			return dec.result(inj), nil
+		}
+		sink = nil // the audit simulates silently
+	}
 
 	// Fork from the nearest golden checkpoint at or before the
 	// injection cycle: the fast-forward shrinks from O(CycleOffset) to
@@ -755,8 +976,8 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// (er.cycle-start is exactly the legacy loop's completion-cycle
 	// test). Then matching a golden digest proves the rest of the
 	// window replays the golden trace: the hash comparison at target
-	// must come out equal (Masked) and the final counters are the
-	// golden trace's own, recorded in er.
+	// must come out equal (Masked), and the detectors add the golden
+	// trace's increments from the digest to er.
 	er, erOK := endRec{}, false
 	if p.digestEvery != 0 {
 		er, erOK = p.endRecs[target]
@@ -771,28 +992,32 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 	// a delayed check fires with the identical result.
 	nextIdx, stride := uint64(0), uint64(1)
 	// window steps the faulty machine until the window's target commit,
-	// the hang watchdog or a halt. With early it also stops at the
-	// first golden digest the machine matches, and reports that it did.
-	window := func(early bool) (bool, error) {
+	// the hang watchdog or a halt. With accel it also stops at the first
+	// golden digest the machine matches and at a provable deadlock, and
+	// reports which, with the digest.
+	window := func(accel bool) (ending, *digestRec, error) {
 		for !done {
 			cyc := f.Cycle()
 			if cyc-start >= cfg.MaxCyclesPerRun || f.AllHalted() {
 				break
 			}
 			if err := pollCancel(ctx, cyc-start); err != nil {
-				return false, err
+				return simulated, nil, err
 			}
-			if early && (cyc-p.baseCycle)%p.digestEvery == 0 {
+			if accel && canEarly && (cyc-p.baseCycle)%p.digestEvery == 0 {
 				if idx := (cyc - p.baseCycle) / p.digestEvery; idx >= nextIdx && idx < uint64(len(p.digests)) {
 					rec := &p.digests[idx]
-					if f.DetectorStats() == rec.det && f.FaultsDeclared() == rec.fd && f.MatchesDigest(rec.pd) {
-						return true, nil
+					if f.MatchesDigest(rec.pd) {
+						return reconverged, rec, nil
 					}
 					nextIdx = idx + stride
 					if stride < 16 {
 						stride <<= 1
 					}
 				}
+			}
+			if accel && f.Quiescent() {
+				return deadlocked, nil, nil
 			}
 			f.Step()
 			if stepStats != nil && (firstAction == 0 || sink != nil) {
@@ -808,44 +1033,36 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 				}
 			}
 		}
-		return false, nil
+		return simulated, nil, nil
 	}
 
 	// The golden run's background detector activity over the run's
 	// commit range, which the Result's counters exclude so they reflect
 	// fault-attributable work.
-	var bg detect.Stats
-	if b1, ok := p.background[target]; ok {
-		bg = b1.Sub(p.background[injCount])
-	}
+	bg := p.backgroundOver(injCount, target)
 	// classify builds the Result of the window stepped so far. A run
-	// that early exited (early) matched the golden digest counters
-	// exactly, so it takes its final counters from the golden trace's
-	// end-of-window record er, and its outcome is Masked: the rest of
-	// its trajectory is the golden trace's, whose hash at target equals
-	// goldenHash[target] by construction, and which neither excepts nor
-	// hangs in the window (Prepare errors out otherwise).
-	classify := func(early bool) Result {
+	// that reconverged at golden digest rec (non-nil) is Masked: the
+	// rest of its trajectory is the golden trace's, whose hash at
+	// target equals goldenHash[target] by construction, and which
+	// neither excepts nor hangs in the window (Prepare errors out
+	// otherwise). Its detectors, in golden's state, add golden's
+	// increments from rec to er, field by field (mod 2^64), to what
+	// they hold now; so do its faults declared. A deadlocked run's
+	// counters are already final.
+	classify := func(rec *digestRec) Result {
 		ds, fd := f.DetectorStats(), f.FaultsDeclared()
-		if early {
-			ds, fd = er.det, er.fd
+		if rec != nil {
+			ds, fd = er.det.Sub(rec.det).Add(ds), er.fd-rec.fd+fd
 		}
-		res := Result{
-			Injection:  inj,
-			Triggers:   sub(ds.Triggers-ds0.Triggers, bg.Triggers),
-			Suppressed: sub(ds.Suppressed-ds0.Suppressed, bg.Suppressed),
-			Replays:    sub(ds.Replays-ds0.Replays, bg.Replays),
-			Rollbacks:  sub(ds.Rollbacks-ds0.Rollbacks, bg.Rollbacks),
-			Singletons: sub(ds.Singletons-ds0.Singletons, bg.Singletons),
-			Detected:   fd > fd0,
-		}
+		res := Result{Injection: inj, Detected: fd > fd0}
+		res.setCounters(ds, ds0, bg)
 		if res.Detected && firstAction != 0 {
 			res.DetectLatency = firstAction - start
 		}
 		exc, _ := f.AnyExcepted()
 		want, ok := p.hashes[target]
 		switch {
-		case early:
+		case rec != nil:
 			res.Outcome = Masked
 		case exc:
 			res.Outcome = Noisy
@@ -859,32 +1076,52 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 		return res
 	}
 
-	earlyExit, err := window(canEarly)
+	end, rec, err := window(p.digestEvery != 0 && !decided)
 	if err != nil {
 		return Result{}, err
 	}
-	if earlyExit && sink != nil {
-		obs.Instant(sink, "early-exit", f.Cycle(), strconv.FormatUint(er.cycle-f.Cycle(), 10))
+	if sink != nil {
+		switch end {
+		case reconverged:
+			obs.Instant(sink, "early-exit", f.Cycle(), strconv.FormatUint(er.cycle-f.Cycle(), 10))
+		case deadlocked:
+			obs.Instant(sink, "deadlock", f.Cycle(), strconv.FormatUint(cfg.MaxCyclesPerRun-(f.Cycle()-start), 10))
+		}
 	}
-	res := classify(earlyExit)
-	// The audit: an audited early exit keeps stepping the same machine
-	// to the end of the window with early exit off, classifies it the
-	// legacy way, and must arrive at the identical Result.
-	if earlyExit && w.Audit > 0 && auditDraw(inj) < w.Audit {
-		if _, err := window(false); err != nil {
-			return Result{}, err
+	res := classify(rec)
+	// The audit: an audited early exit or deadlock keeps stepping the
+	// same machine to the end of the window with every rule off, and an
+	// audited decided run has just simulated its whole window; each
+	// classifies it the legacy way and must arrive at the decided
+	// Result.
+	if decided || (end != simulated && audit) {
+		full := res
+		if decided {
+			res = dec.result(inj)
+		} else {
+			if _, _, err := window(false); err != nil {
+				return Result{}, err
+			}
+			full = classify(nil)
 		}
 		p.perf.audits.Add(1)
-		if full := classify(false); full != res {
+		if full != res {
 			p.perf.auditViolations.Add(1)
 			return Result{}, &AuditError{Early: res, Full: full}
 		}
 	}
 
-	p.perf.forkCyclesSaved.Add(forkOff)
-	p.perf.offsetCycles.Add(inj.CycleOffset)
-	if earlyExit {
+	switch {
+	case decided:
+		p.perf.decided.Add(1)
+	case end == reconverged:
 		p.perf.earlyExits.Add(1)
+	case end == deadlocked:
+		p.perf.deadlocks.Add(1)
+	}
+	if !decided {
+		p.perf.forkCyclesSaved.Add(forkOff)
+		p.perf.offsetCycles.Add(inj.CycleOffset)
 	}
 	// Runs last: a Perf that counts this run counts all of its
 	// counters, so one read once Runs covers every descriptor is final.
@@ -893,8 +1130,8 @@ func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result
 }
 
 // auditDraw maps a descriptor to a point in [0, 1) by a hash of its
-// SiteSeed. A Worker audits an early-exiting run when the point falls
-// below its rate, so the same runs are audited at any worker count and
+// SiteSeed. A Worker audits a decided run when the point falls below
+// its rate, so the same runs are audited at any worker count and
 // across resume.
 func auditDraw(inj Injection) float64 {
 	x := inj.SiteSeed ^ 0x9e3779b97f4a7c15
@@ -906,15 +1143,16 @@ func auditDraw(inj Injection) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// AuditError is an audit violation: an audited run's early-exit Result
-// differs from the Result of the same run simulated to the end of its
-// window.
+// AuditError is an audit violation: the Result of an audited run
+// decided without simulating its whole window (an early exit, a run
+// decided at its injection instant or a deadlock) differs from the
+// Result of the same run simulated to the end of its window.
 type AuditError struct {
 	Early, Full Result
 }
 
 func (e *AuditError) Error() string {
-	return fmt.Sprintf("fault: audit violation on injection %+v: early exit gave %+v, the full window %+v",
+	return fmt.Sprintf("fault: audit violation on injection %+v: the decision gave %+v, the full window %+v",
 		e.Early.Injection, e.Early, e.Full)
 }
 
@@ -922,46 +1160,64 @@ func (e *AuditError) Error() string {
 // hook).
 var noopInjections = false
 
-// siteScratch holds applyInjection's candidate lists between runs, so
-// a Worker's runs that draw among in-flight registers or LSQ entries
-// stop allocating once the lists have grown.
+// siteScratch holds drawSite's candidate lists between draws, so a
+// Worker's runs (and a preparation's decisions) that draw among
+// in-flight registers or LSQ entries stop allocating once the lists
+// have grown.
 type siteScratch struct {
 	regs []uint16
 	lsq  []pipeline.LSQSite
 }
 
-// applyInjection flips the descriptor's bit in the live structure of
-// the victim core. A multicore machine's victim is drawn from the
-// SiteSeed by an RNG of its own, so the site draw below is the same on
-// every machine; a one-core machine's victim is its core. When the
-// preferred structure has no live site (an empty LSQ), the fault falls
-// back to the register file, keeping the campaign size fixed. The
-// candidate lists are built in sc's storage.
+// site is one drawn injection site: the victim core and, in it, the
+// rename-table entry, LSQ field or physical register the flip lands in.
+type site struct {
+	core int
+	// at is where the flip lands: RegFile for an LSQ descriptor that
+	// found no live LSQ entry.
+	at    Structure
+	reg   isa.Reg          // RenameTable: thread 0's entry of reg
+	lsq   pipeline.LSQSite // LSQ
+	field pipeline.LSQField
+	phys  uint16 // RegFile
+}
+
+// applyInjection flips the descriptor's bit at its site in s.
 func applyInjection(s *system.System, inj Injection, sc *siteScratch) {
 	if noopInjections {
 		return
 	}
-	c := s.Core(0)
+	drawSite(s, inj, sc).flip(s, inj.Bit)
+}
+
+// drawSite draws the descriptor's site in the live structures of s,
+// reading them only, so prepare draws on the golden trace exactly the
+// site RunOne flips in the fork. A multicore machine's victim core is
+// drawn from the SiteSeed by an RNG of its own, so the site draw below
+// is the same on every machine; a one-core machine's victim is its
+// core. When the preferred structure has no live site (an empty LSQ),
+// the fault falls back to the register file, keeping the campaign size
+// fixed. The candidate lists are built in sc's storage.
+func drawSite(s *system.System, inj Injection, sc *siteScratch) site {
+	var st site
 	if n := s.Cores(); n > 1 {
-		c = s.Core(stats.NewRNG(inj.SiteSeed ^ 0xc0e).Intn(n))
+		st.core = stats.NewRNG(inj.SiteSeed ^ 0xc0e).Intn(n)
 	}
+	c := s.Core(st.core)
 	rng := stats.NewRNG(inj.SiteSeed)
 	switch inj.Structure {
 	case RenameTable:
 		// Architectural registers r1..r47 (never the zero register).
-		r := isa.Reg(1 + rng.Intn(isa.NumArchRegs-1))
-		c.FlipRATBit(0, r, inj.Bit)
-		return
+		st.at, st.reg = RenameTable, isa.Reg(1+rng.Intn(isa.NumArchRegs-1))
+		return st
 	case LSQ:
 		sc.lsq = c.LSQSites(sc.lsq)
 		if n := len(sc.lsq); n > 0 {
-			site := sc.lsq[rng.Intn(n)]
-			field := pipeline.LSQAddr
-			if site.IsStore && rng.Bool(0.5) {
-				field = pipeline.LSQData
+			st.at, st.lsq, st.field = LSQ, sc.lsq[rng.Intn(n)], pipeline.LSQAddr
+			if st.lsq.IsStore && rng.Bool(0.5) {
+				st.field = pipeline.LSQData
 			}
-			c.FlipLSQBit(site, field, inj.Bit)
-			return
+			return st
 		}
 		// fall through to the register file
 	}
@@ -970,12 +1226,45 @@ func applyInjection(s *system.System, inj Injection, sc *siteScratch) {
 	// registers are overwritten at the next allocation and classify as
 	// masked. The InFlight share emulates back-end datapath faults by
 	// targeting live in-flight destination values instead.
+	st.at = RegFile
 	if inj.InFlight {
 		sc.regs = c.InFlightDestRegs(sc.regs)
 		if n := len(sc.regs); n > 0 {
-			c.FlipRegisterBit(sc.regs[rng.Intn(n)], inj.Bit)
-			return
+			st.phys = sc.regs[rng.Intn(n)]
+			return st
 		}
 	}
-	c.FlipRegisterBit(uint16(1+rng.Intn(c.PhysRegs()-1)), inj.Bit)
+	st.phys = uint16(1 + rng.Intn(c.PhysRegs()-1))
+	return st
+}
+
+// flip flips bit at the site.
+func (st site) flip(s *system.System, bit uint) {
+	c := s.Core(st.core)
+	switch st.at {
+	case RenameTable:
+		c.FlipRATBit(0, st.reg, bit)
+	case LSQ:
+		c.FlipLSQBit(st.lsq, st.field, bit)
+	default:
+		c.FlipRegisterBit(st.phys, bit)
+	}
+}
+
+// unread returns the rule by which a flip at the site in s's current
+// state can never be read, or undecided. LSQ entries are never decided
+// here: the commit check reads them.
+func (st site) unread(s *system.System) rule {
+	c := s.Core(st.core)
+	switch {
+	case st.at == RenameTable && !c.NamesReg(0, st.reg):
+		return unnamed
+	case st.at != RegFile:
+		return undecided
+	case c.RegUnwritten(st.phys):
+		return unwritten
+	case c.RegDead(st.phys):
+		return dead
+	}
+	return undecided
 }

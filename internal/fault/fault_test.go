@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -233,9 +234,10 @@ func TestStructureAndOutcomeStrings(t *testing.T) {
 // Worker with a live sink reproduces the results of a fresh, uninstru-
 // mented Worker per injection (a nil sink and a live sink must not
 // diverge), and the sink sees each run's "inject" instant with the
-// injection's cycle and structure. When the run is detected, the
-// one-time "detect" instant must carry the cycle of the first detector
-// action.
+// injection's cycle and structure. A run decided at its injection
+// instant emits "inject", then "decided" with its rule, and nothing
+// else. When the run is detected, the one-time "detect" instant must
+// carry the cycle of the first detector action.
 func TestRunOneObsLifecycle(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Injections = 24
@@ -247,7 +249,7 @@ func TestRunOneObsLifecycle(t *testing.T) {
 	want := runAll(t, p, false)
 	var c obs.Collector
 	w := NewWorker(&c)
-	sawDetect := false
+	sawDetect, sawDecided := false, false
 	for i, inj := range p.Injections() {
 		seen := len(c.Events())
 		got, err := p.RunOne(context.Background(), inj, w)
@@ -265,6 +267,12 @@ func TestRunOneObsLifecycle(t *testing.T) {
 		if injectCycle < cfg.WarmupCycles || evs[0].Arg != inj.Structure.String() {
 			t.Fatalf("inject instant %+v does not match injection %+v", evs[0], inj)
 		}
+		if d, ok := p.decision(inj); ok {
+			sawDecided = true
+			if len(evs) != 2 || evs[1].Name != "decided" || evs[1].Arg != d.rule.String() || evs[1].Cycle != injectCycle {
+				t.Fatalf("decided run %+v emitted %+v, want inject, then decided %q", inj, evs, d.rule)
+			}
+		}
 		var detects int
 		for _, ev := range evs[1:] {
 			if ev.Name == "detect" {
@@ -281,5 +289,46 @@ func TestRunOneObsLifecycle(t *testing.T) {
 	}
 	if !sawDetect {
 		t.Log("no injection was detected in this draw (latency path unexercised)")
+	}
+	if !sawDecided {
+		t.Error("no run was decided at its injection instant: the decided path is unexercised")
+	}
+}
+
+// TestPerfAddSumsEveryField: Perf.Add sums every counter, so a field
+// added to Perf and forgotten in Add fails here.
+func TestPerfAddSumsEveryField(t *testing.T) {
+	var a, b Perf
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestQuiescentNeverFiresFaultFree: the deadlock predicate never holds
+// along a fault-free window — on a warmed core of every Table-1 kernel,
+// baseline and FaultHound, checked before every step of a window as
+// RunOne checks it.
+func TestQuiescentNeverFiresFaultFree(t *testing.T) {
+	fh := core.DefaultConfig()
+	for _, bm := range workload.All() {
+		for _, det := range []*core.Config{nil, &fh} {
+			c := mkCore(t, bm.Name, det)()
+			c.WarmDetector(50_000)
+			c.Run(2000)
+			for i := 0; i < 3000 && !c.AllHalted(); i++ {
+				if c.Quiescent() {
+					t.Fatalf("%s (detector %v): quiescent at cycle %d of a fault-free window", bm.Name, det != nil, c.Cycle())
+				}
+				c.Step()
+			}
+		}
 	}
 }

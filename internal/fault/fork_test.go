@@ -69,6 +69,24 @@ func unnamedSites(t *testing.T, bench string, off uint64) []Injection {
 	}
 }
 
+// ruleSite is a custom descriptor that must take one of RunOne's
+// rules: "early-exit" or "deadlock". Custom descriptors are never
+// decided at their injection instant (only drawn ones are), so they
+// exercise the simulated path's rules.
+type ruleSite struct {
+	inj  Injection
+	rule string
+}
+
+// earlyExits marks descriptors that must exit early.
+func earlyExits(injs ...Injection) []ruleSite {
+	out := make([]ruleSite, len(injs))
+	for i, inj := range injs {
+		out[i] = ruleSite{inj, "early-exit"}
+	}
+	return out
+}
+
 // TestCheckpointForkEquivalence sweeps the checkpoint cadence × early
 // exit and asserts every Result — outcome, hang flag, detection flag,
 // all five background-subtracted detector counters and the detection
@@ -76,25 +94,44 @@ func unnamedSites(t *testing.T, bench string, off uint64) []Injection {
 // and a detector-less baseline cell on bzip2, a FaultHound cell on a
 // generated program, whose register usage differs from the kernels',
 // and a 2-core parallel Ocean machine with FaultHound on every core.
-// Each single-core cell also runs two descriptors that flip an unnamed
-// register (unnamedSites); with early exit on, both must exit early.
-// Those are drawn against one kernel's code, so the machine has none.
+// With early exit on, preparation decides drawn runs at their
+// injection instant, and at Prepare's own setting every rule
+// (unnamed, dead, unwritten) must decide at least one of them.
+// Each cell also runs custom descriptors that must take a rule:
+//   - on the single-core cells, two that flip an unnamed register
+//     (unnamedSites) and exit early at the first digest check; they are
+//     drawn against one kernel's code, so the machine has none;
+//   - on the FaultHound cells, an LSQ flip whose commit probe
+//     triggers and is suppressed: it exits early only because the
+//     digest leaves probe-only commit checks out and carries the
+//     counters across as offsets;
+//   - on the baseline and generated cells, a rename flip that hangs
+//     and must end at a provable deadlock. The bzip2 FaultHound cell
+//     and the 2-core machine hold none: searches of 40,000 and 6,000
+//     rename flips found no deadlock there (FaultHound's rollbacks
+//     rescue most, and the machine's hangs keep acting).
 func TestCheckpointForkEquivalence(t *testing.T) {
 	fh := core.DefaultConfig()
 	cells := []struct {
 		name  string
 		mk    func() *system.System
 		cfg   Config
-		sites []Injection
-		// minEarly floors the early exits at ckpt=64 with early exit:
-		// half of today's 73 (FaultHound), 64 (baseline) and 71
-		// (generated) of 80 runs, and 46 of the machine's 60.
-		minEarly uint64
+		sites []ruleSite
+		// minDecided floors the early exits plus decided runs at ckpt=64
+		// with early exit: half of today's 17+57=74 (FaultHound), 6+58=64
+		// (baseline) and 3+70=73 (generated) of 80 runs, and 16+35=51 of
+		// the machine's 60.
+		minDecided uint64
 	}{
-		{"faulthound", oneCore(mkCore(t, "bzip2", &fh)), smallConfig(), unnamedSites(t, "bzip2", 200), 37},
-		{"baseline", oneCore(mkCore(t, "bzip2", nil)), smallConfig(), unnamedSites(t, "bzip2", 200), 32},
-		{"generated", oneCore(mkCore(t, "gen?vlocal=0.5", &fh)), smallConfig(), unnamedSites(t, "gen?vlocal=0.5", 200), 36},
-		{"2-core", mkSystem(t, true), mpConfig(), nil, 23},
+		{"faulthound", oneCore(mkCore(t, "bzip2", &fh)), smallConfig(), append(earlyExits(unnamedSites(t, "bzip2", 200)...),
+			ruleSite{Injection{Structure: LSQ, CycleOffset: 114, Bit: 26, SiteSeed: 0x13c6e}, "early-exit"}), 37},
+		{"baseline", oneCore(mkCore(t, "bzip2", nil)), smallConfig(), append(earlyExits(unnamedSites(t, "bzip2", 200)...),
+			ruleSite{Injection{Structure: RenameTable, CycleOffset: 149, Bit: 27, SiteSeed: 0x45381}, "deadlock"}), 32},
+		{"generated", oneCore(mkCore(t, "gen?vlocal=0.5", &fh)), smallConfig(), append(earlyExits(unnamedSites(t, "gen?vlocal=0.5", 200)...),
+			ruleSite{Injection{Structure: LSQ, CycleOffset: 177, Bit: 15, SiteSeed: 0x6cc5d}, "early-exit"},
+			ruleSite{Injection{Structure: RenameTable, CycleOffset: 149, Bit: 27, SiteSeed: 0x45381}, "deadlock"}), 36},
+		{"2-core", mkSystem(t, true), mpConfig(),
+			earlyExits(Injection{Structure: LSQ, CycleOffset: 142, Bit: 14, SiteSeed: 0x3b54a}), 25},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
@@ -102,10 +139,13 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			legacy := prepareLegacy(t, cell.mk, cfg)
 			want := runAll(t, legacy, false)
 			wantSites := make([]Result, len(cell.sites))
-			for i, inj := range cell.sites {
-				res, err := legacy.RunOne(context.Background(), inj, NewWorker(nil))
+			for i, rs := range cell.sites {
+				res, err := legacy.RunOne(context.Background(), rs.inj, NewWorker(nil))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if rs.rule == "deadlock" && !res.Hung {
+					t.Fatalf("site %+v: legacy Result %+v, want a hang", rs.inj, res)
 				}
 				wantSites[i] = res
 			}
@@ -126,16 +166,32 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						}
 					}
 					pf := p.Perf()
-					t.Logf("ckpt=%d early=%v: %d of %d runs exited early", ckpt, early, pf.EarlyExits, pf.Runs)
+					rules := map[rule]int{}
+					for _, inj := range p.Injections() {
+						if d, ok := p.decision(inj); ok {
+							rules[d.rule]++
+						}
+					}
+					t.Logf("ckpt=%d early=%v: of %d runs, %d exited early, %d were decided %v and %d deadlocked",
+						ckpt, early, pf.Runs, pf.EarlyExits, pf.Decided, rules, pf.Deadlocks)
+					if !early && pf.EarlyExits+pf.Decided+pf.Deadlocks != 0 {
+						t.Errorf("ckpt=%d without early exit: %+v, want every run simulated", ckpt, pf)
+					}
 					// Any acceleration passes, except at Prepare's own
 					// setting, ckpt=64 with early exit: there the floors are
-					// half of today's counts, so halving either fails.
-					// Forking saves 17792/20269 = 0.878 of the fast-forward
-					// cycles on both bzip2 cells.
-					var minEarly uint64
+					// half of today's counts, so halving either fails, and
+					// every rule must decide some drawn run.
+					// Forking saves 6656/7421 = 0.897 of the fast-forward
+					// cycles of the FaultHound cell's simulated runs.
+					var minDecided uint64
 					var minSaved float64
 					if ckpt == checkpointCadence && early {
-						minEarly, minSaved = cell.minEarly, 0.44
+						minDecided, minSaved = cell.minDecided, 0.44
+						for _, r := range []rule{unnamed, dead, unwritten} {
+							if rules[r] == 0 {
+								t.Errorf("no drawn run was decided by the %s rule", r)
+							}
+						}
 					}
 					// ckpt=1024 exceeds the 500-cycle spread, so no
 					// checkpoint fits inside it and every run legitimately
@@ -144,24 +200,29 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 						t.Errorf("ckpt=%d early=%v: checkpoint forking saved %d of %d fast-forward cycles, want some and a fraction >= %g",
 							ckpt, early, pf.ForkCyclesSaved, pf.OffsetCycles, minSaved)
 					}
-					if early && (pf.EarlyExits == 0 || pf.EarlyExits < minEarly) {
-						t.Errorf("ckpt=%d early=%v: %d of %d runs took the reconvergence early-exit, want some and >= %d",
-							ckpt, early, pf.EarlyExits, pf.Runs, minEarly)
+					if n := pf.EarlyExits + pf.Decided; early && (pf.EarlyExits == 0 || pf.Decided == 0 || n < minDecided) {
+						t.Errorf("ckpt=%d early=%v: %d early exits and %d decided of %d runs, want some of each and >= %d together",
+							ckpt, early, pf.EarlyExits, pf.Decided, pf.Runs, minDecided)
 					}
 
-					for i, inj := range cell.sites {
-						before := p.Perf().EarlyExits
-						got, err := p.RunOne(context.Background(), inj, NewWorker(nil))
+					for i, rs := range cell.sites {
+						before := p.Perf()
+						got, err := p.RunOne(context.Background(), rs.inj, NewWorker(nil))
 						if err != nil {
 							t.Fatal(err)
 						}
 						if got != wantSites[i] {
-							t.Fatalf("ckpt=%d early=%v unnamed site %+v: got %+v, want %+v",
-								ckpt, early, inj, got, wantSites[i])
+							t.Fatalf("ckpt=%d early=%v site %+v: got %+v, want %+v",
+								ckpt, early, rs.inj, got, wantSites[i])
 						}
-						if early && p.Perf().EarlyExits == before {
-							t.Errorf("ckpt=%d early=%v unnamed site %+v simulated its whole window, want an early exit",
-								ckpt, early, inj)
+						after := p.Perf()
+						took := map[string]bool{
+							"early-exit": after.EarlyExits > before.EarlyExits,
+							"deadlock":   after.Deadlocks > before.Deadlocks,
+						}[rs.rule]
+						if early && !took {
+							t.Errorf("ckpt=%d early=%v site %+v simulated its whole window, want it to take the %s rule",
+								ckpt, early, rs.inj, rs.rule)
 						}
 					}
 				}
@@ -197,15 +258,16 @@ func TestAudit(t *testing.T) {
 	}
 	for _, q := range []*Prepared{machine, p} {
 		runAudited(q, 1)
-		if pf := q.Perf(); pf.EarlyExits == 0 || pf.Audits != pf.EarlyExits || pf.AuditViolations != 0 {
-			t.Fatalf("rate 1, %d cores: %d audits and %d violations over %d early exits, want one audit each and none",
-				q.golden.Cores(), pf.Audits, pf.AuditViolations, pf.EarlyExits)
+		pf := q.Perf()
+		if pf.EarlyExits == 0 || pf.Decided == 0 || pf.Audits != pf.EarlyExits+pf.Decided+pf.Deadlocks || pf.AuditViolations != 0 {
+			t.Fatalf("rate 1, %d cores: %d audits and %d violations over %d early exits, %d decided runs and %d deadlocks, want one audit each and none",
+				q.golden.Cores(), pf.Audits, pf.AuditViolations, pf.EarlyExits, pf.Decided, pf.Deadlocks)
 		}
 	}
 	pf := p.Perf()
 	runAudited(p, 0.5)
-	if half := p.Perf().Audits - pf.Audits; half == 0 || half >= pf.EarlyExits {
-		t.Errorf("rate 0.5: %d audits over %d early exits, want some but not all", half, pf.EarlyExits)
+	if half, all := p.Perf().Audits-pf.Audits, pf.EarlyExits+pf.Decided+pf.Deadlocks; half == 0 || half >= all {
+		t.Errorf("rate 0.5: %d audits over %d decisions, want some but not all", half, all)
 	}
 
 	// A run injected at offset 0 forks from golden itself, so its window

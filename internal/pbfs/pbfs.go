@@ -77,6 +77,9 @@ func (p *PBFS) OnComplete(ev detect.Event) detect.Action {
 // OnCommit does nothing: PBFS has no LSQ coverage.
 func (p *PBFS) OnCommit(detect.Event) detect.Action { return detect.None }
 
+// CommitMutates implements detect.Detector: OnCommit does nothing.
+func (p *PBFS) CommitMutates() bool { return false }
+
 // SetLearnOnly implements detect.Detector. PBFS uses full rollbacks,
 // which squash the triggering instruction itself, so the pipeline never
 // replays; the flag exists for interface completeness.

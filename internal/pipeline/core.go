@@ -116,13 +116,17 @@ type Core struct {
 	hier   *mem.Hierarchy
 
 	detector detect.Detector
-	// detStream folds every detector interaction (completion/commit
-	// checks with their full events, learn-only transitions) into a
-	// running stream tag: two cores that started from the same snapshot
-	// and carry equal tags have driven their detectors identically, so
-	// the detectors hold equal internal state. The reconvergence digest
-	// compares this one word instead of the detector's filter tables.
-	// Stays zero for a detector-less baseline.
+	// detStream folds every detector interaction that can change the
+	// detector's state (completion checks and learn-only transitions,
+	// with their full events, and commit checks when the detector's
+	// CommitMutates says they train) into a running stream tag: two
+	// cores that started from the same snapshot and carry equal tags
+	// have driven their detectors into equal internal state, though
+	// their Stats counters may differ by commit checks the tag leaves
+	// out. The reconvergence digest compares this one word instead of
+	// the detector's filter tables; the fault runner carries the
+	// counters across a match as offsets. Stays zero for a
+	// detector-less baseline.
 	detStream uint64
 	probe     func(detect.Event)
 	tracer    Tracer
@@ -436,10 +440,16 @@ func (c *Core) detOnComplete(ev detect.Event) detect.Action {
 }
 
 // detOnCommit routes a commit-check event to the detector, folding the
-// full event into the stream tag. Caller guarantees c.detector != nil.
+// full event into the stream tag when the check can change the
+// detector's state (detect.Detector.CommitMutates). A check that only
+// probes changes nothing but counters, and the action it returns acts
+// on pipeline state the digest covers anyway. Caller guarantees
+// c.detector != nil.
 func (c *Core) detOnCommit(ev detect.Event) detect.Action {
-	c.foldDet(ev.PC<<8 | uint64(ev.Kind)<<5 | uint64(ev.Thread)<<1 | 2)
-	c.foldDet(ev.Value)
+	if c.detector.CommitMutates() {
+		c.foldDet(ev.PC<<8 | uint64(ev.Kind)<<5 | uint64(ev.Thread)<<1 | 2)
+		c.foldDet(ev.Value)
+	}
 	return c.detector.OnCommit(ev)
 }
 
@@ -584,6 +594,77 @@ func (c *Core) RunUntilCommits(tid int, n uint64, maxCycles uint64) bool {
 		c.Step()
 	}
 	return true
+}
+
+// Quiescent reports whether the core is deadlocked: no stage can act in
+// the next cycle or in any later one, so stepping it moves nothing but
+// the cycle count and the stall counter of the dispatch it retries
+// (and rewrites a stalled uop's renamed sources with the values they
+// already hold). It holds when
+//
+//   - nothing executes (no inFlight uop) and the issue scheduler's memo
+//     is clean (schedClean): the gather provably finds no candidate;
+//   - commit is not stalled (commitStall) and no SRT-iso shadow work is
+//     pending;
+//   - no thread's ROB head has completed, so nothing can retire, raise
+//     its exception or wait out the commit delay;
+//   - every thread's fetch-queue head has reached its dispatch cycle
+//     (readyAt) and dispatch stalls on it without evicting from the
+//     delay buffer (dispatchStalls);
+//   - no thread can fetch or halt: each is halted, excepted, stopped
+//     behind a non-empty pipeline, or full, and none waits for a later
+//     cycle (fetchBlockedUntil).
+//
+// No stage changes any of this state unless it acts, no condition
+// depends on the cycle beyond the timed events it excludes, and every
+// thread is tested whatever the round-robin order, so a quiescent core
+// stays quiescent: its detector counters, faults declared, commits and
+// exceptions are final. Cores of one machine share only memory, which
+// a quiescent core neither reads nor writes.
+func (c *Core) Quiescent() bool {
+	if !c.schedClean || len(c.inFlight) > 0 || c.commitStall > 0 || c.shadowPending > 0 {
+		return false
+	}
+	for _, t := range c.threads {
+		if len(t.rob.s) > 0 && t.rob.s[0].state == stCompleted {
+			return false
+		}
+		if len(t.fetchQ.s) > 0 && !c.dispatchStalls(t, t.fetchQ.s[0]) {
+			return false
+		}
+		switch {
+		case t.halted || t.excepted:
+		case t.fetchBlockedUntil > c.cycle:
+			return false
+		case t.fetchStopped:
+			if len(t.rob.s) == 0 && len(t.fetchQ.s) == 0 {
+				return false // the next fetch halts the thread
+			}
+		case len(t.fetchQ.s) < c.cfg.FetchQueueMax:
+			return false
+		}
+	}
+	return true
+}
+
+// dispatchStalls reports whether dispatchOne, tried on u at the head of
+// t's fetch queue, stalls without acting, in this cycle and every later
+// one: u has reached its dispatch cycle and one of dispatchOne's stall
+// checks fails, in its order (ROB, IQ, LSQ, destination register). A
+// full IQ stalls only while the delay buffer is empty; otherwise
+// dispatch evicts its oldest entry.
+func (c *Core) dispatchStalls(t *threadState, u *uop) bool {
+	switch {
+	case u.readyAt > c.cycle:
+		return false
+	case len(t.rob.s) >= c.cfg.ROBPerThread:
+		return true
+	case u.inst.Op != isa.NOP && u.inst.Op != isa.HALT && c.iqUsed >= len(c.iq):
+		return len(c.delayBuf.s) == 0
+	case u.isMem() && len(t.lsq.s) >= c.cfg.LSQPerThread:
+		return true
+	}
+	return u.inst.HasDest() && u.inst.Rd != isa.RZero && !c.rf.canAlloc(u.inst.Rd)
 }
 
 // fifo is a queue of uops, oldest first: the ROB, the LSQ, the fetch

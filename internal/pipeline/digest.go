@@ -7,16 +7,22 @@ import "math"
 // cadence during Prepare; after an injection it compares the faulty
 // clone against the digest for the same cycle and, on a match, declares
 // the fault masked without simulating the rest of the window
-// (divergence-bounded replay).
+// (divergence-bounded replay). The digest covers every piece of state
+// that decides the core's future, and nothing else: the pipeline and
+// detector counters only accumulate, so a matching run's counters may
+// differ from golden's by an offset, which the runner carries to the
+// end of the window.
 //
 // A match is an equality proof in three stages, cheapest-to-fail
 // first:
 //
 //  1. Stream scalars: cycle, the global seq counter, the detector
-//     interaction stream, the O(1) memory hash, and the cache
+//     interaction stream (every interaction that can change the
+//     detector's state: a commit check that only probes the filters is
+//     left out, see detStream), the O(1) memory hash, and the cache
 //     hierarchy's access-stream tag. Any divergence in control flow,
-//     memory contents, or detector behavior lands here within a few
-//     word compares.
+//     memory contents, or detector state lands here within a few word
+//     compares.
 //  2. The physical register file, element by element against a full
 //     copy of the golden values. A mismatched register is tolerated
 //     only when it is provably dead in the current core (see

@@ -46,6 +46,7 @@ func (f *fakeDetector) OnCommit(detect.Event) detect.Action {
 	return f.commitAct
 }
 
+func (f *fakeDetector) CommitMutates() bool  { return false }
 func (f *fakeDetector) SetLearnOnly(on bool) { f.learnOnly = on }
 func (f *fakeDetector) Stats() detect.Stats  { return f.stats }
 func (f *fakeDetector) CloneInto(dst detect.Detector) detect.Detector {

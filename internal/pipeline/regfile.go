@@ -68,6 +68,14 @@ func (rf *regFile) alloc(r isa.Reg) physID {
 	return physNone
 }
 
+// canAlloc reports whether alloc(r) would find a free register.
+func (rf *regFile) canAlloc(r isa.Reg) bool {
+	if r.IsFP() {
+		return len(rf.freeFP) > 0
+	}
+	return len(rf.freeInt) > 0
+}
+
 // free returns p to its free list. Freeing physNone or the shared zero
 // register (phys 0) is a no-op.
 func (rf *regFile) free(p physID) {

@@ -54,6 +54,28 @@ func (c *Core) ArchHash(tid int) uint64 {
 // and FP together; register 0 is the shared zero register.
 func (c *Core) PhysRegs() int { return len(c.rf.val) }
 
+// NamesReg reports whether thread tid's code names architectural
+// register r (as a destination or a source anywhere in it). A flip in
+// the rename-table entry of a register the code never names can never
+// be read: no rename ever looks the entry up (see StateDigest).
+func (c *Core) NamesReg(tid int, r isa.Reg) bool {
+	return c.threads[tid].named>>uint(r)&1 != 0
+}
+
+// RegDead reports whether physical register p can never be read again
+// (the digest's dead-register rule, regProvablyDead): no in-flight uop
+// operand and no named register's rename entry references it, and it
+// is free or held only by entries of unnamed registers.
+func (c *Core) RegDead(p uint16) bool { return c.regProvablyDead(physID(p)) }
+
+// RegUnwritten reports whether physical register p awaits its
+// producer's write-back: its ready bit is clear. Consumers issue only
+// on ready, and the write-back (regFile.write) overwrites all 64 bits
+// before any of them reads p, so a flip in p now can never be read. A
+// replay clears the bit and writes again; a squash frees p, which then
+// falls under RegDead.
+func (c *Core) RegUnwritten(p uint16) bool { return int(p) < len(c.rf.ready) && !c.rf.ready[p] }
+
 // FlipRegisterBit flips one bit of a physical register value. It
 // reports false for the zero register or an out-of-range id.
 func (c *Core) FlipRegisterBit(p uint16, bit uint) bool {

@@ -121,6 +121,19 @@ func (s *System) Run(maxCycles uint64) uint64 {
 	return n
 }
 
+// Quiescent reports whether the machine is deadlocked: every core is
+// quiescent (pipeline.Core.Quiescent), so no core acts again. Cores
+// share only memory, which a quiescent core neither reads nor writes,
+// so one that keeps acting rules the machine out.
+func (s *System) Quiescent() bool {
+	for _, c := range s.cores {
+		if !c.Quiescent() {
+			return false
+		}
+	}
+	return true
+}
+
 // AllHalted reports whether every hardware thread has halted.
 func (s *System) AllHalted() bool {
 	for _, c := range s.cores {
