@@ -383,10 +383,10 @@ func (d decision) result(inj Injection) Result {
 	}
 }
 
-// decision returns the decision prepare made for inj. Only the drawn
+// decisionFor returns the decision prepare made for inj. Only the drawn
 // descriptor itself matches, not another that shares its SiteSeed, so
 // a custom descriptor takes the simulated path.
-func (p *Prepared) decision(inj Injection) (decision, bool) {
+func (p *Prepared) decisionFor(inj Injection) (decision, bool) {
 	i, _ := slices.BinarySearchFunc(p.decided, inj.SiteSeed, func(d decision, seed uint64) int {
 		return cmp.Compare(d.seed, seed)
 	})
@@ -889,7 +889,7 @@ const (
 func (p *Prepared) RunOne(ctx context.Context, inj Injection, w *Worker) (Result, error) {
 	cfg, sink := p.cfg, w.sink
 	audit := w.Audit > 0 && auditDraw(inj) < w.Audit
-	dec, decided := p.decision(inj)
+	dec, decided := p.decisionFor(inj)
 	if decided {
 		if sink != nil {
 			cyc := p.baseCycle + inj.CycleOffset

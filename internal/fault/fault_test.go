@@ -267,7 +267,7 @@ func TestRunOneObsLifecycle(t *testing.T) {
 		if injectCycle < cfg.WarmupCycles || evs[0].Arg != inj.Structure.String() {
 			t.Fatalf("inject instant %+v does not match injection %+v", evs[0], inj)
 		}
-		if d, ok := p.decision(inj); ok {
+		if d, ok := p.decisionFor(inj); ok {
 			sawDecided = true
 			if len(evs) != 2 || evs[1].Name != "decided" || evs[1].Arg != d.rule.String() || evs[1].Cycle != injectCycle {
 				t.Fatalf("decided run %+v emitted %+v, want inject, then decided %q", inj, evs, d.rule)

@@ -168,7 +168,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 					pf := p.Perf()
 					rules := map[rule]int{}
 					for _, inj := range p.Injections() {
-						if d, ok := p.decision(inj); ok {
+						if d, ok := p.decisionFor(inj); ok {
 							rules[d.rule]++
 						}
 					}

@@ -74,7 +74,7 @@ func (c *Core) RegDead(p uint16) bool { return c.regProvablyDead(physID(p)) }
 // before any of them reads p, so a flip in p now can never be read. A
 // replay clears the bit and writes again; a squash frees p, which then
 // falls under RegDead.
-func (c *Core) RegUnwritten(p uint16) bool { return int(p) < len(c.rf.ready) && !c.rf.ready[p] }
+func (c *Core) RegUnwritten(p uint16) bool { return !c.rf.ready[p] }
 
 // FlipRegisterBit flips one bit of a physical register value. It
 // reports false for the zero register or an out-of-range id.
